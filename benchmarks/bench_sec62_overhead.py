@@ -14,7 +14,7 @@ import re
 import time
 
 from repro.analysis import FunctionTable
-from repro.core import LETGO_E, run_under_letgo
+from repro.core import LETGO_E, LetGoSession
 from repro.lang import compile_source
 from repro.machine import Process
 from repro.reporting import ascii_table
@@ -41,7 +41,7 @@ def _time_plain(program, budget=10**8):
 def _time_monitored(program, functions, budget=10**8):
     process = Process.load(program)
     start = time.perf_counter()
-    run_under_letgo(process, LETGO_E, functions, budget)
+    LetGoSession(LETGO_E, functions).run(process, budget)
     return time.perf_counter() - start, process.cpu.instret
 
 

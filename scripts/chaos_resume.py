@@ -82,11 +82,12 @@ def main() -> int:
             retry_backoff=0.0,
             max_pool_rebuilds=0,
             serial_fallback=False,
+            journal=str(journal_path),
         )
     )
     print("[chaos] launching campaign with a SIGKILL booby-trap...")
     try:
-        crashy.run(app, N, SEED, journal=journal_path)
+        crashy.run(app, N, SEED)
     except CampaignAbortedError as exc:
         print(f"[chaos] campaign aborted as staged: {exc}")
     else:
@@ -104,9 +105,11 @@ def main() -> int:
 
     print(f"[chaos] resuming from {journal_path}")
     resumed_engine = CampaignEngine(
-        config=CampaignConfig(jobs=2, keep_results=True)
+        config=CampaignConfig(
+            jobs=2, keep_results=True, resume=str(journal_path)
+        )
     )
-    resumed = resumed_engine.run(app, N, SEED, resume=journal_path)
+    resumed = resumed_engine.run(app, N, SEED)
     print(
         f"[chaos] resumed={resumed_engine.stats.resumed} "
         f"executed={resumed_engine.stats.executed}"

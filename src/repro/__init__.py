@@ -27,7 +27,7 @@ This package reproduces the complete system on a self-contained substrate:
 Quickstart::
 
     from repro.apps import make_app
-    from repro.core import LETGO_E, run_under_letgo
+    from repro.core import LETGO_E
     from repro.faultinject import run_campaign
 
     app = make_app("lulesh")

@@ -133,7 +133,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     app = make_app(args.app)
     config = _variant(args.letgo)
-    cfg = campaign_config_from_args(args)
+    try:
+        cfg = campaign_config_from_args(args)
+    except ValueError as exc:
+        raise SystemExit(f"campaign: {exc}") from None
     engine = CampaignEngine(config=cfg)
     live = sys.stderr.isatty()
     if live:

@@ -1,8 +1,9 @@
 """LetGo core: monitor + modifier + heuristics + session runner.
 
-The paper's primary contribution.  ``run_under_letgo`` takes a loaded
-process and continues it across crash-causing errors instead of letting
-the OS kill it, per the configured variant (LetGo-B / LetGo-E / ablations).
+The paper's primary contribution.  ``LetGoSession(config, functions)``
+runs a loaded process and continues it across crash-causing errors
+instead of letting the OS kill it, per the configured variant (LetGo-B /
+LetGo-E / ablations).
 """
 
 from repro.core.config import (
@@ -27,7 +28,6 @@ from repro.core.session import (
     TERMINATED,
     LetGoRunReport,
     LetGoSession,
-    run_under_letgo,
 )
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "apply_heuristic2",
     "LetGoSession",
     "LetGoRunReport",
-    "run_under_letgo",
     "COMPLETED",
     "TERMINATED",
     "HUNG",

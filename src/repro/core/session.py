@@ -167,20 +167,9 @@ class LetGoSession:
                 tracer.count("heuristic:H2")
 
 
-def run_under_letgo(
-    process: Process,
-    config: LetGoConfig,
-    functions: FunctionTable,
-    max_steps: int,
-) -> LetGoRunReport:
-    """One-shot convenience wrapper around :class:`LetGoSession`."""
-    return LetGoSession(config, functions).run(process, max_steps)
-
-
 __all__ = [
     "LetGoSession",
     "LetGoRunReport",
-    "run_under_letgo",
     "COMPLETED",
     "TERMINATED",
     "HUNG",

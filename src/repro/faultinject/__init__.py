@@ -13,12 +13,7 @@ from repro.faultinject.campaign import (
     run_campaign,
     run_paired_campaigns,
 )
-from repro.faultinject.engine import (
-    NO_LADDER,
-    CampaignEngine,
-    EngineStats,
-    run_campaign_engine,
-)
+from repro.faultinject.engine import NO_LADDER, CampaignEngine, EngineStats
 from repro.faultinject.fault_model import (
     InjectionPlan,
     flip_bit,
@@ -51,7 +46,6 @@ from repro.faultinject.persistence import (
     campaign_from_json,
     campaign_to_json,
     load_campaign,
-    merge_campaigns,
     save_campaign,
 )
 from repro.faultinject.sites import (
@@ -76,7 +70,6 @@ __all__ = [
     "run_paired_campaigns",
     "CampaignEngine",
     "EngineStats",
-    "run_campaign_engine",
     "NO_LADDER",
     "Outcome",
     "FINISHED_OUTCOMES",
@@ -96,7 +89,6 @@ __all__ = [
     "campaign_from_json",
     "save_campaign",
     "load_campaign",
-    "merge_campaigns",
     "atomic_write_text",
     "CampaignJournal",
     "JournalHeader",

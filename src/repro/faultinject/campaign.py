@@ -11,8 +11,7 @@ is what makes the Figure-5 B-vs-E comparison tight at moderate N.
 from __future__ import annotations
 
 import argparse
-import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -162,18 +161,6 @@ class CampaignResult:
 # -- the unified campaign configuration --------------------------------------
 
 
-class _Unset:
-    """Sentinel distinguishing 'not passed' from an explicit None."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<unset>"
-
-
-_UNSET = _Unset()
-
-
 def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -188,7 +175,7 @@ def _knob(
     kind: str = "str",
     metavar: str | None = None,
     choices: str | None = None,
-    cli_default=_UNSET,
+    cli_default=MISSING,
     group: str | None = None,
 ):
     """A :class:`CampaignConfig` field whose metadata drives CLI flag
@@ -198,7 +185,7 @@ def _knob(
         meta["metavar"] = metavar
     if choices is not None:
         meta["choices"] = choices
-    if cli_default is not _UNSET:
+    if cli_default is not MISSING:
         meta["cli_default"] = cli_default
     if group is not None:
         meta["group"] = group
@@ -209,9 +196,10 @@ def _knob(
 class CampaignConfig:
     """Every execution / resilience / observability knob of a campaign.
 
-    One frozen value object replaces the kwarg soup previously spread
-    across :class:`~repro.faultinject.engine.CampaignEngine`,
-    :func:`run_campaign`, :func:`run_paired_campaigns` and the CLI.  None
+    The one way to configure a campaign: the CLI builds it from flags,
+    :class:`~repro.faultinject.engine.CampaignEngine` takes it as
+    ``config=``, :func:`run_campaign` / :func:`run_paired_campaigns` as
+    ``campaign=``, and the engine pickles it once into each worker.  None
     of these knobs changes campaign *outcomes* (``wall_clock_limit`` is
     the documented safety-valve exception); they change how fast the
     result arrives, what it survives, and what gets observed on the way.
@@ -341,10 +329,19 @@ class CampaignConfig:
     )
 
     def __post_init__(self) -> None:
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError("jobs must be >= 1 (or None for all cores)")
         if self.shard_size is not None and self.shard_size < 1:
             raise ValueError("shard_size must be >= 1")
-        if self.probe_interval < 0:
-            raise ValueError("probe_interval must be >= 0")
+        for name in (
+            "max_retries",
+            "retry_backoff",
+            "retry_backoff_cap",
+            "max_pool_rebuilds",
+            "probe_interval",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.journal is not None and self.resume is not None:
             raise ValueError(
                 "pass either journal= (fresh) or resume= (existing), not both"
@@ -359,31 +356,6 @@ class CampaignConfig:
             or self.chrome_trace is not None
             or self.probe_interval > 0
         )
-
-
-def _with_legacy(
-    campaign: CampaignConfig | None, caller: str, **overrides
-) -> CampaignConfig:
-    """Fold deprecated per-knob kwargs into a :class:`CampaignConfig`.
-
-    Explicitly passed legacy kwargs (anything not ``_UNSET``) win over
-    the supplied config and emit one :class:`DeprecationWarning` naming
-    the replacement, so old call sites keep working verbatim while new
-    code converges on the config object.
-    """
-    supplied = {
-        name: value for name, value in overrides.items() if value is not _UNSET
-    }
-    base = campaign if campaign is not None else CampaignConfig()
-    if not supplied:
-        return base
-    warnings.warn(
-        f"{caller}: pass config=CampaignConfig(...) instead of the "
-        f"deprecated keyword(s) {sorted(supplied)}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return replace(base, **supplied)
 
 
 #: argparse flag types, keyed by field-metadata ``kind``.
@@ -444,42 +416,24 @@ def run_campaign(
     n: int,
     seed: int,
     config: LetGoConfig | None = None,
-    keep_results: bool | _Unset = _UNSET,
-    plans: list[InjectionPlan] | None = None,
     *,
-    jobs: int | None | _Unset = _UNSET,
-    ladder_interval: int | None | _Unset = _UNSET,
+    plans: list[InjectionPlan] | None = None,
     campaign: CampaignConfig | None = None,
 ) -> CampaignResult:
     """Run *n* injections on *app* under *config* (None = baseline).
 
-    A thin wrapper over :class:`~repro.faultinject.engine.CampaignEngine`:
-    by default the golden prefix of each run is restored from the app's
-    snapshot ladder instead of replayed from instruction 0, and ``jobs``
+    Shorthand for ``CampaignEngine(config=campaign).run(...)``: by default
+    the golden prefix of each run is restored from the app's snapshot
+    ladder instead of replayed from instruction 0, and ``campaign.jobs``
     fans the independent runs out across worker processes.  Results are
-    identical to the naive serial loop for the same seed regardless of
-    ``jobs``/``ladder_interval`` (pass ``ladder_interval=0`` to disable
-    the ladder).
-
-    ``keep_results`` retains the per-run :class:`InjectionResult` records;
-    it defaults to False because at large N the accumulation is unbounded
-    (matching :func:`run_paired_campaigns`).
-
-    ``campaign`` supplies the full :class:`CampaignConfig`; the loose
-    ``keep_results`` / ``jobs`` / ``ladder_interval`` kwargs are the
-    deprecated pre-config spelling and override it when passed.
+    identical to the naive serial loop for the same seed whatever the
+    :class:`CampaignConfig` (``ladder_interval=0`` disables the ladder).
+    Per-run :class:`InjectionResult` records are kept only with
+    ``keep_results=True``: at large N they grow without bound.
     """
     from repro.faultinject.engine import CampaignEngine
 
-    cfg = _with_legacy(
-        campaign,
-        "run_campaign",
-        keep_results=keep_results,
-        jobs=jobs,
-        ladder_interval=ladder_interval,
-    )
-    engine = CampaignEngine(config=cfg)
-    return engine.run(app, n, seed, config, plans=plans)
+    return CampaignEngine(config=campaign).run(app, n, seed, config, plans=plans)
 
 
 def run_paired_campaigns(
@@ -487,32 +441,21 @@ def run_paired_campaigns(
     n: int,
     seed: int,
     configs: list[LetGoConfig | None],
-    keep_results: bool | _Unset = _UNSET,
     *,
-    jobs: int | None | _Unset = _UNSET,
-    ladder_interval: int | None | _Unset = _UNSET,
     campaign: CampaignConfig | None = None,
 ) -> dict[str, CampaignResult]:
     """Run the same fault population under several configurations.
 
     Returns config-name -> result ("baseline" for None).  ``campaign``
-    (a :class:`CampaignConfig`) passes through to :func:`run_campaign`;
-    the loose kwargs are the deprecated spelling.
+    passes through to :func:`run_campaign`.
     """
-    cfg = _with_legacy(
-        campaign,
-        "run_paired_campaigns",
-        keep_results=keep_results,
-        jobs=jobs,
-        ladder_interval=ladder_interval,
-    )
     rng = np.random.default_rng(seed)
     plans = plan_injections(rng, app.golden.instret, n)
     out: dict[str, CampaignResult] = {}
     for config in configs:
         name = config.name if config is not None else "baseline"
         out[name] = run_campaign(
-            app, n, seed, config, plans=plans, campaign=cfg
+            app, n, seed, config, plans=plans, campaign=campaign
         )
     return out
 

@@ -53,22 +53,16 @@ import os
 from collections import Counter, deque
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from pathlib import Path
 from time import perf_counter, sleep
+from typing import Callable
 
 import numpy as np
 
 from repro.apps.base import MiniApp
-from repro.checkpoint.snapshot import SnapshotLadder, restore, restore_into, snapshot
+from repro.checkpoint.snapshot import SnapshotLadder, restore_into, snapshot
 from repro.core.config import LetGoConfig
 from repro.errors import CampaignAbortedError
-from repro.faultinject.campaign import (
-    _UNSET,
-    CampaignConfig,
-    CampaignResult,
-    _Unset,
-    _with_legacy,
-)
+from repro.faultinject.campaign import CampaignConfig, CampaignResult
 from repro.faultinject.fault_model import InjectionPlan, plan_injections
 from repro.faultinject.injector import InjectionResult, run_injection
 from repro.faultinject.journal import CampaignJournal, JournalHeader
@@ -155,39 +149,19 @@ class EngineStats:
         return line
 
 
-# -- golden-path session seeding -------------------------------------------
-
-
-def _seed_session(
-    app: MiniApp,
-    plan: InjectionPlan,
-    ladder: SnapshotLadder | None,
-    backend: str | None = None,
-) -> tuple[DebugSession, bool, int]:
-    """A session positioned for *plan*: nearest rung, or a cold load.
-
-    Returns (session, restored_from_rung, golden_steps_still_to_replay).
-    """
-    target = plan.dyn_index - 1
-    snap = ladder.nearest(target) if ladder is not None else None
-    if snap is None:
-        return DebugSession(app.load(backend)), False, target
-    return (
-        DebugSession(restore(app.program, snap, backend=backend)),
-        True,
-        target - snap.instret,
-    )
+def _ladder_for(app: MiniApp, campaign: CampaignConfig) -> SnapshotLadder | None:
+    """The snapshot ladder *campaign* asks for (None: ladder disabled)."""
+    if campaign.ladder_interval == NO_LADDER:
+        return None
+    return app.ladder(campaign.ladder_interval)
 
 
 def _run_shard(
     app: MiniApp,
     ladder: SnapshotLadder | None,
-    config: LetGoConfig | None,
+    letgo_config: LetGoConfig | None,
     batch: list[tuple[int, InjectionPlan]],
-    wall_clock_limit: float | None = None,
-    backend: str | None = None,
-    telemetry: bool = False,
-    probe_interval: int = 0,
+    campaign: CampaignConfig,
 ) -> tuple[
     list[tuple[int, InjectionResult]], tuple[int, int, int, float], dict | None
 ]:
@@ -204,17 +178,18 @@ def _run_shard(
     compiled backend -- closure-table compilation are paid once per shard
     rather than once per injection.
 
-    With ``telemetry`` a leaf :class:`~repro.telemetry.Tracer` records the
+    With telemetry enabled a leaf :class:`~repro.telemetry.Tracer` records the
     shard's phase spans and counters; its picklable export is the third
     return element (None when disabled), absorbed by the supervisor.  The
     leaf is created here -- identically for in-process and pooled shards
     -- so the merged stream is independent of *where* the shard ran.
     """
     t0 = perf_counter()
+    telemetry = campaign.telemetry_enabled
     if telemetry:
         tracer = Tracer(
             tid=f"shard-{min(idx for idx, _ in batch):05d}",
-            probe_interval=probe_interval,
+            probe_interval=campaign.probe_interval,
         )
         tracer.instant("worker-start", pid=os.getpid(), plans=len(batch))
     else:
@@ -222,7 +197,7 @@ def _run_shard(
     restored = cold = fast_forward = 0
     out: dict[int, InjectionResult] = {}
     with tracer.span("shard"):
-        host = app.load(backend)
+        host = app.load(campaign.backend)
         pristine = snapshot(host)
         for idx, plan in sorted(batch, key=lambda pair: pair[1].dyn_index):
             target = plan.dyn_index - 1
@@ -240,9 +215,9 @@ def _run_shard(
             out[idx] = run_injection(
                 app,
                 plan,
-                config,
+                letgo_config,
                 session=DebugSession(host),
-                wall_clock_limit=wall_clock_limit,
+                wall_clock_limit=campaign.wall_clock_limit,
                 tracer=tracer,
             )
     pairs = [(idx, out[idx]) for idx in sorted(out)]
@@ -252,13 +227,14 @@ def _run_shard(
 
 # -- worker protocol --------------------------------------------------------
 #
-# Workers receive only picklable primitives: an app *spec* (registry name
-# or module:qualname import path), the ladder interval, the LetGo config
-# (a frozen dataclass), and the wall-clock limit.  App, program image and
-# ladder are re-derived worker-side through the same module caches the
-# parent uses.
+# Workers receive only picklable values, once, at pool init: an app *spec*
+# (registry name or module:qualname import path), the LetGo config and the
+# CampaignConfig (both frozen dataclasses).  App, program image and ladder
+# are re-derived worker-side through the same module caches the parent
+# uses.
 
-_WORKER: dict = {}
+#: (app, ladder, letgo_config, campaign) of this worker process.
+_WORKER: tuple = ()
 
 
 def _app_from_spec(spec: tuple) -> MiniApp:
@@ -297,35 +273,16 @@ def _app_spec(app: MiniApp) -> tuple | None:
 
 
 def _worker_init(
-    spec: tuple,
-    interval: int | None,
-    config: LetGoConfig | None,
-    wall_clock_limit: float | None = None,
-    backend: str | None = None,
-    telemetry: bool = False,
-    probe_interval: int = 0,
+    spec: tuple, letgo_config: LetGoConfig | None, campaign: CampaignConfig
 ) -> None:
+    global _WORKER
     app = _app_from_spec(spec)
-    _WORKER["app"] = app
-    _WORKER["ladder"] = app.ladder(interval) if interval != NO_LADDER else None
-    _WORKER["config"] = config
-    _WORKER["wall_clock_limit"] = wall_clock_limit
-    _WORKER["backend"] = backend
-    _WORKER["telemetry"] = telemetry
-    _WORKER["probe_interval"] = probe_interval
+    _WORKER = (app, _ladder_for(app, campaign), letgo_config, campaign)
 
 
 def _worker_run(batch: list[tuple[int, InjectionPlan]]):
-    return _run_shard(
-        _WORKER["app"],
-        _WORKER["ladder"],
-        _WORKER["config"],
-        batch,
-        _WORKER.get("wall_clock_limit"),
-        _WORKER.get("backend"),
-        _WORKER.get("telemetry", False),
-        _WORKER.get("probe_interval", 0),
-    )
+    app, ladder, letgo_config, campaign = _WORKER
+    return _run_shard(app, ladder, letgo_config, batch, campaign)
 
 
 def _split(items: list, k: int) -> list[list]:
@@ -357,10 +314,10 @@ class _Supervisor:
     Every completed shard is journaled *before* its results are merged.
     """
 
-    engine: "CampaignEngine"
+    campaign: CampaignConfig
     app: MiniApp
     ladder: SnapshotLadder | None
-    config: LetGoConfig | None
+    letgo_config: LetGoConfig | None
     spec: tuple | None
     jobs: int
     journal: CampaignJournal | None
@@ -375,8 +332,7 @@ class _Supervisor:
     degraded: bool = False
     timeouts: int = 0
     tracer: object = NULL_TRACER      # parent-side merged event stream
-    telemetry: bool = False           # shards create leaf tracers
-    probe_interval: int = 0
+    on_progress: Callable[[int, int], None] | None = None
     total: int = 0                    # campaign n, for progress reporting
     done_base: int = 0                # plans settled before this invocation
 
@@ -395,14 +351,7 @@ class _Supervisor:
             shard = self.queue.popleft()
             try:
                 pairs, stat, payload = _run_shard(
-                    self.app,
-                    self.ladder,
-                    self.config,
-                    shard,
-                    self.engine.wall_clock_limit,
-                    self.engine.backend,
-                    self.telemetry,
-                    self.probe_interval,
+                    self.app, self.ladder, self.letgo_config, shard, self.campaign
                 )
             except Exception as exc:
                 self._failure(shard, exc)
@@ -412,22 +361,11 @@ class _Supervisor:
     # -- pool --------------------------------------------------------------
 
     def _make_pool(self) -> ProcessPoolExecutor | None:
-        interval = (
-            self.ladder.interval if self.ladder is not None else NO_LADDER
-        )
         try:
             return ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_worker_init,
-                initargs=(
-                    self.spec,
-                    interval,
-                    self.config,
-                    self.engine.wall_clock_limit,
-                    self.engine.backend,
-                    self.telemetry,
-                    self.probe_interval,
-                ),
+                initargs=(self.spec, self.letgo_config, self.campaign),
             )
         except Exception:
             return None
@@ -469,8 +407,8 @@ class _Supervisor:
                     self.pool_rebuilds += 1
                     self.tracer.count("pool-rebuild")
                     self.tracer.instant("pool-rebuild", n=self.pool_rebuilds)
-                    if self.pool_rebuilds > self.engine.max_pool_rebuilds:
-                        if not self.engine.serial_fallback:
+                    if self.pool_rebuilds > self.campaign.max_pool_rebuilds:
+                        if not self.campaign.serial_fallback:
                             raise CampaignAbortedError(
                                 f"worker pool broke "
                                 f"{self.pool_rebuilds} times; giving up",
@@ -520,26 +458,25 @@ class _Supervisor:
         self.shard_sizes.append(len(pairs))
         self.shard_stats.append(stat)
         self.timeouts += sum(1 for _, result in pairs if result.timed_out)
-        on_progress = self.engine.on_progress
-        if on_progress is not None:
-            on_progress(self.done_base + len(self.pairs), self.total)
+        if self.on_progress is not None:
+            self.on_progress(self.done_base + len(self.pairs), self.total)
 
     def _failure(self, shard: list[tuple[int, InjectionPlan]], exc: Exception) -> None:
         key = tuple(idx for idx, _ in shard)
         count = self.attempts.get(key, 0) + 1
         self.attempts[key] = count
-        if count <= self.engine.max_retries:
+        if count <= self.campaign.max_retries:
             self.retries += 1
             self.tracer.count("retry")
             self.tracer.instant(
                 "retry", plans=len(shard), attempt=count,
                 error=type(exc).__name__,
             )
-            backoff = self.engine.retry_backoff
+            backoff = self.campaign.retry_backoff
             if backoff > 0:
                 sleep(
                     min(
-                        self.engine.retry_backoff_cap,
+                        self.campaign.retry_backoff_cap,
                         backoff * 2 ** (count - 1),
                     )
                 )
@@ -569,100 +506,34 @@ class _Supervisor:
 class CampaignEngine:
     """Runs injection campaigns with prefix reuse, fan-out, and supervision.
 
-    Execution knobs:
+    Every knob -- execution (``jobs``, ``ladder_interval``, ``shard_size``,
+    ``backend``, ``keep_results``), resilience (retries, backoff, pool
+    rebuilds, serial fallback, the ``wall_clock_limit`` watchdog),
+    durability (``journal`` / ``resume``) and observability -- is a field
+    of the frozen :class:`~repro.faultinject.campaign.CampaignConfig`
+    passed as ``config=`` (None: the defaults).  The engine reads it as
+    :attr:`config` and hands the same object to every worker.
 
-    * ``jobs``: worker processes (1 = in-process; None = ``os.cpu_count()``).
-    * ``ladder_interval``: rung spacing in retired instructions (None = the
-      app's :attr:`~repro.apps.base.MiniApp.default_ladder_interval`;
-      :data:`NO_LADDER` / 0 = replay every prefix from instruction 0).
-    * ``keep_results``: keep per-run :class:`InjectionResult` records on the
-      campaign (memory-unsafe at large N, hence off by default).
-    * ``shard_size``: plans per shard (None = one shard per worker, or a
-      finer default grain when journaling so resume loses little work).
-
-    Resilience knobs:
-
-    * ``max_retries``: re-executions of a failing shard before bisection.
-    * ``retry_backoff`` / ``retry_backoff_cap``: exponential backoff seconds
-      between retries (0 disables sleeping).
-    * ``max_pool_rebuilds``: broken process pools replaced before degrading.
-    * ``serial_fallback``: finish in-process when the pool keeps breaking
-      (False: raise :class:`~repro.errors.CampaignAbortedError` instead).
-    * ``wall_clock_limit``: per-injection watchdog seconds (None = off;
-      expired runs classify as ``HANG`` -- a non-deterministic safety
-      valve, so leave it off when bit-identical reruns matter).
-    * ``backend``: execution engine for injection runs ("interpreter" or
-      "compiled"; None = the package default).  Outcomes are
-      backend-invariant -- the differential suite proves it -- so this
-      only changes speed.
-
-    For the same (app, n, seed, config, plans) every (jobs,
+    For the same (app, n, seed, LetGo config, plans) every (jobs,
     ladder_interval, shard_size, backend) combination produces an
     identical :class:`CampaignResult`; the engine only changes how fast
     it arrives and what it survives.  The last run's :class:`EngineStats`
-    is kept on :attr:`stats`.
-
-    All knobs live in one :class:`~repro.faultinject.campaign.CampaignConfig`
-    (``config=``); the loose per-knob kwargs are the deprecated
-    pre-config spelling and override it when passed.  With telemetry
-    enabled the last run's aggregated
-    :class:`~repro.telemetry.TelemetryReport` is kept on
+    is kept on :attr:`stats`.  With telemetry enabled the last run's
+    aggregated :class:`~repro.telemetry.TelemetryReport` is kept on
     :attr:`telemetry`; :attr:`on_progress` optionally receives
     ``(done, total)`` after every committed shard.
     """
 
-    def __init__(
-        self,
-        jobs: int | None | _Unset = _UNSET,
-        ladder_interval: int | None | _Unset = _UNSET,
-        keep_results: bool | _Unset = _UNSET,
-        *,
-        shard_size: int | None | _Unset = _UNSET,
-        max_retries: int | _Unset = _UNSET,
-        retry_backoff: float | _Unset = _UNSET,
-        retry_backoff_cap: float | _Unset = _UNSET,
-        max_pool_rebuilds: int | _Unset = _UNSET,
-        serial_fallback: bool | _Unset = _UNSET,
-        wall_clock_limit: float | None | _Unset = _UNSET,
-        backend: str | None | _Unset = _UNSET,
-        config: CampaignConfig | None = None,
-    ):
-        cfg = _with_legacy(
-            config,
-            "CampaignEngine",
-            jobs=jobs,
-            ladder_interval=ladder_interval,
-            keep_results=keep_results,
-            shard_size=shard_size,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            retry_backoff_cap=retry_backoff_cap,
-            max_pool_rebuilds=max_pool_rebuilds,
-            serial_fallback=serial_fallback,
-            wall_clock_limit=wall_clock_limit,
-            backend=backend,
-        )
-        self.campaign_config = cfg
-        self.jobs = (
-            (os.cpu_count() or 1) if cfg.jobs is None else max(1, cfg.jobs)
-        )
-        self.ladder_interval = cfg.ladder_interval
-        self.keep_results = cfg.keep_results
-        self.backend = cfg.backend
-        self.shard_size = cfg.shard_size
-        self.max_retries = max(0, cfg.max_retries)
-        self.retry_backoff = max(0.0, cfg.retry_backoff)
-        self.retry_backoff_cap = max(0.0, cfg.retry_backoff_cap)
-        self.max_pool_rebuilds = max(0, cfg.max_pool_rebuilds)
-        self.serial_fallback = cfg.serial_fallback
-        self.wall_clock_limit = cfg.wall_clock_limit
+    def __init__(self, config: CampaignConfig | None = None):
+        self.config = config if config is not None else CampaignConfig()
         self.stats: EngineStats | None = None
         self.telemetry: TelemetryReport | None = None
-        self.on_progress = None  # optional callable(done, total)
+        self.on_progress: Callable[[int, int], None] | None = None
 
     def _shard_count(self, pending: int, jobs: int, journaling: bool) -> int:
-        if self.shard_size is not None:
-            return max(1, math.ceil(pending / self.shard_size))
+        shard_size = self.config.shard_size
+        if shard_size is not None:
+            return max(1, math.ceil(pending / shard_size))
         if journaling:
             # Finer grain: each journaled shard is resume credit, and
             # bisection isolates poison plans in fewer halvings.
@@ -676,20 +547,17 @@ class CampaignEngine:
         seed: int,
         config: LetGoConfig | None = None,
         plans: list[InjectionPlan] | None = None,
-        *,
-        journal: str | Path | None = None,
-        resume: str | Path | None = None,
     ) -> CampaignResult:
         """Run *n* injections on *app* under *config* (None = baseline).
 
-        ``journal`` starts a fresh write-ahead journal at that path;
-        ``resume`` loads an existing one, verifies it belongs to this
-        exact campaign, skips already-journaled plans, and appends new
-        shards to the same file.  Either way the returned result is
-        bit-identical to an uninterrupted run with the same seed.  Both
-        default to the engine's :class:`CampaignConfig` values.
+        With :attr:`CampaignConfig.journal` the run starts a fresh
+        write-ahead journal at that path; with :attr:`CampaignConfig.resume`
+        it loads an existing one, verifies it belongs to this exact
+        campaign, skips already-journaled plans, and appends new shards to
+        the same file.  Either way the returned result is bit-identical to
+        an uninterrupted run with the same seed.
         """
-        cfg = self.campaign_config
+        cfg = self.config
         tracer = (
             Tracer(tid="engine", probe_interval=cfg.probe_interval)
             if cfg.telemetry_enabled
@@ -697,31 +565,23 @@ class CampaignEngine:
         )
         self.telemetry = None
         t0 = perf_counter()
-        if journal is None:
-            journal = cfg.journal
-        if resume is None:
-            resume = cfg.resume
         if plans is None:
             rng = np.random.default_rng(seed)
             with tracer.span("plan"):
                 plans = plan_injections(rng, app.golden.instret, n)
         elif len(plans) != n:
             raise ValueError("len(plans) must equal n")
-        if journal is not None and resume is not None:
-            raise ValueError(
-                "pass either journal= (fresh) or resume= (existing), not both"
-            )
 
         config_name = config.name if config is not None else "baseline"
         journal_obj: CampaignJournal | None = None
-        if resume is not None:
-            journal_obj = CampaignJournal.load(resume)
+        if cfg.resume is not None:
+            journal_obj = CampaignJournal.load(cfg.resume)
             journal_obj.verify(
                 JournalHeader.for_campaign(app.name, config_name, n, seed, plans)
             )
-        elif journal is not None:
+        elif cfg.journal is not None:
             journal_obj = CampaignJournal.create(
-                journal,
+                cfg.journal,
                 JournalHeader.for_campaign(app.name, config_name, n, seed, plans),
             )
         if journal_obj is not None:
@@ -739,33 +599,32 @@ class CampaignEngine:
             if journal_obj is not None
             else []
         )
-        if resume is not None:
+        if cfg.resume is not None:
             tracer.instant(
                 "journal-resume", settled=len(settled), pending=len(indexed)
             )
 
-        use_ladder = self.ladder_interval != NO_LADDER
         # Building (or fetching) the ladder in the parent warms the
         # per-source cache, which fork-based workers inherit for free.
         with tracer.span("ladder"):
-            ladder = app.ladder(self.ladder_interval) if use_ladder else None
+            ladder = _ladder_for(app, cfg)
 
-        jobs = max(1, min(self.jobs, len(indexed))) if indexed else 1
+        requested = cfg.jobs if cfg.jobs is not None else (os.cpu_count() or 1)
+        jobs = max(1, min(requested, len(indexed)))
         spec = _app_spec(app) if jobs > 1 else None
         if jobs > 1 and spec is None:
             jobs = 1  # un-rederivable app (e.g. a local class): stay in-process
 
         supervisor = _Supervisor(
-            engine=self,
+            campaign=cfg,
             app=app,
             ladder=ladder,
-            config=config,
+            letgo_config=config,
             spec=spec,
             jobs=jobs,
             journal=journal_obj,
             tracer=tracer,
-            telemetry=tracer.enabled,
-            probe_interval=cfg.probe_interval,
+            on_progress=self.on_progress,
             total=n,
             done_base=len(settled),
         )
@@ -789,7 +648,7 @@ class CampaignEngine:
                 config_name=config_name,
                 n=len(ordered),
                 counts=dict(counts),
-                results=list(ordered) if self.keep_results else [],
+                results=list(ordered) if cfg.keep_results else [],
             )
 
         elapsed = perf_counter() - t0
@@ -836,39 +695,8 @@ class CampaignEngine:
         return merged
 
 
-def run_campaign_engine(
-    app: MiniApp,
-    n: int,
-    seed: int,
-    config: LetGoConfig | None = None,
-    *,
-    jobs: int | None | _Unset = _UNSET,
-    ladder_interval: int | None | _Unset = _UNSET,
-    keep_results: bool | _Unset = _UNSET,
-    plans: list[InjectionPlan] | None = None,
-    backend: str | None | _Unset = _UNSET,
-    campaign: CampaignConfig | None = None,
-) -> CampaignResult:
-    """One-shot convenience wrapper around :class:`CampaignEngine`.
-
-    ``campaign`` supplies the :class:`CampaignConfig`; the loose kwargs
-    are the deprecated spelling and override it when passed.
-    """
-    cfg = _with_legacy(
-        campaign,
-        "run_campaign_engine",
-        jobs=jobs,
-        ladder_interval=ladder_interval,
-        keep_results=keep_results,
-        backend=backend,
-    )
-    engine = CampaignEngine(config=cfg)
-    return engine.run(app, n, seed, config, plans=plans)
-
-
 __all__ = [
     "CampaignEngine",
     "EngineStats",
-    "run_campaign_engine",
     "NO_LADDER",
 ]

@@ -147,15 +147,6 @@ def load_campaign(path: str | Path) -> CampaignResult:
     return campaign_from_json(Path(path).read_text())
 
 
-def merge_campaigns(*campaigns: CampaignResult) -> CampaignResult:
-    """Pool several campaigns of the same (app, config) into one.
-
-    Useful for growing a campaign incrementally across sessions (run with
-    different seeds, merge, report tighter error bars).
-    """
-    return CampaignResult.merge(campaigns)
-
-
 __all__ = [
     "atomic_write_text",
     "plan_to_dict",
@@ -166,6 +157,5 @@ __all__ = [
     "campaign_from_json",
     "save_campaign",
     "load_campaign",
-    "merge_campaigns",
     "FORMAT_VERSION",
 ]

@@ -374,8 +374,9 @@ def check_resume(
         done = [run_injection(app, plans[i], config) for i in range(prefix)]
         journal.record_shard(list(range(prefix)), done)
 
-    resumed = CampaignEngine(config=CampaignConfig(keep_results=True)).run(
-        app, n, seed, config, plans=plans, resume=path
+    resumed, _ = _run_with_engine(
+        app, n, seed, config, plans,
+        CampaignConfig(keep_results=True, resume=str(path)),
     )
     if _campaign_key(resumed) != _campaign_key(full):
         return [Divergence(

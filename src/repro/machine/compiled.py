@@ -874,6 +874,10 @@ class CompiledCPU(CPU):
                 finally:
                     retired += i + extra[0]
         except _HaltSignal:
+            # _HALT is one shared instance: every raise chains this run's
+            # frames onto its traceback, which would pin the CPU, memory
+            # and closure tables of every halted run.
+            _HALT.__traceback__ = None
             return STOP_HALT
         except Trap as trap:
             pc = trap.pc

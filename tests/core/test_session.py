@@ -10,7 +10,7 @@ from repro.core import (
     LETGO_E,
     TERMINATED,
     LetGoConfig,
-    run_under_letgo,
+    LetGoSession,
 )
 from repro.isa import assemble
 from repro.isa.registers import SP
@@ -41,13 +41,14 @@ main:
 def _run(asm_or_prog, config, max_steps=10**6):
     program = assemble(asm_or_prog) if isinstance(asm_or_prog, str) else asm_or_prog
     process = Process.load(program)
-    return run_under_letgo(process, config, FunctionTable(program), max_steps), process
+    report = LetGoSession(config, FunctionTable(program)).run(process, max_steps)
+    return report, process
 
 
 def test_clean_program_untouched(demo_program):
     process = Process.load(demo_program)
-    report = run_under_letgo(
-        process, LETGO_E, FunctionTable(demo_program), 10**6
+    report = LetGoSession(LETGO_E, FunctionTable(demo_program)).run(
+        process, 10**6
     )
     assert report.status == COMPLETED
     assert not report.intervened
@@ -120,7 +121,7 @@ main:
     generous = LetGoConfig(name="x", max_interventions=5)
     program = assemble(asm)
     process = Process.load(program)
-    report = run_under_letgo(process, generous, FunctionTable(program), 10**6)
+    report = LetGoSession(generous, FunctionTable(program)).run(process, 10**6)
     assert report.status == COMPLETED
     assert len(report.interventions) == 2
 
@@ -156,7 +157,7 @@ def test_sigabrt_elided():
     """
     program = compile_source(source)
     process = Process.load(program)
-    report = run_under_letgo(process, LETGO_E, FunctionTable(program), 10**6)
+    report = LetGoSession(LETGO_E, FunctionTable(program)).run(process, 10**6)
     assert report.status == COMPLETED
     assert report.interventions[0].signal is Signal.SIGABRT
     assert report.output == [("i", 5)]
@@ -179,8 +180,8 @@ def test_heuristic2_recovers_corrupt_sp(demo_program):
     process = Process.load(demo_program)
     process.cpu.run(12)  # inside main's loop
     process.cpu.iregs[SP] ^= 1 << 45
-    report = run_under_letgo(
-        process, LETGO_E, FunctionTable(demo_program), 10**6
+    report = LetGoSession(LETGO_E, FunctionTable(demo_program)).run(
+        process, 10**6
     )
     assert report.intervened
     assert any(

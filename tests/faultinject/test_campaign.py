@@ -5,7 +5,12 @@ import math
 import pytest
 
 from repro.core import LETGO_B, LETGO_E
-from repro.faultinject import Outcome, run_campaign, run_paired_campaigns
+from repro.faultinject import (
+    CampaignConfig,
+    Outcome,
+    run_campaign,
+    run_paired_campaigns,
+)
 
 N = 30
 SEED = 11
@@ -80,13 +85,16 @@ def test_parameter_estimates_in_range(paired):
 
 
 def test_run_campaign_reproducible(pennant_app):
-    a = run_campaign(pennant_app, 10, seed=3, config=LETGO_E, keep_results=False)
-    b = run_campaign(pennant_app, 10, seed=3, config=LETGO_E, keep_results=False)
+    a = run_campaign(pennant_app, 10, seed=3, config=LETGO_E)
+    b = run_campaign(pennant_app, 10, seed=3, config=LETGO_E)
     assert a.counts == b.counts
 
 
 def test_run_campaign_keep_results(pennant_app):
-    result = run_campaign(pennant_app, 5, seed=4, config=None, keep_results=True)
+    result = run_campaign(
+        pennant_app, 5, seed=4, config=None,
+        campaign=CampaignConfig(keep_results=True),
+    )
     assert len(result.results) == 5
 
 
@@ -146,9 +154,13 @@ def test_duplicate_plans_on_bad_resume_raise(pennant_app, tmp_path):
     from repro.faultinject import CampaignEngine
 
     path = tmp_path / "c.journal"
-    CampaignEngine(jobs=1).run(pennant_app, 4, seed=SEED, journal=path)
+    CampaignEngine(config=CampaignConfig(journal=str(path))).run(
+        pennant_app, 4, seed=SEED
+    )
     payload = json.loads(path.read_text())
     payload["shards"].append(payload["shards"][0])
     path.write_text(json.dumps(payload))
     with pytest.raises(JournalError, match="twice"):
-        CampaignEngine(jobs=1).run(pennant_app, 4, seed=SEED, resume=path)
+        CampaignEngine(config=CampaignConfig(resume=str(path))).run(
+            pennant_app, 4, seed=SEED
+        )

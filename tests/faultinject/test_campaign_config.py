@@ -1,9 +1,8 @@
-"""CampaignConfig: CLI parity, the deprecation shim, validation.
+"""CampaignConfig: CLI parity, validation, the engine hand-off.
 
-The api_redesign contract: one frozen config object is the single source
-of truth for every campaign knob, the CLI derives its flags from the
-dataclass fields (so the two surfaces cannot drift), and every old loose
-keyword keeps working behind a :class:`DeprecationWarning`.
+One frozen config object is the single source of truth for every
+campaign knob, and the CLI derives its flags from the dataclass fields,
+so the two surfaces cannot drift.
 """
 
 from __future__ import annotations
@@ -19,9 +18,6 @@ from repro.faultinject import (
     CampaignEngine,
     add_campaign_arguments,
     campaign_config_from_args,
-    run_campaign,
-    run_campaign_engine,
-    run_paired_campaigns,
 )
 
 FIELD_NAMES = {spec.name for spec in dataclasses.fields(CampaignConfig)}
@@ -115,10 +111,25 @@ def test_config_is_frozen():
 
 
 def test_config_validation():
+    with pytest.raises(ValueError, match="jobs"):
+        CampaignConfig(jobs=0)
     with pytest.raises(ValueError, match="shard_size"):
         CampaignConfig(shard_size=0)
     with pytest.raises(ValueError, match="probe_interval"):
         CampaignConfig(probe_interval=-1)
+    for name in (
+        "max_retries",
+        "retry_backoff",
+        "retry_backoff_cap",
+        "max_pool_rebuilds",
+    ):
+        with pytest.raises(ValueError, match=name):
+            CampaignConfig(**{name: -1})
+    # The bounds themselves are valid.
+    CampaignConfig(
+        jobs=None, max_retries=0, retry_backoff=0.0, retry_backoff_cap=0.0,
+        max_pool_rebuilds=0,
+    )
     with pytest.raises(ValueError, match="journal"):
         CampaignConfig(journal="a", resume="b")
 
@@ -131,57 +142,15 @@ def test_telemetry_enabled_implied_by_outputs():
     assert CampaignConfig(probe_interval=10).telemetry_enabled
 
 
-# -- the deprecation shim ----------------------------------------------------
+# -- the engine ---------------------------------------------------------------
 
 
 def test_engine_accepts_config_object_silently():
     import warnings
 
+    cfg = CampaignConfig(jobs=2, max_retries=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        engine = CampaignEngine(config=CampaignConfig(jobs=2, max_retries=0))
-    assert engine.jobs == 2 and engine.max_retries == 0
-
-
-def test_legacy_engine_kwargs_warn_and_still_work():
-    with pytest.deprecated_call(match="CampaignEngine"):
-        engine = CampaignEngine(jobs=2, shard_size=5)
-    assert engine.jobs == 2 and engine.shard_size == 5
-    assert engine.campaign_config.shard_size == 5
-
-
-def test_legacy_kwargs_override_supplied_config():
-    with pytest.deprecated_call():
-        engine = CampaignEngine(jobs=3, config=CampaignConfig(jobs=1))
-    assert engine.jobs == 3
-
-
-def test_run_campaign_legacy_kwargs_warn(pennant_app):
-    with pytest.deprecated_call(match="run_campaign"):
-        result = run_campaign(pennant_app, 2, 0, jobs=1)
-    assert result.n == 2
-
-
-def test_run_campaign_engine_legacy_kwargs_warn(pennant_app):
-    with pytest.deprecated_call(match="run_campaign_engine"):
-        result = run_campaign_engine(pennant_app, 2, 0, keep_results=True)
-    assert len(result.results) == 2
-
-
-def test_run_paired_campaigns_legacy_kwargs_warn(pennant_app):
-    with pytest.deprecated_call(match="run_paired_campaigns"):
-        out = run_paired_campaigns(pennant_app, 2, 0, [None], jobs=1)
-    assert out["baseline"].n == 2
-
-
-def test_config_spelling_matches_legacy_spelling(pennant_app):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = run_campaign(pennant_app, 4, 7, keep_results=True)
-    modern = run_campaign(
-        pennant_app, 4, 7, campaign=CampaignConfig(keep_results=True)
-    )
-    assert legacy.counts == modern.counts
-    assert len(legacy.results) == len(modern.results) == 4
+        engine = CampaignEngine(config=cfg)
+    assert engine.config is cfg
+    assert CampaignEngine().config == CampaignConfig()

@@ -6,16 +6,23 @@ from repro.apps.base import MiniApp
 from repro.core import LETGO_E
 from repro.faultinject import (
     NO_LADDER,
+    CampaignConfig,
     CampaignEngine,
     CampaignResult,
     Outcome,
     run_campaign,
-    run_campaign_engine,
+    run_injection,
 )
+from repro.faultinject import engine as engine_mod
 from repro.faultinject.engine import _app_spec, _split
+from repro.telemetry import read_jsonl
 
 N = 12
 SEED = 23
+
+
+def _engine(**knobs):
+    return CampaignEngine(config=CampaignConfig(**knobs))
 
 
 def _fingerprint(result):
@@ -43,9 +50,9 @@ def _fingerprint(result):
 def test_engine_modes_identical(app_fixture, config, request):
     """Serial, ladder, and multiprocess campaigns are indistinguishable."""
     app = request.getfixturevalue(app_fixture)
-    naive = CampaignEngine(jobs=1, ladder_interval=NO_LADDER, keep_results=True)
-    ladder = CampaignEngine(jobs=1, keep_results=True)
-    fanout = CampaignEngine(jobs=3, keep_results=True)
+    naive = _engine(jobs=1, ladder_interval=NO_LADDER, keep_results=True)
+    ladder = _engine(jobs=1, keep_results=True)
+    fanout = _engine(jobs=3, keep_results=True)
     reference = _fingerprint(naive.run(app, N, SEED, config))
     assert _fingerprint(ladder.run(app, N, SEED, config)) == reference
     assert _fingerprint(fanout.run(app, N, SEED, config)) == reference
@@ -55,8 +62,8 @@ def test_engine_modes_identical(app_fixture, config, request):
 
 
 def test_ladder_replays_less_prefix(pennant_app):
-    naive = CampaignEngine(jobs=1, ladder_interval=NO_LADDER)
-    ladder = CampaignEngine(jobs=1)
+    naive = _engine(jobs=1, ladder_interval=NO_LADDER)
+    ladder = _engine(jobs=1)
     naive.run(pennant_app, N, SEED, None)
     ladder.run(pennant_app, N, SEED, None)
     assert ladder.stats.fast_forward_steps < naive.stats.fast_forward_steps
@@ -64,7 +71,7 @@ def test_ladder_replays_less_prefix(pennant_app):
 
 
 def test_engine_stats_accounting(pennant_app):
-    engine = CampaignEngine(jobs=2)
+    engine = _engine(jobs=2)
     engine.run(pennant_app, N, SEED, LETGO_E)
     stats = engine.stats
     assert stats.n == N
@@ -77,9 +84,8 @@ def test_engine_stats_accounting(pennant_app):
 
 
 def test_merge_shards_equal_unsharded(pennant_app):
-    whole = run_campaign(
-        pennant_app, 10, seed=SEED, config=LETGO_E, keep_results=True
-    )
+    keep = CampaignConfig(keep_results=True)
+    whole = run_campaign(pennant_app, 10, seed=SEED, config=LETGO_E, campaign=keep)
     import numpy as np
 
     from repro.faultinject import plan_injections
@@ -90,7 +96,7 @@ def test_merge_shards_equal_unsharded(pennant_app):
     shards = [
         run_campaign(
             pennant_app, len(chunk), seed=SEED, config=LETGO_E,
-            keep_results=True, plans=chunk,
+            plans=chunk, campaign=keep,
         )
         for chunk in (plans[:4], plans[4:7], plans[7:])
     ]
@@ -144,10 +150,10 @@ def test_local_app_degrades_to_serial():
 
     app = TinyApp()
     assert _app_spec(app) is None
-    engine = CampaignEngine(jobs=4, keep_results=True)
+    engine = _engine(jobs=4, keep_results=True)
     result = engine.run(app, 8, SEED, None)
     assert engine.stats.jobs == 1
-    reference = CampaignEngine(
+    reference = _engine(
         jobs=1, ladder_interval=NO_LADDER, keep_results=True
     ).run(app, 8, SEED, None)
     assert _fingerprint(result) == _fingerprint(reference)
@@ -162,13 +168,6 @@ def test_registry_app_spec_roundtrip(pennant_app):
     assert rebuilt.source == pennant_app.source
 
 
-def test_run_campaign_engine_wrapper(pennant_app):
-    result = run_campaign_engine(pennant_app, 5, SEED, LETGO_E, jobs=2)
-    assert result.n == 5
-    assert sum(result.counts.values()) == 5
-    assert result.results == []  # memory-safe default
-
-
 def test_plans_length_mismatch_engine(pennant_app):
     import numpy as np
 
@@ -179,3 +178,41 @@ def test_plans_length_mismatch_engine(pennant_app):
     )
     with pytest.raises(ValueError):
         CampaignEngine().run(pennant_app, 5, 0, None, plans=plans)
+
+
+def test_workers_receive_the_whole_config(pennant_app, tmp_path, monkeypatch):
+    """Pooled workers run with the same CampaignConfig as an in-process
+    campaign: non-default backend and probe interval included.
+
+    The fork pool inherits the patched ``run_injection``; a worker that
+    lost a field fails its plans, which are then quarantined.
+    """
+
+    def checked(app, plan, config=None, *, session, tracer, **kwargs):
+        if session.process.backend != "interpreter" or tracer.probe_interval != 40:
+            raise AssertionError("CampaignConfig field lost on the way here")
+        return run_injection(
+            app, plan, config, session=session, tracer=tracer, **kwargs
+        )
+
+    monkeypatch.setattr(engine_mod, "run_injection", checked)
+    runs = []
+    for jobs in (1, 2):
+        trace = tmp_path / f"jobs{jobs}.jsonl"
+        engine = _engine(
+            jobs=jobs,
+            backend="interpreter",
+            probe_interval=40,
+            trace=str(trace),
+            keep_results=True,
+            max_retries=0,
+            retry_backoff=0.0,
+        )
+        result = engine.run(pennant_app, 6, SEED, LETGO_E)
+        assert engine.stats.jobs == jobs
+        assert engine.stats.quarantined == ()
+        _, records = read_jsonl(trace)
+        progress = sum(r["name"] == "progress" for r in records)
+        runs.append((_fingerprint(result), engine.telemetry.signature(), progress))
+    assert runs[0] == runs[1]
+    assert runs[0][2] > 0

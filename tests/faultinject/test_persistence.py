@@ -5,19 +5,20 @@ import math
 import pytest
 
 from repro.core import LETGO_E
-from repro.faultinject import run_campaign
+from repro.faultinject import CampaignConfig, CampaignResult, run_campaign
 from repro.faultinject.persistence import (
     campaign_from_json,
     campaign_to_json,
     load_campaign,
-    merge_campaigns,
     save_campaign,
 )
+
+KEEP = CampaignConfig(keep_results=True)
 
 
 @pytest.fixture(scope="module")
 def campaign(pennant_app):
-    return run_campaign(pennant_app, 20, seed=13, config=LETGO_E, keep_results=True)
+    return run_campaign(pennant_app, 20, seed=13, config=LETGO_E, campaign=KEEP)
 
 
 def test_round_trip(campaign):
@@ -60,9 +61,9 @@ def test_bad_format_rejected():
 
 
 def test_merge(pennant_app):
-    a = run_campaign(pennant_app, 10, seed=1, config=LETGO_E, keep_results=True)
-    b = run_campaign(pennant_app, 10, seed=2, config=LETGO_E, keep_results=True)
-    merged = merge_campaigns(a, b)
+    a = run_campaign(pennant_app, 10, seed=1, config=LETGO_E, campaign=KEEP)
+    b = run_campaign(pennant_app, 10, seed=2, config=LETGO_E, campaign=KEEP)
+    merged = CampaignResult.merge([a, b])
     assert merged.n == 20
     assert sum(merged.counts.values()) == 20
     assert len(merged.results) == 20
@@ -78,12 +79,12 @@ def test_merge_rejects_mismatched(pennant_app, hpl_app):
     a = run_campaign(pennant_app, 5, seed=1, config=LETGO_E)
     b = run_campaign(hpl_app, 5, seed=1, config=LETGO_E)
     with pytest.raises(ValueError):
-        merge_campaigns(a, b)
+        CampaignResult.merge([a, b])
 
 
 def test_merge_empty():
     with pytest.raises(ValueError):
-        merge_campaigns()
+        CampaignResult.merge([])
 
 
 # -- atomic saves -----------------------------------------------------------

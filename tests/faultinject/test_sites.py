@@ -3,14 +3,16 @@
 import pytest
 
 from repro.core import LETGO_E
-from repro.faultinject import run_campaign
+from repro.faultinject import CampaignConfig, run_campaign
 from repro.faultinject.sites import INSTR_CLASSES, analyze_sites, classify_op
 from repro.isa import Op
+
+KEEP = CampaignConfig(keep_results=True)
 
 
 @pytest.fixture(scope="module")
 def report(pennant_app):
-    campaign = run_campaign(pennant_app, 40, seed=9, config=LETGO_E, keep_results=True)
+    campaign = run_campaign(pennant_app, 40, seed=9, config=LETGO_E, campaign=KEEP)
     return analyze_sites(pennant_app, campaign), campaign
 
 
@@ -70,14 +72,14 @@ def test_render(report):
 
 
 def test_requires_kept_results(pennant_app):
-    campaign = run_campaign(pennant_app, 5, seed=1, config=None, keep_results=False)
+    campaign = run_campaign(pennant_app, 5, seed=1, config=None)
     with pytest.raises(ValueError):
         analyze_sites(pennant_app, campaign)
 
 
 def test_high_bits_crash_more(pennant_app):
     """Exponent/sign-range flips crash more than low-mantissa flips."""
-    campaign = run_campaign(pennant_app, 120, seed=4, config=LETGO_E, keep_results=True)
+    campaign = run_campaign(pennant_app, 120, seed=4, config=LETGO_E, campaign=KEEP)
     site_report = analyze_sites(pennant_app, campaign)
     low = site_report.by_bit_range.get("00-15 (low mantissa)")
     high = site_report.by_bit_range.get("48-63 (exponent/sign)")

@@ -15,6 +15,7 @@ import pytest
 from repro.core import LETGO_E
 from repro.errors import CampaignAbortedError, JournalError
 from repro.faultinject import (
+    CampaignConfig,
     CampaignEngine,
     CampaignJournal,
     InjectionPlan,
@@ -54,13 +55,13 @@ def _plans(app, n=N, seed=SEED):
 
 
 def _reference(app, config=None, n=N, seed=SEED):
-    return CampaignEngine(jobs=1, keep_results=True).run(app, n, seed, config)
+    return _engine(jobs=1).run(app, n, seed, config)
 
 
-def _engine(**kwargs):
-    kwargs.setdefault("keep_results", True)
-    kwargs.setdefault("retry_backoff", 0.0)
-    return CampaignEngine(**kwargs)
+def _engine(**knobs):
+    knobs.setdefault("keep_results", True)
+    knobs.setdefault("retry_backoff", 0.0)
+    return CampaignEngine(config=CampaignConfig(**knobs))
 
 
 def test_shard_size_determinism(pennant_app):
@@ -86,8 +87,8 @@ def test_poison_plan_quarantined(pennant_app, tmp_path, monkeypatch, jobs):
 
     monkeypatch.setattr(engine_mod, "run_injection", poisoned)
     journal_path = tmp_path / "c.journal"
-    engine = _engine(jobs=jobs, max_retries=1)
-    result = engine.run(pennant_app, N, SEED, None, journal=journal_path)
+    engine = _engine(jobs=jobs, max_retries=1, journal=str(journal_path))
+    result = engine.run(pennant_app, N, SEED, None)
 
     assert engine.stats.quarantined == (7,)
     assert result.n == N - 1
@@ -166,19 +167,21 @@ def test_sigkill_abort_then_resume_is_bit_identical(
     monkeypatch.setattr(engine_mod, "run_injection", killer)
     journal_path = tmp_path / "c.journal"
     crashy = _engine(
-        jobs=2, shard_size=1, max_pool_rebuilds=0, serial_fallback=False
+        jobs=2,
+        shard_size=1,
+        max_pool_rebuilds=0,
+        serial_fallback=False,
+        journal=str(journal_path),
     )
     with pytest.raises(CampaignAbortedError, match="resume with"):
-        crashy.run(pennant_app, N, SEED, LETGO_E, journal=journal_path)
+        crashy.run(pennant_app, N, SEED, LETGO_E)
 
     completed = CampaignJournal.load(journal_path).completed_indices
     assert 8 not in completed  # the killer shard never journaled
 
     sentinel.unlink()  # the "machine" recovered
-    resumed_engine = _engine(jobs=1)
-    resumed = resumed_engine.run(
-        pennant_app, N, SEED, LETGO_E, resume=journal_path
-    )
+    resumed_engine = _engine(jobs=1, resume=str(journal_path))
+    resumed = resumed_engine.run(pennant_app, N, SEED, LETGO_E)
     assert resumed_engine.stats.resumed == len(completed)
     assert _fingerprint(resumed) == reference
 
@@ -198,16 +201,16 @@ def test_keyboard_interrupt_leaves_resumable_journal(
 
     monkeypatch.setattr(engine_mod, "run_injection", interrupted)
     journal_path = tmp_path / "c.journal"
-    engine = _engine(jobs=1, shard_size=2)
+    engine = _engine(jobs=1, shard_size=2, journal=str(journal_path))
     with pytest.raises(KeyboardInterrupt):
-        engine.run(pennant_app, N, SEED, None, journal=journal_path)
+        engine.run(pennant_app, N, SEED, None)
 
     completed = CampaignJournal.load(journal_path).completed_indices
     assert completed == {0, 1, 2, 3, 4, 5}  # shards before the interrupt
 
     monkeypatch.setattr(engine_mod, "run_injection", run_injection)
-    resumed_engine = _engine(jobs=1)
-    resumed = resumed_engine.run(pennant_app, N, SEED, None, resume=journal_path)
+    resumed_engine = _engine(jobs=1, resume=str(journal_path))
+    resumed = resumed_engine.run(pennant_app, N, SEED, None)
     assert resumed_engine.stats.resumed == 6
     assert _fingerprint(resumed) == _fingerprint(_reference(pennant_app))
 
@@ -227,32 +230,26 @@ def test_degrades_to_serial_when_pool_unavailable(pennant_app, monkeypatch):
 
 def test_journal_resume_rejects_different_campaign(pennant_app, tmp_path):
     journal_path = tmp_path / "c.journal"
-    _engine(jobs=1).run(pennant_app, N, SEED, None, journal=journal_path)
+    _engine(jobs=1, journal=str(journal_path)).run(pennant_app, N, SEED, None)
+    resumer = _engine(jobs=1, resume=str(journal_path))
     with pytest.raises(JournalError, match="different campaign"):
-        _engine(jobs=1).run(pennant_app, N, SEED + 1, None, resume=journal_path)
+        resumer.run(pennant_app, N, SEED + 1, None)
     with pytest.raises(JournalError, match="different campaign"):
-        _engine(jobs=1).run(pennant_app, N, SEED, LETGO_E, resume=journal_path)
+        resumer.run(pennant_app, N, SEED, LETGO_E)
 
 
-def test_journal_and_resume_are_exclusive(pennant_app, tmp_path):
+def test_journal_and_resume_are_exclusive(tmp_path):
     with pytest.raises(ValueError, match="not both"):
-        _engine(jobs=1).run(
-            pennant_app,
-            N,
-            SEED,
-            None,
-            journal=tmp_path / "a",
-            resume=tmp_path / "b",
-        )
+        _engine(jobs=1, journal=str(tmp_path / "a"), resume=str(tmp_path / "b"))
 
 
 def test_resume_of_complete_journal_runs_nothing(pennant_app, tmp_path):
     journal_path = tmp_path / "c.journal"
-    reference = _engine(jobs=1).run(
-        pennant_app, N, SEED, None, journal=journal_path
+    reference = _engine(jobs=1, journal=str(journal_path)).run(
+        pennant_app, N, SEED, None
     )
-    engine = _engine(jobs=2)
-    resumed = engine.run(pennant_app, N, SEED, None, resume=journal_path)
+    engine = _engine(jobs=2, resume=str(journal_path))
+    resumed = engine.run(pennant_app, N, SEED, None)
     assert engine.stats.resumed == N
     assert engine.stats.executed == 0
     assert _fingerprint(resumed) == _fingerprint(reference)

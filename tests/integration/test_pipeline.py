@@ -1,7 +1,7 @@
 """Full-stack pipeline checks crossing every package boundary."""
 
 from repro.analysis import FunctionTable, profile_program
-from repro.core import LETGO_E, run_under_letgo
+from repro.core import LETGO_E, LetGoSession
 from repro.crsim import SystemParams, compare_efficiency
 from repro.crsim.params import AppParams
 from repro.faultinject import run_campaign
@@ -27,7 +27,7 @@ def test_source_to_binary_to_letgo_roundtrip():
     image = encode_program(unit.program)
     program = decode_program(image)
     process = Process.load(program)
-    report = run_under_letgo(process, LETGO_E, FunctionTable(program), 10**6)
+    report = LetGoSession(LETGO_E, FunctionTable(program)).run(process, 10**6)
     assert report.status == "completed"
     assert report.output == [("f", 14.0)]
 

@@ -112,6 +112,11 @@ def test_campaign_journal_resume_mutually_exclusive(tmp_path):
               "--journal", str(tmp_path / "a"), "--resume", str(tmp_path / "b")])
 
 
+def test_campaign_out_of_range_knob_is_a_one_line_error():
+    with pytest.raises(SystemExit, match="^campaign: jobs must be >= 1"):
+        main(["campaign", "--app", "pennant", "-n", "4", "--jobs", "0"])
+
+
 def test_campaign_abort_prints_one_line_error(monkeypatch, capsys):
     from repro.errors import CampaignAbortedError
     from repro.faultinject.engine import CampaignEngine
