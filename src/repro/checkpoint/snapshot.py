@@ -13,10 +13,16 @@ interval.  Replaying a prefix of the golden path to dynamic instruction D
 then costs one restore plus at most ``interval`` interpreted steps instead
 of D steps -- the amortization the fault-injection campaign engine is
 built on.
+
+The rungs also cut the *post*-fault run short: :meth:`Snapshot.matches`
+decides whether a live process is in exactly a rung's architectural
+state.  The machine is deterministic and the golden path trap-free, so a
+run that matches a rung will finish exactly as the golden run does.
 """
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -42,6 +48,52 @@ class Snapshot:
     def size_cells(self) -> int:
         """Number of written memory cells captured (checkpoint 'size')."""
         return len(self.cells)
+
+    def matches(self, process: Process) -> bool:
+        """True if *process* is in exactly this snapshot's state.
+
+        Cheap fields first: retirement count, pc and halt flag, integer
+        registers, then float registers by IEEE bit pattern (``-0.0 ==
+        0.0`` and ``NaN != NaN`` make ``==`` wrong both ways), the output
+        stream (kind tags exact, floats by bit pattern), and last the
+        written memory cells as a dict.  A cell written with 0 is state
+        the snapshot does not hold, so it does not match.  Anything else
+        the snapshot does not capture counts as a mismatch too: a pc
+        outside the image (the compiled backend's parked wild jump) can
+        never equal the in-image pc of a golden snapshot.
+        """
+        cpu = process.cpu
+        return (
+            cpu.instret == self.instret
+            and cpu.pc == self.pc
+            and not cpu.halted
+            and process.status is ProcessStatus.RUNNING
+            and process.program.checksum() == self.checksum
+            and tuple(cpu.iregs) == self.iregs
+            and _float_bits(cpu.fregs) == _float_bits(self.fregs)
+            and _same_output(cpu.output, self.output)
+            and process.memory.cells_equal(self.cells)
+        )
+
+
+def _float_bits(values) -> bytes:
+    """The IEEE-754 bit patterns of *values*, concatenated."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _same_output(live, golden) -> bool:
+    """Output streams equal by kind tag and, for floats, by bit pattern."""
+    if len(live) != len(golden):
+        return False
+    for (kind, value), (golden_kind, golden_value) in zip(live, golden):
+        if kind != golden_kind or type(value) is not type(golden_value):
+            return False
+        if isinstance(value, float):
+            if _float_bits((value,)) != _float_bits((golden_value,)):
+                return False
+        elif value != golden_value:
+            return False
+    return True
 
 
 def snapshot(process: Process) -> Snapshot:
@@ -109,11 +161,13 @@ class SnapshotLadder:
     interval: int
     rungs: tuple[Snapshot, ...]
     total: int
+    instrets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        instrets = [r.instret for r in self.rungs]
-        if instrets != sorted(set(instrets)):
+        instrets = tuple(r.instret for r in self.rungs)
+        if list(instrets) != sorted(set(instrets)):
             raise SimulationError("ladder rungs must be strictly ascending")
+        object.__setattr__(self, "instrets", instrets)
 
     def __len__(self) -> int:
         return len(self.rungs)
@@ -124,9 +178,17 @@ class SnapshotLadder:
         The returned snapshot is the cheapest launch point for reaching
         retirement count *instret* on the golden path.
         """
-        instrets = [r.instret for r in self.rungs]
-        pos = bisect_right(instrets, instret)
+        pos = bisect_right(self.instrets, instret)
         return self.rungs[pos - 1] if pos else None
+
+    def next_rung(self, instret: int) -> Snapshot | None:
+        """Lowest rung with ``rung.instret > instret`` (None: past the last).
+
+        The next point at which a run now at retirement count *instret*
+        can be compared with the golden run (see :meth:`Snapshot.matches`).
+        """
+        pos = bisect_right(self.instrets, instret)
+        return self.rungs[pos] if pos < len(self.rungs) else None
 
 
 def build_ladder(

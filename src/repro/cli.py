@@ -496,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracles", default="all",
                    help="comma list: backend,debugger,snapshot,"
-                        "merge,resume,jobs (default: all)")
+                        "merge,resume,jobs,converge (default: all)")
     p.add_argument("--budget", type=int, default=256,
                    help="step budget per ISA differential case")
     p.add_argument("--jobs", type=int, default=1,

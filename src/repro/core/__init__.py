@@ -24,6 +24,7 @@ from repro.core.modifier import InterventionRecord, Modifier
 from repro.core.monitor import Monitor, SignalPolicy
 from repro.core.session import (
     COMPLETED,
+    CONVERGED,
     HUNG,
     TERMINATED,
     LetGoRunReport,
@@ -50,4 +51,5 @@ __all__ = [
     "COMPLETED",
     "TERMINATED",
     "HUNG",
+    "CONVERGED",
 ]

@@ -8,31 +8,98 @@ debug session, implementing the full Figure-3 interaction loop:
 2. run; on an intercepted signal, stop;
 3. repair state, advance the PC;
 4. resume; a *second* crash (or an unhandled signal) terminates the run.
+
+Both post-fault loops -- this one and the fault injector's baseline run --
+continue through :func:`cont_sliced`, which owns the one slicing rule:
+stop at the budget, at a wall-clock watchdog slice, or at the next
+golden snapshot-ladder rung, whichever comes first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 from repro.analysis.functions import FunctionTable
 from repro.core.config import LetGoConfig
 from repro.core.modifier import InterventionRecord, Modifier
 from repro.core.monitor import Monitor
-from repro.machine.debugger import STOP_BUDGET, STOP_EXITED, STOP_TRAP
+from repro.machine.debugger import (
+    STOP_BUDGET,
+    STOP_EXITED,
+    STOP_TRAP,
+    DebugSession,
+    StopEvent,
+)
 from repro.machine.process import Process
 from repro.machine.signals import Signal
 from repro.telemetry.tracer import NULL_TRACER
+
+if TYPE_CHECKING:
+    from repro.checkpoint.snapshot import SnapshotLadder
 
 #: Final status values of a LetGo-supervised run.
 COMPLETED = "completed"      # program halted cleanly
 TERMINATED = "terminated"    # killed by a signal LetGo did not (re)handle
 HUNG = "hung"                # instruction budget (or wall-clock deadline) exhausted
+CONVERGED = "converged"      # reached a golden ladder rung in the golden state
 
 #: Instructions run between wall-clock deadline checks (~tens of ms of
 #: interpreted execution); only used when a deadline is supplied, so
 #: deadline-free runs stay bit-for-bit deterministic.
 WATCHDOG_SLICE = 1 << 18
+
+#: Stop kind of :func:`cont_sliced`: the run sits on a snapshot-ladder rung
+#: in exactly that rung's state, so the rest of it *is* the golden run.
+STOP_CONVERGED = "converged"
+
+
+def cont_sliced(
+    session: DebugSession,
+    budget: int,
+    *,
+    deadline: float | None = None,
+    ladder: "SnapshotLadder | None" = None,
+) -> tuple[StopEvent, bool]:
+    """``session.cont(budget)``, sliced at watchdog and ladder-rung stops.
+
+    Each slice runs to the nearest of: the end of the budget, one
+    :data:`WATCHDOG_SLICE` (only with a *deadline*, an absolute
+    :func:`~time.perf_counter` instant checked before every slice), and
+    the next rung of *ladder*, the golden run's snapshot ladder.  At a
+    rung the process is compared with the golden state there
+    (:meth:`~repro.checkpoint.snapshot.Snapshot.matches`); on a match,
+    with budget left for the golden remainder, it stops with
+    :data:`STOP_CONVERGED`.
+
+    Returns ``(event, timed_out)``; ``event.steps`` counts every slice.
+    An expired deadline returns a budget-style stop with ``timed_out``
+    set.  With neither deadline nor ladder this is one ``cont`` call.
+    """
+    cpu = session.process.cpu
+    remaining = budget
+    steps = 0
+    while True:
+        if deadline is not None and perf_counter() >= deadline:
+            return StopEvent(STOP_BUDGET, steps, pc=cpu.pc), True
+        chunk = remaining if deadline is None else min(remaining, WATCHDOG_SLICE)
+        rung = ladder.next_rung(cpu.instret) if ladder is not None else None
+        if rung is not None:
+            chunk = min(chunk, rung.instret - cpu.instret)
+        event = session.cont(chunk)
+        steps += event.steps
+        remaining -= event.steps
+        if event.kind != STOP_BUDGET or remaining <= 0:
+            return replace(event, steps=steps), False
+        # The golden remainder must fit in the budget left, or the
+        # full-length run would stop as a hang rather than halt.
+        if (
+            rung is not None
+            and remaining >= ladder.total - rung.instret
+            and rung.matches(session.process)
+        ):
+            return StopEvent(STOP_CONVERGED, steps, pc=cpu.pc), False
 
 
 @dataclass
@@ -81,6 +148,7 @@ class LetGoSession:
         *,
         deadline: float | None = None,
         tracer=None,
+        ladder: "SnapshotLadder | None" = None,
     ) -> LetGoRunReport:
         """Run *process* under LetGo until exit, death, budget, or deadline.
 
@@ -93,6 +161,15 @@ class LetGoSession:
         ``timed_out=True``.  ``None`` (the default) keeps runs fully
         deterministic.
 
+        ``ladder`` (the golden run's
+        :class:`~repro.checkpoint.snapshot.SnapshotLadder`) lets the run
+        stop at the first rung where its state equals the golden state
+        (see :func:`cont_sliced`).  It then reports ``CONVERGED``: the
+        remainder is the trap-free golden run and is not executed, so
+        ``output`` holds only the prefix so far.  Run to the end, the
+        same run would report ``COMPLETED`` with the golden output and
+        the golden retirement count.
+
         ``tracer`` (a :class:`repro.telemetry.Tracer`) records per-repair
         spans plus signal-disposition and heuristic-firing counters; the
         default null tracer costs nothing and never alters control flow.
@@ -103,20 +180,9 @@ class LetGoSession:
         remaining = max_steps
         total_steps = 0
         while True:
-            if deadline is not None and perf_counter() >= deadline:
-                return LetGoRunReport(
-                    status=HUNG,
-                    steps=total_steps,
-                    interventions=interventions,
-                    output=list(process.output),
-                    timed_out=True,
-                )
-            chunk = (
-                remaining
-                if deadline is None
-                else min(remaining, WATCHDOG_SLICE)
+            event, timed_out = cont_sliced(
+                session, remaining, deadline=deadline, ladder=ladder
             )
-            event = session.cont(chunk)
             total_steps += event.steps
             remaining -= event.steps
             if event.kind == STOP_EXITED:
@@ -127,14 +193,20 @@ class LetGoSession:
                     exit_code=process.exit_code,
                     output=list(process.output),
                 )
+            if event.kind == STOP_CONVERGED:
+                return LetGoRunReport(
+                    status=CONVERGED,
+                    steps=total_steps,
+                    interventions=interventions,
+                    output=list(process.output),
+                )
             if event.kind == STOP_BUDGET:
-                if remaining > 0:
-                    continue  # artificial watchdog-slice boundary, not a hang
                 return LetGoRunReport(
                     status=HUNG,
                     steps=total_steps,
                     interventions=interventions,
                     output=list(process.output),
+                    timed_out=timed_out,
                 )
             assert event.kind == STOP_TRAP and event.trap is not None
             trap = event.trap
@@ -173,5 +245,8 @@ __all__ = [
     "COMPLETED",
     "TERMINATED",
     "HUNG",
+    "CONVERGED",
     "WATCHDOG_SLICE",
+    "STOP_CONVERGED",
+    "cont_sliced",
 ]

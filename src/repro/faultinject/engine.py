@@ -10,7 +10,11 @@ runs -- and this engine removes them with two composable optimizations:
 :class:`~repro.checkpoint.snapshot.Snapshot` every K retired instructions
 (cached on the app next to its profile).  Each injection restores the
 nearest rung at or below its injection point and fast-forwards only the
-remainder, turning O(N·L) prefix replay into O(L + N·K).
+remainder, turning O(N·L) prefix replay into O(L + N·K).  The same rungs
+end post-fault runs early: a run whose state equals the golden state at
+a rung it reaches is finished as the golden run (see
+:func:`~repro.faultinject.injector.run_injection`'s ``ladder``), with an
+identical result.
 
 **Multiprocess fan-out.**  Plans are split into contiguous shards, each
 shard sorted by injection depth for ladder locality, and executed on a
@@ -219,6 +223,7 @@ def _run_shard(
                 session=DebugSession(host),
                 wall_clock_limit=campaign.wall_clock_limit,
                 tracer=tracer,
+                ladder=ladder,
             )
     pairs = [(idx, out[idx]) for idx in sorted(out)]
     payload = tracer.export() if telemetry else None

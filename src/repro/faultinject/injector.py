@@ -14,6 +14,14 @@ takes minutes of interpreter time.  The watchdog caps real time per run so
 one bad injection cannot stall a campaign worker forever.  Expired runs
 classify as ``HANG`` (with ``timed_out=True`` for observability); the
 default of ``None`` keeps runs bit-for-bit deterministic.
+
+Runs accept an optional golden **snapshot ladder** (``ladder``): the
+post-fault run is then compared with the golden state at every rung it
+reaches, and a run that matches one stops there.  The machine is
+deterministic and the golden path trap-free, so the rest of such a run
+*is* the golden run: it is finished from the golden facts (output,
+retirement count) through the same classification code, and the
+:class:`InjectionResult` is identical to the full-length run's.
 """
 
 from __future__ import annotations
@@ -22,13 +30,20 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from repro.apps.base import MiniApp
+from repro.checkpoint.snapshot import SnapshotLadder
 from repro.core.config import LetGoConfig
-from repro.core.session import COMPLETED, HUNG, WATCHDOG_SLICE, LetGoSession
+from repro.core.session import (
+    COMPLETED,
+    CONVERGED,
+    HUNG,
+    STOP_CONVERGED,
+    LetGoSession,
+    cont_sliced,
+)
 from repro.errors import InjectionError
 from repro.faultinject.fault_model import InjectionPlan, flip_bit, select_target
 from repro.faultinject.outcomes import Outcome, classify_finished
 from repro.machine.debugger import (
-    STOP_BUDGET,
     STOP_EXITED,
     STOP_STEPS_DONE,
     STOP_TRAP,
@@ -128,31 +143,6 @@ def _advance_and_flip(
             return None
 
 
-def _cont_watchdog(
-    session: DebugSession, budget: int, deadline: float | None
-) -> tuple[StopEvent, bool]:
-    """``session.cont(budget)`` with an optional wall-clock deadline.
-
-    Returns (event, timed_out).  With no deadline this is exactly one
-    ``cont`` call; with one, the budget is consumed in watchdog slices and
-    the clock checked between them, so an expired run surfaces as a
-    budget-style stop at the next slice boundary.
-    """
-    if deadline is None:
-        return session.cont(budget), False
-    remaining = budget
-    while True:
-        if perf_counter() >= deadline:
-            return (
-                StopEvent(STOP_BUDGET, 0, pc=session.process.cpu.pc),
-                True,
-            )
-        event = session.cont(min(remaining, WATCHDOG_SLICE))
-        remaining -= event.steps
-        if event.kind != STOP_BUDGET or remaining <= 0:
-            return event, False
-
-
 def run_injection(
     app: MiniApp,
     plan: InjectionPlan,
@@ -162,6 +152,7 @@ def run_injection(
     wall_clock_limit: float | None = None,
     backend: str | None = None,
     tracer=None,
+    ladder: SnapshotLadder | None = None,
 ) -> InjectionResult:
     """Execute one injection run; ``config=None`` is the no-LetGo baseline.
 
@@ -181,6 +172,13 @@ def run_injection(
     (``advance-to-site``, ``post-fault``, ``repair``, ``acceptance-check``)
     and tallies outcome / first-signal counters; the default null tracer
     costs nothing and never alters the result.
+
+    ``ladder`` (the app's golden :class:`SnapshotLadder`) stops the
+    post-fault run at the first rung where its state equals the golden
+    state and finishes it as the golden run; ``converged`` and
+    ``converged-skipped-instr`` (golden instructions not executed) are
+    counted on the tracer.  The result is identical to the run without a
+    ladder, which stays the full-length reference.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     deadline = (
@@ -206,12 +204,12 @@ def run_injection(
         if config is None:
             result = _finish_baseline(
                 app, session, plan, target_pc, target_reg, budget, deadline,
-                tracer,
+                tracer, ladder,
             )
         else:
             result = _finish_letgo(
                 app, session, plan, target_pc, target_reg, budget, config,
-                deadline, tracer,
+                deadline, tracer, ladder,
             )
     tracer.count(f"outcome:{result.outcome.value}")
     if result.timed_out:
@@ -219,6 +217,31 @@ def run_injection(
     if result.first_signal is not None:
         tracer.count(f"first-signal:{result.first_signal.name}")
     return result
+
+
+def _classify_finished(
+    app: MiniApp, process, converged: bool, continued: bool, tracer
+) -> tuple[Outcome, int]:
+    """(outcome, steps) of a run that halted or converged to the golden run.
+
+    A converged run stopped on a ladder rung in the golden state; its
+    remainder is the golden run, so it finishes with the golden output
+    and retirement count through the same classification.
+    """
+    if converged:
+        tracer.count("converged")
+        tracer.count(
+            "converged-skipped-instr", app.golden.instret - process.cpu.instret
+        )
+    with tracer.span("acceptance-check"):
+        output = list(app.golden.output if converged else process.output)
+        outcome = classify_finished(
+            passed_check=app.acceptance_check(output),
+            matches_golden=app.matches_golden(output),
+            continued=continued,
+        )
+    steps = app.golden.instret if converged else process.cpu.instret
+    return outcome, steps
 
 
 def _finish_baseline(
@@ -230,34 +253,33 @@ def _finish_baseline(
     budget: int,
     deadline: float | None = None,
     tracer=NULL_TRACER,
+    ladder: SnapshotLadder | None = None,
 ) -> InjectionResult:
     process = session.process
     with tracer.span("post-fault"):
-        event, timed_out = _cont_watchdog(session, budget, deadline)
+        event, timed_out = cont_sliced(
+            session, budget, deadline=deadline, ladder=ladder
+        )
+    steps = process.cpu.instret
+    signal: Signal | None = None
     if event.kind == STOP_TRAP:
         assert event.trap is not None
         session.deliver_default(event.trap)
         outcome: Outcome = Outcome.CRASH
-        signal: Signal | None = event.trap.signal
-    elif event.kind == STOP_EXITED:
-        output = list(process.output)
-        with tracer.span("acceptance-check"):
-            outcome = classify_finished(
-                passed_check=app.acceptance_check(output),
-                matches_golden=app.matches_golden(output),
-                continued=False,
-            )
-        signal = None
+        signal = event.trap.signal
+    elif event.kind in (STOP_EXITED, STOP_CONVERGED):
+        outcome, steps = _classify_finished(
+            app, process, event.kind == STOP_CONVERGED, False, tracer
+        )
     else:
         outcome = Outcome.HANG
-        signal = None
     return InjectionResult(
         outcome=outcome,
         plan=plan,
         target_pc=target_pc,
         target_reg=target_reg,
         first_signal=signal,
-        steps=process.cpu.instret,
+        steps=steps,
         timed_out=timed_out,
     )
 
@@ -272,20 +294,19 @@ def _finish_letgo(
     config: LetGoConfig,
     deadline: float | None = None,
     tracer=NULL_TRACER,
+    ladder: SnapshotLadder | None = None,
 ) -> InjectionResult:
     process = session.process
     with tracer.span("post-fault"):
         report = LetGoSession(config, app.functions).run(
-            process, budget, deadline=deadline, tracer=tracer
+            process, budget, deadline=deadline, tracer=tracer, ladder=ladder
         )
-    if report.status == COMPLETED:
-        output = list(process.output)
-        with tracer.span("acceptance-check"):
-            outcome = classify_finished(
-                passed_check=app.acceptance_check(output),
-                matches_golden=app.matches_golden(output),
-                continued=report.intervened,
-            )
+    steps = process.cpu.instret
+    if report.status in (COMPLETED, CONVERGED):
+        outcome, steps = _classify_finished(
+            app, process, report.status == CONVERGED, report.intervened,
+            tracer,
+        )
     elif report.status == HUNG:
         outcome = Outcome.C_HANG if report.intervened else Outcome.HANG
     elif report.intervened:
@@ -305,7 +326,7 @@ def _finish_letgo(
         target_reg=target_reg,
         first_signal=first_signal,
         interventions=len(report.interventions),
-        steps=process.cpu.instret,
+        steps=steps,
         timed_out=report.timed_out,
     )
 

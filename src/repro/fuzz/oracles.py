@@ -13,12 +13,14 @@ identical :class:`~repro.fuzz.observe.Observation` digests:
   an in-place :func:`~repro.checkpoint.snapshot.restore_into` replay of
   the same process after it finished.
 
-Three *metamorphic* oracles check campaign-engine invariants on
+Four *metamorphic* oracles check campaign-engine invariants on
 generated apps: ``merge`` (shard + ``CampaignResult.merge`` equals the
 unsharded run; associative and counts-commutative; telemetry counters
 sum), ``resume`` (a journal pre-seeded with a prefix of results resumes
-to the bit-identical campaign), and ``jobs`` (jobs=1 equals jobs=N,
-telemetry counters included).
+to the bit-identical campaign), ``jobs`` (jobs=1 equals jobs=N,
+telemetry counters included), and ``converge`` (stopping post-fault runs
+at the ladder rung where they reach the golden state changes no per-plan
+result against the cold, full-length ``run_injection``).
 
 Every oracle returns a list of :class:`Divergence` records -- empty
 means the property held.
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.checkpoint.snapshot import restore, restore_into, snapshot
-from repro.core.config import LetGoConfig
+from repro.core.config import LETGO_E, LetGoConfig
 from repro.faultinject.campaign import CampaignConfig, CampaignResult
 from repro.faultinject.engine import CampaignEngine
 from repro.faultinject.fault_model import plan_injections
@@ -57,7 +59,7 @@ Backend = str | type[CPU]
 #: Differential oracle names (program-level).
 PROGRAM_ORACLES = ("backend", "debugger", "snapshot")
 #: Metamorphic oracle names (campaign-level).
-CAMPAIGN_ORACLES = ("merge", "resume", "jobs")
+CAMPAIGN_ORACLES = ("merge", "resume", "jobs", "converge")
 ALL_ORACLES = PROGRAM_ORACLES + CAMPAIGN_ORACLES
 
 
@@ -429,6 +431,55 @@ def check_jobs(
     return found
 
 
+#: Ladder interval small enough that short generated runs cross many
+#: rungs, so convergence is tried at many points of each post-fault run.
+TINY_LADDER_INTERVAL = 7
+
+
+def check_converge(
+    app, n: int, seed: int, coverage=None
+) -> list[Divergence]:
+    """Ladder-cut campaigns == cold full-length ``run_injection``, per plan.
+
+    The engine passes its snapshot ladder to every run, which stops a
+    post-fault run at the first rung where it reaches the golden state.
+    For the baseline and LetGo-E the engine runs at the app's default
+    ladder interval and at :data:`TINY_LADDER_INTERVAL`; every per-plan
+    result must equal the cold run's under ``_result_key``, and the
+    telemetry signature must not depend on the interval.
+    """
+    plans = plan_injections(np.random.default_rng(seed), app.golden.instret, n)
+    intervals = (app.default_ladder_interval, TINY_LADDER_INTERVAL)
+    found: list[Divergence] = []
+    for config in (None, LETGO_E):
+        name = config.name if config is not None else "baseline"
+        cold = [_result_key(run_injection(app, plan, config)) for plan in plans]
+        signatures = []
+        for interval in intervals:
+            result, report = _run_with_engine(
+                app, n, seed, config, plans,
+                CampaignConfig(
+                    keep_results=True, telemetry=True, ladder_interval=interval
+                ),
+            )
+            _tally(coverage, result, report)
+            signatures.append(report.signature())
+            got = [_result_key(r) for r in result.results]
+            for index, (want, have) in enumerate(zip(cold, got)):
+                if want != have:
+                    found.append(Divergence(
+                        "converge", at=f"{name}@K={interval}#plan{index}",
+                        detail=f"{have!r} != cold {want!r} ({plans[index]})",
+                    ))
+                    break
+        if signatures[0] != signatures[1]:
+            found.append(Divergence(
+                "converge", at=f"{name}:signature",
+                detail=f"{signatures[0]!r} != {signatures[1]!r}",
+            ))
+    return found
+
+
 def _filtered_counters(report) -> dict[str, int]:
     """Outcome/heuristic/signal counters only (scheduling events vary)."""
     if report is None:
@@ -454,4 +505,5 @@ __all__ = [
     "check_merge",
     "check_resume",
     "check_jobs",
+    "check_converge",
 ]

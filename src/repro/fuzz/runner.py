@@ -15,7 +15,8 @@ Case kinds:
   oracles (backend lockstep, debugger, snapshot round-trip);
 * ``lang`` -- a generated MiniC source: compiled (a front-end crash is
   itself a finding), run through the differential oracles, and on a
-  stride wrapped as an app for the merge/resume metamorphic oracles;
+  stride wrapped as an app for the merge/resume/converge metamorphic
+  oracles;
 * ``jobs`` -- campaign-parameter fuzz of the jobs=1 vs jobs=N oracle
   against the fixed importable apps (these spawn a process pool, so
   they always run in the parent, never inside a fuzz worker).
@@ -49,6 +50,7 @@ from repro.fuzz.oracles import (
     CAMPAIGN_ORACLES,
     PROGRAM_ORACLES,
     Divergence,
+    check_converge,
     check_jobs,
     check_merge,
     check_program,
@@ -259,6 +261,14 @@ def run_case(config: FuzzConfig, kind: str, index: int):
                         findings.append(Finding(
                             kind, index, div.oracle, div.at, div.detail
                         ))
+            if "converge" in config.oracles:
+                coverage.oracles["converge"] += 1
+                for div in check_converge(
+                    app, n, campaign_seed, coverage=coverage
+                ):
+                    findings.append(Finding(
+                        kind, index, div.oracle, div.at, div.detail
+                    ))
 
     elif kind == "jobs":
         app = FIXED_APPS[index % len(FIXED_APPS)]()

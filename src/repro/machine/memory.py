@@ -146,6 +146,10 @@ class Memory:
         """Copy of all cells that have been explicitly written."""
         return dict(self._cells)
 
+    def cells_equal(self, cells: dict[int, int]) -> bool:
+        """True if the written cells are exactly *cells* (no copy made)."""
+        return self._cells == cells
+
     def load_cells(self, cells: dict[int, int]) -> None:
         """Wholesale-replace contents with *cells* (bulk restore path).
 

@@ -17,10 +17,11 @@ Design contract (see docs/ARCHITECTURE.md, "Observability"):
 * **Picklable flushes.**  Worker processes drain their tracer per shard
   through :meth:`Tracer.export` (plain dicts/lists), and the parent
   merges the payloads with :meth:`Tracer.absorb`.
-* **Deterministic aggregation.**  Counter sums and injection-phase counts
-  depend only on the campaign's plans, never on sharding or wall-clock,
-  so the same seed yields the same :meth:`TelemetryReport.signature`
-  whether a campaign ran on 1 worker or 8.
+* **Deterministic aggregation.**  Counter sums (less the ladder-geometry
+  counters) and injection-phase counts depend only on the campaign's
+  plans, never on sharding, ladder interval or wall-clock, so the same
+  seed yields the same :meth:`TelemetryReport.signature` whether a
+  campaign ran on 1 worker or 8, with or without a snapshot ladder.
 """
 
 from repro.telemetry.export import (
@@ -31,6 +32,7 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.report import (
     INJECTION_PHASES,
+    LADDER_COUNTERS,
     PhaseStat,
     TelemetryReport,
 )
@@ -49,6 +51,7 @@ __all__ = [
     "TelemetryReport",
     "PhaseStat",
     "INJECTION_PHASES",
+    "LADDER_COUNTERS",
     "write_jsonl",
     "read_jsonl",
     "chrome_trace",

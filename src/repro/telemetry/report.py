@@ -13,7 +13,9 @@ out exactly that deterministic core, which is what the engine's
 cross-process merge test pins: the same seed must produce an identical
 signature at ``jobs=1`` and ``jobs=4``.  Engine-level phases (one
 ``shard`` span per shard, journal appends) are excluded because the shard
-*count* legitimately depends on the fan-out geometry.
+*count* legitimately depends on the fan-out geometry; so are the
+counters of the snapshot-ladder geometry (:data:`LADDER_COUNTERS`), so
+the signature is also the same at every ``ladder_interval``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,15 @@ INJECTION_PHASES = frozenset(
         "repair",
         "acceptance-check",
     }
+)
+
+
+#: Counters that depend on the snapshot-ladder geometry: how each run was
+#: positioned (rung restore vs cold start) and whether its post-fault run
+#: stopped at a rung in the golden state.  Exact, but excluded from the
+#: deterministic signature.
+LADDER_COUNTERS = frozenset(
+    {"restore", "cold-start", "converged", "converged-skipped-instr"}
 )
 
 
@@ -107,12 +118,17 @@ class TelemetryReport:
     def signature(self) -> dict:
         """The sharding-independent core of this report.
 
-        Counters plus per-injection phase counts: for a given (app, n,
-        seed, config, plans) this dict is identical whatever ``jobs``,
-        ``shard_size`` or ``ladder_interval`` the campaign ran with.
+        Counters (less :data:`LADDER_COUNTERS`) plus per-injection phase
+        counts: for a given (app, n, seed, config, plans) this dict is
+        identical whatever ``jobs``, ``shard_size`` or ``ladder_interval``
+        the campaign ran with.
         """
         return {
-            "counters": dict(sorted(self.counters.items())),
+            "counters": {
+                name: value
+                for name, value in sorted(self.counters.items())
+                if name not in LADDER_COUNTERS
+            },
             "phase_counts": {
                 name: stat.count
                 for name, stat in sorted(self.phases.items())
@@ -183,4 +199,4 @@ class TelemetryReport:
         return "\n".join(parts)
 
 
-__all__ = ["TelemetryReport", "PhaseStat", "INJECTION_PHASES"]
+__all__ = ["TelemetryReport", "PhaseStat", "INJECTION_PHASES", "LADDER_COUNTERS"]

@@ -6,12 +6,14 @@ import random
 import pytest
 
 from repro.core.config import VARIANTS
-from repro.fuzz.app import FuzzAppA, LangApp
+from repro.fuzz.app import FuzzAppA, FuzzAppC, LangApp
 from repro.fuzz.generator import gen_isa_program, gen_lang_source, gen_segments
 from repro.fuzz.mutations import MUTATIONS
 from repro.fuzz.observe import observe
+from repro.checkpoint.snapshot import Snapshot
 from repro.fuzz.oracles import (
     check_backends,
+    check_converge,
     check_jobs,
     check_merge,
     check_program,
@@ -132,3 +134,22 @@ def test_resume_oracle_holds(tmp_path):
 
 def test_jobs_oracle_holds():
     assert check_jobs(FuzzAppA(), 5, 14, VARIANTS["LetGo-E"], jobs=2) == []
+
+
+def test_converge_oracle_holds():
+    assert check_converge(FuzzAppC(), 12, 15) == []
+
+
+def test_converge_oracle_catches_a_loose_state_comparison(monkeypatch):
+    # Planted bug: registers and pc only, memory and output ignored.
+    def loose(self, process):
+        cpu = process.cpu
+        return (
+            cpu.instret == self.instret
+            and cpu.pc == self.pc
+            and tuple(cpu.iregs) == self.iregs
+        )
+
+    monkeypatch.setattr(Snapshot, "matches", loose)
+    found = check_converge(FuzzAppC(), 12, 15)
+    assert found and {d.oracle for d in found} == {"converge"}

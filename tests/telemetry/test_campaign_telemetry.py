@@ -18,6 +18,7 @@ import json
 
 from repro.core import LETGO_E
 from repro.faultinject import CampaignConfig, CampaignEngine
+from repro.fuzz.app import FuzzAppA
 from repro.telemetry import INJECTION_PHASES, read_jsonl
 
 N = 14
@@ -61,6 +62,25 @@ def test_signature_identical_across_jobs_1_and_4(pennant_app):
             + report.counters.get("cold-start", 0)
             == N
         )
+
+
+def test_signature_identical_at_every_ladder_interval(pennant_app):
+    # The ladder changes how runs are positioned (restore vs cold start)
+    # and where post-fault runs stop (converged), never what they report.
+    # A 7-instruction ladder on pennant would hold ~18k snapshots, so the
+    # tiny interval runs on a small generated app.
+    cases = ((pennant_app, (0, None)), (FuzzAppA(), (0, 7, None)))
+    converged = 0
+    for app, intervals in cases:
+        reports = [
+            _run(app, LETGO_E, jobs=1, ladder_interval=k)[1] for k in intervals
+        ]
+        assert "restore" not in reports[0].counters
+        assert "converged" not in reports[0].counters
+        converged += sum(r.counters.get("converged", 0) for r in reports)
+        signatures = [report.signature() for report in reports]
+        assert all(sig == signatures[0] for sig in signatures), app.name
+    assert converged > 0
 
 
 def test_telemetry_does_not_change_outcomes(pennant_app):

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
-from repro.telemetry import INJECTION_PHASES, PhaseStat, TelemetryReport, Tracer
+from repro.telemetry import (
+    INJECTION_PHASES,
+    LADDER_COUNTERS,
+    PhaseStat,
+    TelemetryReport,
+    Tracer,
+)
 
 
 def _span(name, ts, dur, tid="t"):
@@ -69,6 +75,20 @@ def test_signature_keeps_injection_phases_and_counters_only():
         "phase_counts": {"restore": 1},
     }
     assert "shard" not in signature["phase_counts"]
+
+
+def test_signature_drops_ladder_geometry_counters():
+    counters = {
+        "restore": 9,
+        "cold-start": 3,
+        "converged": 4,
+        "converged-skipped-instr": 51_000,
+        "outcome:benign": 12,
+    }
+    report = TelemetryReport.from_records([], counters=counters)
+    assert set(LADDER_COUNTERS) < set(counters)
+    assert report.signature()["counters"] == {"outcome:benign": 12}
+    assert report.counters == counters  # still reported, just not signed
 
 
 def test_signature_independent_of_durations():

@@ -57,6 +57,20 @@ def test_campaign(capsys):
     assert "crash rate" in out
 
 
+def test_campaign_telemetry_table_shows_convergence(capsys):
+    assert main([
+        "campaign", "--app", "pennant", "-n", "12", "--seed", "2",
+        "--letgo", "LetGo-E", "--telemetry",
+    ]) == 0
+    rows = {
+        line.split()[0]: line.split()[1:]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("converged")
+    }
+    assert int(rows["converged"][0]) > 0
+    assert int(rows["converged-skipped-instr"][0]) > 0
+
+
 def test_simulate_paper_params(capsys):
     assert main(["simulate", "--app", "lulesh", "--t-chk", "120"]) == 0
     out = capsys.readouterr().out
