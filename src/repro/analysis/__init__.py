@@ -2,9 +2,9 @@
 
 Provides exactly what LetGo needs from PIN -- next-PC is trivial in this
 ISA (``pc+1``), so the load-bearing pieces are function/frame discovery
-(:class:`FunctionTable`, Heuristic II) and dynamic-instruction profiling
-(:func:`profile_program`, fault-injection phase 1) -- plus a CFG builder
-and objdump-style reports.
+(:class:`FunctionTable`, Heuristic II) and per-instruction dynamic
+profiling (:func:`profile_program`) -- plus a CFG builder and
+objdump-style reports.
 """
 
 from repro.analysis.cfg import (

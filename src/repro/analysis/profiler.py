@@ -1,10 +1,14 @@
-"""Dynamic-instruction profiling (phase 1 of the paper's fault injection).
+"""Dynamic-instruction profiling (the per-pc view of the paper's PIN pass).
 
 The paper runs each application once under PIN to (a) count total dynamic
 instructions -- the population faults are drawn from -- and (b) record how
 often each static instruction executes, so a fault can be placed at "the
 k-th dynamic instance of instruction s".  :func:`profile_program` produces
-both, plus the golden output the outcome classifier compares against.
+both, plus the golden output.  Campaigns need only (a) and the output,
+which the app's snapshot-ladder run already records
+(:func:`~repro.checkpoint.snapshot.build_ladder`); the profiler serves
+reports and analysis, and is the independent reference the tests check
+those golden facts against.
 """
 
 from __future__ import annotations

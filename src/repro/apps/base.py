@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.analysis.functions import FunctionTable
-from repro.analysis.profiler import Profile, profile_program
 from repro.isa.program import Program
 from repro.lang.compiler import CompiledUnit, compile_unit
 from repro.machine.process import Process
@@ -33,13 +32,13 @@ if TYPE_CHECKING:  # checkpoint.driver imports apps.base; break the cycle
 
 Output = list[tuple[str, int | float]]
 
-# Compilation, golden profiling and golden-run snapshot ladders are
-# deterministic functions of the source text (plus the ladder interval);
-# share them across app instances (tests, CLI, benches all instantiate
-# apps freely, and campaign workers re-derive apps from their spec).
+# Compilation and golden-run snapshot ladders are deterministic functions
+# of the source text (plus the ladder interval; None is the default
+# ladder); share them across app instances (tests, CLI, benches all
+# instantiate apps freely, and campaign workers re-derive apps from their
+# spec).
 _UNIT_CACHE: dict[str, CompiledUnit] = {}
-_PROFILE_CACHE: dict[str, Profile] = {}
-_LADDER_CACHE: dict[tuple[str, int], "SnapshotLadder"] = {}
+_LADDER_CACHE: dict[tuple[str, int | None], "SnapshotLadder"] = {}
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,8 @@ class MiniApp(ABC):
     """One benchmark application.
 
     Subclasses provide the MiniC source and the Table-2 semantics; this
-    base class owns compilation, golden-run and analysis caching.
+    base class owns compilation, the golden run (one snapshot-ladder pass)
+    and analysis caching.
     """
 
     #: Short identifier, e.g. ``"lulesh"``.
@@ -129,24 +129,14 @@ class MiniApp(ABC):
     # -- golden facts ----------------------------------------------------------
 
     @cached_property
-    def profile(self) -> Profile:
-        """Golden profiling run (paper's one-time PIN pass), shared
-        across instances of the same source."""
-        source = self.source
-        profile = _PROFILE_CACHE.get(source)
-        if profile is None:
-            profile = profile_program(self.program)
-            _PROFILE_CACHE[source] = profile
-        return profile
-
-    @cached_property
     def golden(self) -> GoldenRun:
-        """Reference output/instruction count."""
-        prof = self.profile
+        """Reference output/instruction count, from the default ladder's
+        run: the app's one golden pass (the paper's one-time PIN pass)."""
+        ladder = self.ladder()
         return GoldenRun(
-            output=tuple(prof.output),
-            instret=prof.total,
-            exit_code=prof.exit_code,
+            output=ladder.output,
+            instret=ladder.total,
+            exit_code=ladder.exit_code,
         )
 
     @cached_property
@@ -163,33 +153,37 @@ class MiniApp(ABC):
 
     @property
     def default_ladder_interval(self) -> int:
-        """Rung spacing balancing fast-forward cost against rung count.
+        """Rung spacing of the default ladder.
 
-        ~64 rungs across the golden run: the mean fast-forward after a
-        restore is interval/2 (< 1% of the run), while the ladder itself
-        stays a few dozen small snapshots.
+        64 to 127 rungs across the golden run (see
+        :func:`~repro.checkpoint.snapshot.build_ladder`): the mean
+        fast-forward after a restore is interval/2 (< 1% of the run),
+        while the ladder itself stays under 128 small snapshots.
         """
-        return max(256, self.golden.instret // 64)
+        return self.ladder().interval
 
     def ladder(self, interval: int | None = None) -> "SnapshotLadder":
         """Golden-run snapshot ladder (cached by source text + interval).
 
-        One fault-free run per (app, interval), captured every *interval*
-        retired instructions; injection runs restore the nearest rung at
-        or below their target instead of replaying the prefix from zero.
+        The default ladder (*interval* None, or equal to its own interval)
+        is the app's golden run, which also supplies :attr:`golden`.  Any
+        other *interval* costs one more fault-free run, captured every
+        *interval* retired instructions.  Injection runs restore the
+        nearest rung at or below their target instead of replaying the
+        prefix from zero.
         """
         from repro.checkpoint.snapshot import build_ladder
 
-        if interval is None:
-            interval = self.default_ladder_interval
+        default_key = (self.source, None)
+        if default_key not in _LADDER_CACHE:
+            _LADDER_CACHE[default_key] = build_ladder(self.program)
+        ladder = _LADDER_CACHE[default_key]
+        if interval is None or interval == ladder.interval:
+            return ladder
         key = (self.source, interval)
-        ladder = _LADDER_CACHE.get(key)
-        if ladder is None:
-            ladder = build_ladder(
-                self.program, interval, max_steps=self.max_steps
-            )
-            _LADDER_CACHE[key] = ladder
-        return ladder
+        if key not in _LADDER_CACHE:
+            _LADDER_CACHE[key] = build_ladder(self.program, interval)
+        return _LADDER_CACHE[key]
 
     # -- Table 2 semantics ---------------------------------------------------
 

@@ -12,7 +12,9 @@ On top of the single-snapshot primitive this module builds the
 interval.  Replaying a prefix of the golden path to dynamic instruction D
 then costs one restore plus at most ``interval`` interpreted steps instead
 of D steps -- the amortization the fault-injection campaign engine is
-built on.
+built on.  The ladder run is also the app's only golden run: it records
+the golden output, exit code and retirement count the outcome classifier
+compares against.
 
 The rungs also cut the *post*-fault run short: :meth:`Snapshot.matches`
 decides whether a live process is in exactly a rung's architectural
@@ -30,6 +32,13 @@ from repro.errors import SimulationError
 from repro.isa.program import Program
 from repro.machine.cpu import STOP_HALT
 from repro.machine.process import Process, ProcessStatus
+from repro.machine.signals import Trap
+
+#: First rung spacing of a ladder built without an explicit interval.
+FIRST_INTERVAL = 256
+#: A ladder built without an explicit interval halves itself when it
+#: reaches this many rungs, so it ends with MAX_RUNGS/2 to MAX_RUNGS-1.
+MAX_RUNGS = 128
 
 
 @dataclass(frozen=True)
@@ -154,13 +163,16 @@ class SnapshotLadder:
     Rung *i* holds the process state after ``(i + 1) * interval`` retired
     instructions of the fault-free run (the state at instret 0 is a plain
     ``Process.load``, so it needs no rung).  ``total`` is the golden
-    retirement count; rungs stop strictly before it.
+    retirement count; rungs stop strictly before it.  ``output`` and
+    ``exit_code`` are the golden run's output stream and exit status.
     """
 
     checksum: str
     interval: int
     rungs: tuple[Snapshot, ...]
     total: int
+    output: tuple[tuple[str, int | float], ...]
+    exit_code: int
     instrets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -192,34 +204,50 @@ class SnapshotLadder:
 
 
 def build_ladder(
-    program: Program, interval: int, max_steps: int | None = None
+    program: Program, interval: int | None = None, max_steps: int = 500_000_000
 ) -> SnapshotLadder:
     """One golden run of *program*, snapshotted every *interval* retirements.
 
-    ``max_steps`` bounds the run (default: 64 intervals past 2**24, a
-    safety net -- golden runs of well-formed apps halt long before).  The
-    golden path must be trap-free; a trap propagates to the caller.
+    Without *interval* the spacing adapts to the run length, which is not
+    known in advance: it starts at :data:`FIRST_INTERVAL`, and each time
+    the ladder reaches :data:`MAX_RUNGS` rungs it drops every other rung
+    and doubles.  Rungs stay on exact multiples of the final interval; a
+    run longer than ``MAX_RUNGS * FIRST_INTERVAL`` instructions ends with
+    ``MAX_RUNGS/2`` to ``MAX_RUNGS - 1`` of them.
+
+    ``max_steps`` bounds the run (a safety net: golden runs of well-formed
+    apps halt long before).  The golden path must halt cleanly: a trap or
+    a run past the budget raises :class:`SimulationError`.
     """
-    if interval < 1:
+    if interval is not None and interval < 1:
         raise ValueError("ladder interval must be >= 1")
+    adaptive = interval is None
+    step = FIRST_INTERVAL if adaptive else interval
     process = Process.load(program)
     cpu = process.cpu
-    budget = max_steps if max_steps is not None else (1 << 24)
     rungs: list[Snapshot] = []
-    while cpu.instret < budget:
-        stop = cpu.run(interval)
+    while cpu.instret < max_steps:
+        try:
+            stop = cpu.run(step)
+        except Trap as trap:
+            raise SimulationError(f"golden run trapped: {trap}") from trap
         if stop == STOP_HALT:
             break
         rungs.append(snapshot(process))
+        if adaptive and len(rungs) == MAX_RUNGS:
+            del rungs[::2]  # keep the rungs on multiples of 2 * step
+            step *= 2
     else:
         raise SimulationError(
-            f"golden run exceeded {budget} instructions while building ladder"
+            f"golden run exceeded {max_steps} instructions while building ladder"
         )
     return SnapshotLadder(
         checksum=program.checksum(),
-        interval=interval,
+        interval=step,
         rungs=tuple(rungs),
         total=cpu.instret,
+        output=tuple(cpu.output),
+        exit_code=cpu.exit_code,
     )
 
 

@@ -106,10 +106,13 @@ def _variant(name: str | None):
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
+    try:
+        plan = InjectionPlan(
+            dyn_index=args.dyn_index, bit=args.bit, reg_choice=args.reg_choice
+        )
+    except ValueError as exc:
+        raise SystemExit(f"inject: {exc}") from None
     app = make_app(args.app)
-    plan = InjectionPlan(
-        dyn_index=args.dyn_index, bit=args.bit, reg_choice=args.reg_choice
-    )
     result = run_injection(app, plan, config=_variant(args.letgo), backend=args.backend)
     print(f"outcome: {result.outcome.value}")
     print(f"target: pc={result.target_pc} reg={result.target_reg}")

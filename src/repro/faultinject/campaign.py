@@ -1,11 +1,12 @@
 """Campaign runner: many injections, aggregated per app and LetGo config.
 
-Mirrors the paper's two-phase methodology: one profiling run per app
-(cached on the :class:`~repro.apps.base.MiniApp`), then N injection runs
-with independently drawn (dynamic-instruction, bit) pairs.  Plans are
-drawn once per seed, so campaigns for different LetGo configurations are
-*paired*: every config experiences the identical fault population, which
-is what makes the Figure-5 B-vs-E comparison tight at moderate N.
+Mirrors the paper's two-phase methodology: one golden run per app (the
+snapshot-ladder run, cached on the :class:`~repro.apps.base.MiniApp`),
+then N injection runs with independently drawn (dynamic-instruction,
+bit) pairs.  Plans are drawn once per seed, so campaigns for different
+LetGo configurations are *paired*: every config experiences the
+identical fault population, which is what makes the Figure-5 B-vs-E
+comparison tight at moderate N.
 """
 
 from __future__ import annotations

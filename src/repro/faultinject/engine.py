@@ -6,9 +6,10 @@ O(N·L) interpreted instructions on one core.  Both costs are accidental --
 the paper's methodology is one profiling pass followed by N *independent*
 runs -- and this engine removes them with two composable optimizations:
 
-**Snapshot ladder.**  One extra golden run per app drops a
+**Snapshot ladder.**  The app's one golden run drops a
 :class:`~repro.checkpoint.snapshot.Snapshot` every K retired instructions
-(cached on the app next to its profile).  Each injection restores the
+and records the golden facts (cached on the app, see
+:meth:`~repro.apps.base.MiniApp.ladder`).  Each injection restores the
 nearest rung at or below its injection point and fast-forwards only the
 remainder, turning O(N·L) prefix replay into O(L + N·K).  The same rungs
 end post-fault runs early: a run whose state equals the golden state at

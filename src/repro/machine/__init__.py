@@ -11,7 +11,6 @@ from repro.machine.compiled import (
     default_backend,
 )
 from repro.machine.cpu import CPU, STOP_HALT, STOP_STEPS
-from repro.machine.flightrec import FlightRecording, TraceEntry, record
 from repro.machine.debugger import (
     STOP_BREAKPOINT,
     STOP_BUDGET,
@@ -38,9 +37,6 @@ __all__ = [
     "ClusterEvent",
     "Network",
     "Blocked",
-    "FlightRecording",
-    "TraceEntry",
-    "record",
     "CPU",
     "CompiledCPU",
     "BACKENDS",

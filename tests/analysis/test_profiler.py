@@ -62,8 +62,11 @@ def test_nonhalting_program_rejected():
 
 
 def test_app_profiles_consistent(suite):
+    """The profiler is the independent reference for the golden facts
+    the snapshot-ladder run supplies."""
     for app in suite.values():
-        prof = app.profile
+        prof = profile_program(app.program)
         assert prof.total == app.golden.instret
         assert tuple(prof.output) == app.golden.output
+        assert prof.exit_code == app.golden.exit_code
         assert prof.coverage() > 0.5, app.name

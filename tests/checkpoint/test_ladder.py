@@ -3,7 +3,9 @@
 import pytest
 
 from repro.checkpoint import build_ladder, restore, restore_into, snapshot
+from repro.checkpoint.snapshot import FIRST_INTERVAL, MAX_RUNGS
 from repro.errors import SimulationError
+from repro.isa import Instr, Op, Program
 from repro.lang import compile_source
 from repro.machine import Process
 
@@ -39,9 +41,21 @@ def test_rung_spacing(program, reference):
     ladder = build_ladder(program, interval=100)
     total = reference.cpu.instret
     assert ladder.total == total
+    assert ladder.output == tuple(reference.output)
+    assert ladder.exit_code == reference.cpu.exit_code == 0
     assert len(ladder) == (total - 1) // 100
     for i, rung in enumerate(ladder.rungs):
         assert rung.instret == (i + 1) * 100
+
+
+def test_short_run_keeps_first_interval(program, reference):
+    total = reference.cpu.instret
+    assert total < MAX_RUNGS * FIRST_INTERVAL
+    ladder = build_ladder(program)
+    assert ladder.interval == FIRST_INTERVAL
+    assert ladder.total == total
+    assert len(ladder) == (total - 1) // FIRST_INTERVAL
+    assert ladder.rungs == build_ladder(program, interval=FIRST_INTERVAL).rungs
 
 
 def test_nearest(program):
@@ -90,6 +104,12 @@ def test_runaway_golden_run_rejected():
     )
     with pytest.raises(SimulationError):
         build_ladder(looper, interval=64, max_steps=1_000)
+
+
+def test_trapping_golden_run_rejected():
+    program = Program(instrs=[Instr(Op.ABORT)], functions={"main": 0})
+    with pytest.raises(SimulationError, match="^golden run trapped: "):
+        build_ladder(program)
 
 
 def test_restore_into_wrong_program_rejected(program):

@@ -131,6 +131,20 @@ def test_campaign_out_of_range_knob_is_a_one_line_error():
         main(["campaign", "--app", "pennant", "-n", "4", "--jobs", "0"])
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--dyn-index", "0", "dyn_index is 1-based"),
+        ("--bit", "64", "bit must be in"),
+        ("--reg-choice", "1.0", "reg_choice must be in"),
+    ],
+)
+def test_inject_out_of_range_plan_is_a_one_line_error(flag, value, message):
+    argv = ["inject", "--app", "pennant", "--dyn-index", "10", flag, value]
+    with pytest.raises(SystemExit, match=f"^inject: {message}"):
+        main(argv)
+
+
 def test_campaign_abort_prints_one_line_error(monkeypatch, capsys):
     from repro.errors import CampaignAbortedError
     from repro.faultinject.engine import CampaignEngine
