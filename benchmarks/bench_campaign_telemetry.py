@@ -45,7 +45,7 @@ def _measure(app, telemetry: bool):
 
 def run_bench(app) -> dict:
     app.golden  # keep compile/profile out of both timings
-    _measure(app, False)  # warm caches (ladder, closure tables)
+    _measure(app, False)  # warm caches (ladder, compiled blocks)
 
     t_off, result_off, report_off = _measure(app, False)
     t_on, result_on, report_on = _measure(app, True)

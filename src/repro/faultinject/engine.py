@@ -180,8 +180,8 @@ def _run_shard(
     One *host process* serves the whole shard: every plan restores its
     launch state (ladder rung, or a pristine instret-0 snapshot) into the
     same process, so segment mapping, CPU construction and -- on the
-    compiled backend -- closure-table compilation are paid once per shard
-    rather than once per injection.
+    compiled backend -- binding compiled blocks to the process are paid
+    once per shard rather than once per injection.
 
     With telemetry enabled a leaf :class:`~repro.telemetry.Tracer` records the
     shard's phase spans and counters; its picklable export is the third

@@ -247,7 +247,7 @@ def gen_segments(rng: random.Random, budget: int) -> list[int]:
     """Random lockstep pause schedule summing exactly to *budget*.
 
     Small Fibonacci-ish steps with an occasional run-to-the-end tail, so
-    pauses land inside fused pairs, right after wild jumps, on HALT
+    pauses land inside compiled blocks, right after wild jumps, on HALT
     sites -- all the places exact-budget accounting can go wrong.
     """
     segments: list[int] = []

@@ -1,26 +1,30 @@
 """Scratch backend mutants: known-bad CPUs the fuzzer must catch.
 
-Each class is a copy of the reference interpreter with ONE semantic
-fault planted -- deliberately re-creating the bug classes PR 3 fixed by
-hand (NaN min/max, HALT-pc advance, map-before-alignment) plus a
-sign-extension fault.  They are strictly test scaffolding: running the
-fuzzer with ``--mutation NAME`` swaps the mutant in as the "compiled"
-side of every differential oracle, which must then (a) flag a
-divergence and (b) shrink it to a tiny reproducer.  A fuzzer that
-cannot kill these mutants would not have caught the real bugs either
-(the mutation-adequacy methodology of the repair-assessment line of
-work).
+Each class is a copy of a backend with ONE semantic fault planted --
+deliberately re-creating the bug classes fixed by hand in the substrate
+(NaN min/max, HALT-pc advance, map-before-alignment), a sign-extension
+fault, and an imprecise trap in a compiled basic block.  They are
+strictly test scaffolding: running the fuzzer with ``--mutation NAME``
+swaps the mutant in as the "compiled" side of every differential
+oracle, which must then (a) flag a divergence and (b) shrink it to a
+tiny reproducer.  A fuzzer that cannot kill these mutants would not
+have caught the real bugs either (the mutation-adequacy methodology of
+the repair-assessment line of work).
 
 The interpreter builds its dispatch table per-instance with
 ``getattr(self, "_op_...")``, so overriding a handler in a subclass is
-all a mutant needs.
+all a mutant needs.  The block-level mutant instead overrides the
+compiled backend's code generator on the eager compiled CPU.
 """
 
 from __future__ import annotations
 
+import re
 from math import isnan
 
+from repro.fuzz.oracles import EagerCompiledCPU
 from repro.isa.instructions import Instr
+from repro.machine.compiled import block_source
 from repro.machine.cpu import CPU
 from repro.machine.signals import Signal, Trap
 
@@ -76,12 +80,28 @@ class AlignmentBeforeMap(CPU):
         super()._op_ld(ins)
 
 
+class BlockTrapAtEnd(EagerCompiledCPU):
+    """A trap inside a compiled block is reported at the block's last
+    instruction, so it retires the whole block but that instruction
+    (imprecise exceptions, the classic block-compiler bug)."""
+
+    @staticmethod
+    def block_source(instrs, entry, length, ranges):
+        source, consts = block_source(instrs, entry, length, ranges)
+        end = entry + length - 1
+        source = re.sub(
+            r"trap\((RANGES, )?I, \d+", rf"trap(\g<1>I, {end}", source
+        )
+        return source, consts
+
+
 #: name -> mutant class, the ``--mutation`` CLI choices.
 MUTATIONS: dict[str, type[CPU]] = {
     "fmin-nan": FminNanPropagates,
     "halt-pc": HaltAdvancesPc,
     "shri-logical": ShriLogical,
     "segv-order": AlignmentBeforeMap,
+    "block-trap-pc": BlockTrapAtEnd,
 }
 
 

@@ -1,7 +1,9 @@
 """Differential and metamorphic oracles.
 
 Three *differential* oracles run one program two ways and demand
-identical :class:`~repro.fuzz.observe.Observation` digests:
+identical :class:`~repro.fuzz.observe.Observation` digests.  The
+"compiled" side is checked twice (:data:`COMPILED_SIDES`): at the
+default hot threshold and compiling every block on first entry.
 
 * ``backend`` -- lockstep interpreter vs compiled under a random pause
   schedule (every pause point must agree, not just the final state).
@@ -42,6 +44,7 @@ from repro.faultinject.injector import InjectionResult, run_injection
 from repro.faultinject.journal import CampaignJournal, JournalHeader
 from repro.fuzz.observe import Observation, observe
 from repro.isa.program import Program
+from repro.machine.compiled import CompiledCPU
 from repro.machine.cpu import CPU
 from repro.machine.debugger import (
     STOP_BREAKPOINT,
@@ -55,6 +58,22 @@ from repro.machine.process import Process, ProcessStatus
 #: Backend selectors accepted by the differential oracles: a registry
 #: name ("interpreter"/"compiled") or a CPU subclass (scratch mutants).
 Backend = str | type[CPU]
+
+
+class EagerCompiledCPU(CompiledCPU):
+    """The compiled backend with every block compiled on first entry.
+
+    Random programs are short, so most of their blocks never reach the
+    default hot threshold and would run on the interpreter handlers on
+    both sides of an oracle.  This twin makes them reach generated code.
+    """
+
+    HOT = 1
+
+
+#: The compiled sides the differential oracles check against the
+#: interpreter by default: the real backend and its eager twin.
+COMPILED_SIDES = ("compiled", EagerCompiledCPU)
 
 #: Differential oracle names (program-level).
 PROGRAM_ORACLES = ("backend", "debugger", "snapshot")
@@ -210,23 +229,27 @@ def check_program(
     breakpoints: list[int] | None = None,
     oracles: tuple[str, ...] = PROGRAM_ORACLES,
     a="interpreter",
-    b="compiled",
+    b=COMPILED_SIDES,
 ) -> list[Divergence]:
     """Run the selected differential oracles on one program.
 
+    *b* is one backend or a tuple of them, each checked against *a*.
     This is the replay entry point used by corpus tests and emitted
     reproducers; defaults derive a simple schedule from *budget*.
     """
     found: list[Divergence] = []
-    if "backend" in oracles:
-        found += check_backends(program, segments or [budget], a=a, b=b)
-    if "debugger" in oracles:
-        found += check_debugger(program, budget, breakpoints or [], a=a, b=b)
-    if "snapshot" in oracles:
-        found += check_snapshot(
-            program, cut if cut is not None else max(1, budget // 2),
-            budget, a=a, b=b,
-        )
+    for side in b if isinstance(b, tuple) else (b,):
+        if "backend" in oracles:
+            found += check_backends(program, segments or [budget], a=a, b=side)
+        if "debugger" in oracles:
+            found += check_debugger(
+                program, budget, breakpoints or [], a=a, b=side
+            )
+        if "snapshot" in oracles:
+            found += check_snapshot(
+                program, cut if cut is not None else max(1, budget // 2),
+                budget, a=a, b=side,
+            )
     return found
 
 

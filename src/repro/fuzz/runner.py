@@ -48,6 +48,7 @@ from repro.fuzz.mutations import MUTATIONS
 from repro.fuzz.oracles import (
     ALL_ORACLES,
     CAMPAIGN_ORACLES,
+    COMPILED_SIDES,
     PROGRAM_ORACLES,
     Divergence,
     check_converge,
@@ -79,10 +80,10 @@ class FuzzConfig:
     shrink: bool = True
 
     def backends(self) -> tuple:
-        """(a, b) backend pair every differential oracle compares."""
+        """(a, b): every differential oracle compares *a* with each of *b*."""
         if self.mutation is not None:
             return ("interpreter", MUTATIONS[self.mutation])
-        return ("interpreter", "compiled")
+        return ("interpreter", COMPILED_SIDES)
 
 
 @dataclass

@@ -1,129 +1,87 @@
-"""Closure-compiled execution backend: the interpreter's fast twin.
+"""Basic-block compiled execution backend: the interpreter's fast twin.
 
-:class:`CompiledCPU` translates every static instruction into an
-operand-specialized closure at first run: register indices, immediates,
-branch targets and bound memory methods are baked into the closure's cells,
-so the hot loop is ``pc = code[pc]()`` -- no per-step ``Instr`` attribute
-loads, no handler-table indexing, no ``self.*`` lookups.  Two hot pairs are
-fused into superinstructions (compare+branch and addi+load); the second
-member of a pair keeps its own closure slot, so branches into the middle of
-a pair still work.
+:class:`CompiledCPU` runs hot straight-line code as generated Python.  A
+*block* runs from its entry pc through the next control-flow instruction
+(``JMP``/``BEQZ``/``BNEZ``/``CALL``/``RET``/``HALT``/``ABORT``).  On its
+:attr:`CompiledCPU.HOT`-th entry a block becomes one straight-line
+function: register indices, immediates and the memory's segment ranges
+are literals, loads and stores check the segment map inline and read or
+write the memory's cell dict directly, and the function returns the next
+pc.  The run loop is ``pc = block()`` once per block instead of one
+dispatch per instruction.
+
+Everything else runs on the inherited interpreter handlers, which are the
+reference semantics: cold entries, a budget tail shorter than the block,
+and the network ops (``SEND``/``FSEND``/``RECV``/``FRECV``), which are
+always single-instruction entries.
 
 The backend preserves the interpreter's contract exactly:
 
-* **Precise exceptions.**  A :class:`~repro.machine.signals.Trap` carries
-  the pc of the faulter, the faulting instruction does not retire, and
-  ``cpu.pc`` is left at the fault site -- bit-identical trap sites, signals
-  and detail strings.
-* **Exact ``instret`` accounting.**  Fused pairs execute inside bounded
-  chunks sized so a pair can never overrun the step budget, and the final
-  budgeted step always runs unfused; ``run(n)`` retires exactly what the
-  interpreter would.  This is what keeps ``dyn_index``-addressed fault
-  injection deterministic across backends.
-* **Live state.**  Closures bind the *identities* of the register files,
-  memory and output stream -- exactly the objects
-  :func:`~repro.checkpoint.snapshot.restore_into` refills in place -- so
-  snapshot/restore, debugger register writes and ``set_pc`` all work
-  unchanged.
-* **Out-of-image control flow.**  A computed or encoded jump target outside
-  the image retires the jump, parks the wild pc, and faults on the *next*
-  fetch, exactly like the interpreter (a run whose budget expires right
-  after such a jump stops with the wild pc and no trap).
+* **Precise exceptions.**  A trap inside a block carries the pc of the
+  faulter, retires ``trap.pc - block_start`` instructions and leaves
+  ``cpu.pc`` on the faulter.  Memory traps build the same
+  :class:`~repro.machine.memory.AccessError` as
+  :class:`~repro.machine.memory.Memory` (segment check first, then
+  alignment), so signals and detail strings match byte for byte.
+* **Exact ``instret`` accounting.**  A block runs only when it fits the
+  remaining step budget, so ``run(n)`` retires exactly what the
+  interpreter would.  This keeps ``dyn_index``-addressed fault injection
+  deterministic across backends.
+* **Live state.**  Block functions bind the *identities* of the register
+  files, the cell dict and the output stream, which
+  :func:`~repro.checkpoint.snapshot.restore_into` and
+  :meth:`~repro.machine.memory.Memory.load_cells` refill in place.
+* **Out-of-image control flow.**  A block returns whatever target it
+  computes; the loop's fetch check faults on the *next* fetch, exactly
+  like the interpreter (a run whose budget expires right after a wild jump
+  stops with the wild pc and no trap).
 
-``run_profiled`` is inherited from the interpreter: profiling is a
-one-time golden pass and the per-pc counts must stay reference-exact.
-
-Fusion plans are cached per program image (the per-program code cache);
-closure tables themselves bind per-process state, so each process builds
-its own lazily on first run.  Campaign workers amortize that by reusing
-one host process per shard (see ``repro.faultinject.engine``).
+Code objects and per-entry heat counts belong to the program image: they
+live on the :class:`~repro.isa.program.Program` (in its ``__dict__``, like
+the cached checksum), keyed by CPU class and segment ranges, so they die
+with the program.  Each process binds its own state into the cached code
+when it first enters a block, which costs one function object.
+``run_profiled`` is inherited from the interpreter.
 """
 
 from __future__ import annotations
 
 import os
 from math import copysign, inf, isinf, isnan, nan, sqrt
-from operator import eq, le, lt, ne
+from operator import index
+from types import FunctionType
 
 from repro.isa.instructions import Instr, Op
 from repro.isa.layout import INT64_MAX, INT64_MIN, MASK64
 from repro.isa.registers import SP
 from repro.machine.cpu import CPU, STOP_HALT, STOP_STEPS
-from repro.machine.memory import (
-    AccessError,
-    float_to_pattern,
-    pattern_to_float,
-)
+from repro.machine.memory import AccessError
 from repro.machine.signals import Blocked, Signal, Trap
 
-_SIGN = 1 << 63
-_WRAP = 1 << 64
+#: Instructions that end a block (the last instruction of a block).
+BLOCK_ENDS = frozenset(
+    (Op.JMP, Op.BEQZ, Op.BNEZ, Op.CALL, Op.RET, Op.HALT, Op.ABORT)
+)
+#: Instructions that always run on the interpreter handlers, alone.
+INTERPRETED = frozenset((Op.SEND, Op.FSEND, Op.RECV, Op.FRECV))
+
+#: What a compiled HALT returns: never a valid pc, so the loop's fetch
+#: check stops there and finds ``halted`` set (``cpu.pc`` is on the HALT).
+_HALTED = -1
 
 
-class _HaltSignal(Exception):
-    """Internal: unwinds a fused chunk when HALT retires.  Never escapes."""
+def _trap(instrs, pc: int, signal: Signal, detail: str) -> Trap:
+    return Trap(signal, pc=pc, instr=instrs[pc], detail=detail)
 
 
-_HALT = _HaltSignal()
-
-# -- fusion planning ---------------------------------------------------------
-
-#: No fusion at this pc.
-FUSE_NONE = 0
-#: compare (SEQ/SNE/SLT/SLE/FEQ/FNE/FLT/FLE) + BEQZ/BNEZ on the flag reg.
-FUSE_CMP_BRANCH = 1
-#: ADDI + LD/FLD (address bump feeding a load is the classic hot pair).
-FUSE_ADDI_LOAD = 2
-
-_CMP_TO_OPERATOR = {
-    Op.SEQ: eq, Op.SNE: ne, Op.SLT: lt, Op.SLE: le,
-    Op.FEQ: eq, Op.FNE: ne, Op.FLT: lt, Op.FLE: le,
-}
-_FCMP_OPS = frozenset((Op.FEQ, Op.FNE, Op.FLT, Op.FLE))
-_BRANCH_OPS = (Op.BEQZ, Op.BNEZ)
-
-
-def fusion_plan(instrs: list[Instr]) -> tuple[int, ...]:
-    """Per-pc fusion decisions for one instruction list."""
-    n = len(instrs)
-    plan = [FUSE_NONE] * n
-    for pc in range(n - 1):
-        ins = instrs[pc]
-        tail = instrs[pc + 1]
-        if (
-            ins.op in _CMP_TO_OPERATOR
-            and tail.op in _BRANCH_OPS
-            and tail.ra == ins.rd
-            and 0 <= tail.imm <= n  # wild branch targets stay unfused
-        ):
-            plan[pc] = FUSE_CMP_BRANCH
-        elif ins.op is Op.ADDI and tail.op in (Op.LD, Op.FLD):
-            plan[pc] = FUSE_ADDI_LOAD
-    return tuple(plan)
-
-
-# The per-program code cache: fusion plans keyed by instruction-list
-# identity (programs are interned per source by the app layer, so this
-# stays a handful of entries; the instrs reference both keeps the id
-# stable and guards against id reuse).
-_PLAN_CACHE: dict[int, tuple[list[Instr], tuple[int, ...]]] = {}
-
-
-def _plan_for(instrs: list[Instr]) -> tuple[int, ...]:
-    key = id(instrs)
-    hit = _PLAN_CACHE.get(key)
-    if hit is not None and hit[0] is instrs:
-        return hit[1]
-    plan = fusion_plan(instrs)
-    _PLAN_CACHE[key] = (instrs, plan)
-    return plan
-
-
-def _mem_trap(exc: AccessError, pc: int, ins: Instr | None) -> Trap:
+def _mem_trap(ranges, instrs, pc: int, address: int, mode: str) -> Trap:
+    """The trap :class:`Memory` would raise for a failed inline check."""
+    mapped = any(lo <= address < hi for lo, hi in ranges)
+    exc = AccessError("bus" if mapped else "segv", address, mode)
     return Trap(
         Signal.SIGSEGV if exc.kind == "segv" else Signal.SIGBUS,
         pc=pc,
-        instr=ins,
+        instr=instrs[pc],
         detail=str(exc),
         address=exc.address,
     )
@@ -138,758 +96,361 @@ def _fetch_trap(pc: int) -> Trap:
     )
 
 
-def _build_tables(cpu: "CompiledCPU"):
-    """Compile *cpu*'s program into (chunk table, safe table).
+# -- code generation -----------------------------------------------------------
 
-    Both tables have ``n + 1`` slots; slot ``n`` is the fetch-fault pad so
-    natural fall-through past the image (and parked wild jump targets)
-    fault exactly like the interpreter's bounds check.  The *safe* table is
-    fully unfused and never raises on HALT (used for the final budgeted
-    step); the *chunk* table fuses hot pairs and unwinds HALT with an
-    internal exception so a fused chunk can stop mid-flight.
+#: Names generated code reads from its globals (process-independent).
+_GLOBALS = {
+    "_trap": _trap,
+    "_mem_trap": _mem_trap,
+    "SIGFPE": Signal.SIGFPE,
+    "SIGABRT": Signal.SIGABRT,
+    "copysign": copysign,
+    "inf": inf,
+    "isinf": isinf,
+    "isnan": isnan,
+    "nan": nan,
+    "sqrt": sqrt,
+}
+
+#: What every block function binds, in parameter order: the int and float
+#: register files, the cell dict and its ``get``, the output stream's
+#: ``append``, the CPU itself (HALT and the rank queries), and one 64-bit
+#: word seen as an unsigned pattern (``Q``) and as an IEEE-754 double
+#: (``D``).  Float loads and stores reinterpret through the word, bit for
+#: bit like :func:`~repro.machine.memory.pattern_to_float`, without a call.
+_PARAMS = "R, F, C, G, O, cpu, Q, D"
+
+_M, _S, _W = MASK64, 1 << 63, 1 << 64
+_SIGNED = f"R[{{rd}}] = p - {_W} if p >= {_S} else p"
+
+
+def _wrap(expr: str) -> str:
+    """Assign *expr* wrapped to a signed 64-bit value (the common case, a
+    result already in range, costs two compares and no new int)."""
+    return (
+        f"v = {expr}\n"
+        f"R[{{rd}}] = v if -{_S} <= v < {_S} else ((v + {_S}) & {_M}) - {_S}"
+    )
+
+
+#: The inline segment + alignment check of address ``a``.
+_CHECK = "if a & 7 or not ({}):\n    raise _mem_trap(RANGES, I, {}, a, {!r})"
+_ADDR = "a = R[{ra}] + {imm}"
+_ADDRX = "a = R[{ra}] + R[{rb}] * 8 + {imm}"
+_LOADF = "Q[0] = G(a, 0)\nF[{rd}] = D[0]"
+_STOREF = "D[0] = F[{rd}]\nC[a] = Q[0]"
+_FMINMAX = (
+    "a = F[{ra}]\nb = F[{rb}]\nif isnan(a):\n    F[{rd}] = b\n"
+    "elif isnan(b):\n    F[{rd}] = a\nelse:\n    F[{rd}] = a if a %s b else b"
+)
+
+#: Op -> statement template.  ``{read}``/``{write}`` expand to the inline
+#: segment + alignment check of address ``a``; every other field is a
+#: literal of the instruction (``{imm}`` may be a bound name ``K<i>``).
+_TEMPLATES: dict[Op, str] = {
+    Op.NOP: "",
+    Op.MOV: "R[{rd}] = R[{ra}]",
+    Op.MOVI: "R[{rd}] = {imm}",
+    Op.FMOV: "F[{rd}] = F[{ra}]",
+    Op.FMOVI: "F[{rd}] = {imm}",
+    Op.LD: f"{_ADDR}\n{{read}}\np = G(a, 0)\n{_SIGNED}",
+    Op.ST: f"{_ADDR}\n{{write}}\nC[a] = R[{{rd}}] & {_M}",
+    Op.LDX: f"{_ADDRX}\n{{read}}\np = G(a, 0)\n{_SIGNED}",
+    Op.STX: f"{_ADDRX}\n{{write}}\nC[a] = R[{{rd}}] & {_M}",
+    Op.FLD: f"{_ADDR}\n{{read}}\n{_LOADF}",
+    Op.FST: f"{_ADDR}\n{{write}}\n{_STOREF}",
+    Op.FLDX: f"{_ADDRX}\n{{read}}\n{_LOADF}",
+    Op.FSTX: f"{_ADDRX}\n{{write}}\n{_STOREF}",
+    Op.PUSH: f"a = R[{SP}] - 8\n{{write}}\nC[a] = R[{{ra}}] & {_M}\nR[{SP}] = a",
+    # sp first, value second: "pop sp" ends with the loaded value.
+    Op.POP: f"a = R[{SP}]\n{{read}}\np = G(a, 0)\nR[{SP}] = a + 8\n{_SIGNED}",
+    Op.FPUSH: f"a = R[{SP}] - 8\n{{write}}\nD[0] = F[{{ra}}]\nC[a] = Q[0]\nR[{SP}] = a",
+    Op.FPOP: f"a = R[{SP}]\n{{read}}\n{_LOADF}\nR[{SP}] = a + 8",
+    Op.ADD: _wrap("R[{ra}] + R[{rb}]"),
+    Op.SUB: _wrap("R[{ra}] - R[{rb}]"),
+    Op.MUL: _wrap("R[{ra}] * R[{rb}]"),
+    Op.DIV: (
+        "b = R[{rb}]\nif b == 0:\n"
+        "    raise _trap(I, {pc}, SIGFPE, 'integer divide by zero')\n"
+        "a = R[{ra}]\nq = abs(a) // abs(b)\n"
+        + _wrap("-q if (a < 0) != (b < 0) else q")
+    ),
+    Op.MOD: (
+        "b = R[{rb}]\nif b == 0:\n"
+        "    raise _trap(I, {pc}, SIGFPE, 'integer remainder by zero')\n"
+        "a = R[{ra}]\nq = abs(a) // abs(b)\nif (a < 0) != (b < 0):\n    q = -q\n"
+        + _wrap("a - q * b")
+    ),
+    Op.AND: _wrap("R[{ra}] & R[{rb}]"),
+    Op.OR: _wrap("R[{ra}] | R[{rb}]"),
+    Op.XOR: _wrap("R[{ra}] ^ R[{rb}]"),
+    Op.SHL: _wrap("R[{ra}] << (R[{rb}] & 63)"),
+    Op.SHR: "R[{rd}] = R[{ra}] >> (R[{rb}] & 63)",
+    Op.NEG: _wrap("-R[{ra}]"),
+    Op.NOT: _wrap("~R[{ra}]"),
+    Op.ADDI: _wrap("R[{ra}] + {imm}"),
+    Op.SUBI: _wrap("R[{ra}] - {imm}"),
+    Op.MULI: _wrap("R[{ra}] * {imm}"),
+    Op.ANDI: _wrap("R[{ra}] & {imm}"),
+    Op.ORI: _wrap("R[{ra}] | {imm}"),
+    Op.XORI: _wrap("R[{ra}] ^ {imm}"),
+    Op.SHLI: _wrap("R[{ra}] << ({imm} & 63)"),
+    Op.SHRI: "R[{rd}] = R[{ra}] >> ({imm} & 63)",
+    Op.SEQ: "R[{rd}] = 1 if R[{ra}] == R[{rb}] else 0",
+    Op.SNE: "R[{rd}] = 1 if R[{ra}] != R[{rb}] else 0",
+    Op.SLT: "R[{rd}] = 1 if R[{ra}] < R[{rb}] else 0",
+    Op.SLE: "R[{rd}] = 1 if R[{ra}] <= R[{rb}] else 0",
+    Op.FEQ: "R[{rd}] = 1 if F[{ra}] == F[{rb}] else 0",
+    Op.FNE: "R[{rd}] = 1 if F[{ra}] != F[{rb}] else 0",
+    Op.FLT: "R[{rd}] = 1 if F[{ra}] < F[{rb}] else 0",
+    Op.FLE: "R[{rd}] = 1 if F[{ra}] <= F[{rb}] else 0",
+    Op.FADD: "F[{rd}] = F[{ra}] + F[{rb}]",
+    Op.FSUB: "F[{rd}] = F[{ra}] - F[{rb}]",
+    Op.FMUL: "F[{rd}] = F[{ra}] * F[{rb}]",
+    # IEEE-754: x/0 -> signed inf; 0/0 and nan/0 -> nan.
+    Op.FDIV: (
+        "a = F[{ra}]\nb = F[{rb}]\nif b == 0.0:\n"
+        "    F[{rd}] = nan if a == 0.0 or isnan(a) "
+        "else copysign(inf, a) * copysign(1.0, b)\n"
+        "else:\n    F[{rd}] = a / b"
+    ),
+    Op.FNEG: "F[{rd}] = -F[{ra}]",
+    Op.FSQRT: "a = F[{ra}]\nF[{rd}] = nan if a < 0.0 else (a if isnan(a) else sqrt(a))",
+    Op.FABS: "F[{rd}] = abs(F[{ra}])",
+    Op.FMIN: _FMINMAX % "<",
+    Op.FMAX: _FMINMAX % ">",
+    Op.ITOF: "F[{rd}] = float(R[{ra}])",
+    # x86 cvttsd2si "integer indefinite" for NaN, inf and out-of-range.
+    Op.FTOI: (
+        f"a = F[{{ra}}]\nif isnan(a) or isinf(a):\n    v = {INT64_MIN}\n"
+        f"else:\n    v = int(a)\n    if v < {INT64_MIN} or v > {INT64_MAX}:\n"
+        f"        v = {INT64_MIN}\nR[{{rd}}] = v"
+    ),
+    Op.JMP: "return {imm}",
+    Op.BEQZ: "return {imm} if R[{ra}] == 0 else {nxt}",
+    Op.BNEZ: "return {imm} if R[{ra}] != 0 else {nxt}",
+    Op.CALL: f"a = R[{SP}] - 8\n{{write}}\nC[a] = {{nxt}}\nR[{SP}] = a\nreturn {{imm}}",
+    Op.RET: (
+        f"a = R[{SP}]\n{{read}}\np = G(a, 0)\nR[{SP}] = a + 8\n"
+        f"return p - {_W} if p >= {_S} else p"
+    ),
+    Op.HALT: (
+        f"cpu.halted = True\ncpu.exit_code = R[0]\ncpu.pc = {{pc}}\n"
+        f"return {_HALTED}"
+    ),
+    Op.OUT: "O(('i', R[{ra}]))",
+    Op.FOUT: "O(('f', F[{ra}]))",
+    Op.ABORT: "raise _trap(I, {pc}, SIGABRT, 'application abort')",
+    Op.RANK: "R[{rd}] = cpu.rank",
+    Op.NRANKS: "net = cpu.network\nR[{rd}] = net.size if net is not None else 1",
+}
+
+
+def block_spans(instrs: list[Instr]) -> list[int]:
+    """Length of the block entered at each pc.
+
+    A block ends at a :data:`BLOCK_ENDS` instruction, at the end of the
+    image, or just before an :data:`INTERPRETED` one (which is a block of
+    its own).
     """
-    instrs = cpu.instrs
     n = len(instrs)
-    plan = _plan_for(instrs)
+    spans = [1] * n
+    for pc in range(n - 2, -1, -1):
+        op = instrs[pc].op
+        if op not in BLOCK_ENDS and op not in INTERPRETED and (
+            instrs[pc + 1].op not in INTERPRETED
+        ):
+            spans[pc] = spans[pc + 1] + 1
+    return spans
 
-    # State identities -- shared with restore_into / debugger mutation.
-    iregs = cpu.iregs
-    fregs = cpu.fregs
-    memory = cpu.memory
-    read_pattern = memory.read_pattern
-    write_pattern = memory.write_pattern
-    read_float = memory.read_float
-    write_float = memory.write_float
-    out_append = cpu.output.append
-    extra = cpu._extra
-    wild = cpu._wild
 
-    M = MASK64
-    S = _SIGN
-    W = _WRAP
-    I64MIN = INT64_MIN
-    I64MAX = INT64_MAX
-    SP_ = SP
-    isnan_ = isnan
-    isinf_ = isinf
-    sqrt_ = sqrt
-    nan_ = nan
-    inf_ = inf
-    copysign_ = copysign
-    p2f = pattern_to_float
-    f2p = float_to_pattern
+def block_source(
+    instrs: list[Instr], entry: int, length: int, ranges: tuple
+) -> tuple[str, tuple]:
+    """Source of the block function for ``instrs[entry:entry + length]``.
 
-    def make(pc: int, ins: Instr):
-        """Operand-specialized closure for one instruction.
+    Returns ``(source, consts)``: immediates that are not plain ints
+    (float immediates, NaN, infinities, -0.0) are never written into the
+    text; they become parameters ``K0, K1, ...`` bound to *consts*.
+    """
+    consts: list = []
+    # Largest segment (the stack) first: most accesses fall in it.
+    inside = " or ".join(
+        f"{index(lo)} <= a < {index(hi)}"
+        for lo, hi in sorted(ranges, key=lambda r: r[0] - r[1])
+    ) or "False"
+    body = []
+    for pc in range(entry, entry + length):
+        ins = instrs[pc]
+        imm = ins.imm
+        if type(imm) is int:
+            imm_src = repr(imm)
+        else:
+            imm_src = f"K{len(consts)}"
+            consts.append(imm)
+        # Only integers and names made here ever reach the source text.
+        body.append(_TEMPLATES[ins.op].format(
+            rd=index(ins.rd), ra=index(ins.ra), rb=index(ins.rb),
+            imm=imm_src, pc=pc, nxt=pc + 1,
+            read=_CHECK.format(inside, pc, "read"),
+            write=_CHECK.format(inside, pc, "write"),
+        ))
+    if instrs[entry + length - 1].op not in BLOCK_ENDS:
+        body.append(f"return {entry + length}")
+    params = ", ".join([_PARAMS] + [f"K{i}" for i in range(len(consts))])
+    lines = "\n".join(body).splitlines()
+    source = f"def block({params}):\n" + "".join(
+        f"    {ln}\n" for ln in lines if ln
+    )
+    return source, tuple(consts)
 
-        Every closure returns the next pc (always within ``[0, n]``); a
-        computed target outside that range is parked in ``wild`` and the
-        pad slot is returned instead, deferring the fetch fault by exactly
-        one dispatch, as the interpreter does.
-        """
-        op = ins.op
-        rd, ra, rb, imm = ins.rd, ins.ra, ins.rb, ins.imm
-        nxt = pc + 1
 
-        # -- data movement --------------------------------------------------
-        if op is Op.NOP:
-            def cl():
-                return nxt
-        elif op is Op.MOV:
-            def cl():
-                iregs[rd] = iregs[ra]
-                return nxt
-        elif op is Op.MOVI:
-            def cl():
-                iregs[rd] = imm
-                return nxt
-        elif op is Op.FMOV:
-            def cl():
-                fregs[rd] = fregs[ra]
-                return nxt
-        elif op is Op.FMOVI:
-            def cl():
-                fregs[rd] = imm
-                return nxt
+class _BlockImage:
+    """Compiled blocks and heat counts of one program image."""
 
-        # -- memory ---------------------------------------------------------
-        elif op is Op.LD:
-            def cl():
-                try:
-                    p = read_pattern(iregs[ra] + imm)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                iregs[rd] = p - W if p >= S else p
-                return nxt
-        elif op is Op.ST:
-            def cl():
-                try:
-                    write_pattern(iregs[ra] + imm, iregs[rd] & M)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                return nxt
-        elif op is Op.LDX:
-            def cl():
-                try:
-                    p = read_pattern(iregs[ra] + iregs[rb] * 8 + imm)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                iregs[rd] = p - W if p >= S else p
-                return nxt
-        elif op is Op.STX:
-            def cl():
-                try:
-                    write_pattern(iregs[ra] + iregs[rb] * 8 + imm, iregs[rd] & M)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                return nxt
-        elif op is Op.FLD:
-            def cl():
-                try:
-                    value = read_float(iregs[ra] + imm)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                fregs[rd] = value
-                return nxt
-        elif op is Op.FST:
-            def cl():
-                try:
-                    write_float(iregs[ra] + imm, fregs[rd])
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                return nxt
-        elif op is Op.FLDX:
-            def cl():
-                try:
-                    value = read_float(iregs[ra] + iregs[rb] * 8 + imm)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                fregs[rd] = value
-                return nxt
-        elif op is Op.FSTX:
-            def cl():
-                try:
-                    write_float(iregs[ra] + iregs[rb] * 8 + imm, fregs[rd])
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                return nxt
-        elif op is Op.PUSH:
-            def cl():
-                sp = iregs[SP_] - 8
-                try:
-                    write_pattern(sp, iregs[ra] & M)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                iregs[SP_] = sp
-                return nxt
-        elif op is Op.POP:
-            def cl():
-                sp = iregs[SP_]
-                try:
-                    p = read_pattern(sp)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                # sp first, value second: "pop sp" ends with the loaded value.
-                iregs[SP_] = sp + 8
-                iregs[rd] = p - W if p >= S else p
-                return nxt
-        elif op is Op.FPUSH:
-            def cl():
-                sp = iregs[SP_] - 8
-                try:
-                    write_float(sp, fregs[ra])
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                iregs[SP_] = sp
-                return nxt
-        elif op is Op.FPOP:
-            def cl():
-                sp = iregs[SP_]
-                try:
-                    value = read_float(sp)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                fregs[rd] = value
-                iregs[SP_] = sp + 8
-                return nxt
+    __slots__ = ("spans", "heat", "codes", "globals")
 
-        # -- integer ALU ------------------------------------------------------
-        elif op is Op.ADD:
-            def cl():
-                v = (iregs[ra] + iregs[rb]) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.SUB:
-            def cl():
-                v = (iregs[ra] - iregs[rb]) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.MUL:
-            def cl():
-                v = (iregs[ra] * iregs[rb]) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.DIV:
-            def cl():
-                b = iregs[rb]
-                if b == 0:
-                    raise Trap(
-                        Signal.SIGFPE, pc=pc, instr=ins,
-                        detail="integer divide by zero",
-                    )
-                a = iregs[ra]
-                q = abs(a) // abs(b)
-                v = (-q if (a < 0) != (b < 0) else q) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.MOD:
-            def cl():
-                b = iregs[rb]
-                if b == 0:
-                    raise Trap(
-                        Signal.SIGFPE, pc=pc, instr=ins,
-                        detail="integer remainder by zero",
-                    )
-                a = iregs[ra]
-                q = abs(a) // abs(b)
-                if (a < 0) != (b < 0):
-                    q = -q
-                v = (a - q * b) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.AND:
-            def cl():
-                v = (iregs[ra] & iregs[rb]) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.OR:
-            def cl():
-                v = (iregs[ra] | iregs[rb]) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.XOR:
-            def cl():
-                v = (iregs[ra] ^ iregs[rb]) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.SHL:
-            def cl():
-                v = (iregs[ra] << (iregs[rb] & 63)) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.SHR:
-            def cl():
-                iregs[rd] = iregs[ra] >> (iregs[rb] & 63)
-                return nxt
-        elif op is Op.NEG:
-            def cl():
-                v = (-iregs[ra]) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.NOT:
-            def cl():
-                v = (~iregs[ra]) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.ADDI:
-            def cl():
-                v = (iregs[ra] + imm) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.SUBI:
-            def cl():
-                v = (iregs[ra] - imm) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.MULI:
-            def cl():
-                v = (iregs[ra] * imm) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.ANDI:
-            def cl():
-                v = (iregs[ra] & imm) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.ORI:
-            def cl():
-                v = (iregs[ra] | imm) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.XORI:
-            def cl():
-                v = (iregs[ra] ^ imm) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.SHLI:
-            shift = imm & 63
-            def cl():
-                v = (iregs[ra] << shift) & M
-                iregs[rd] = v - W if v >= S else v
-                return nxt
-        elif op is Op.SHRI:
-            shift = imm & 63
-            def cl():
-                iregs[rd] = iregs[ra] >> shift
-                return nxt
+    def __init__(self, instrs: list[Instr], ranges: tuple):
+        n = len(instrs)
+        self.spans = block_spans(instrs)
+        self.heat = [0] * n
+        #: entry pc -> (code object, bound constants), or None
+        self.codes: list = [None] * n
+        self.globals = dict(_GLOBALS, I=instrs, RANGES=ranges)
 
-        # -- comparisons ------------------------------------------------------
-        elif op is Op.SEQ:
-            def cl():
-                iregs[rd] = 1 if iregs[ra] == iregs[rb] else 0
-                return nxt
-        elif op is Op.SNE:
-            def cl():
-                iregs[rd] = 1 if iregs[ra] != iregs[rb] else 0
-                return nxt
-        elif op is Op.SLT:
-            def cl():
-                iregs[rd] = 1 if iregs[ra] < iregs[rb] else 0
-                return nxt
-        elif op is Op.SLE:
-            def cl():
-                iregs[rd] = 1 if iregs[ra] <= iregs[rb] else 0
-                return nxt
-        elif op is Op.FEQ:
-            def cl():
-                iregs[rd] = 1 if fregs[ra] == fregs[rb] else 0
-                return nxt
-        elif op is Op.FNE:
-            def cl():
-                iregs[rd] = 1 if fregs[ra] != fregs[rb] else 0
-                return nxt
-        elif op is Op.FLT:
-            def cl():
-                iregs[rd] = 1 if fregs[ra] < fregs[rb] else 0
-                return nxt
-        elif op is Op.FLE:
-            def cl():
-                iregs[rd] = 1 if fregs[ra] <= fregs[rb] else 0
-                return nxt
 
-        # -- floating point ---------------------------------------------------
-        elif op is Op.FADD:
-            def cl():
-                fregs[rd] = fregs[ra] + fregs[rb]
-                return nxt
-        elif op is Op.FSUB:
-            def cl():
-                fregs[rd] = fregs[ra] - fregs[rb]
-                return nxt
-        elif op is Op.FMUL:
-            def cl():
-                fregs[rd] = fregs[ra] * fregs[rb]
-                return nxt
-        elif op is Op.FDIV:
-            def cl():
-                a = fregs[ra]
-                b = fregs[rb]
-                if b == 0.0:
-                    # IEEE-754: x/0 -> signed inf; 0/0 and nan/0 -> nan.
-                    if a == 0.0 or isnan_(a):
-                        fregs[rd] = nan_
-                    else:
-                        fregs[rd] = copysign_(inf_, a) * copysign_(1.0, b)
-                else:
-                    fregs[rd] = a / b
-                return nxt
-        elif op is Op.FNEG:
-            def cl():
-                fregs[rd] = -fregs[ra]
-                return nxt
-        elif op is Op.FSQRT:
-            def cl():
-                a = fregs[ra]
-                fregs[rd] = nan_ if a < 0.0 else (a if isnan_(a) else sqrt_(a))
-                return nxt
-        elif op is Op.FABS:
-            def cl():
-                fregs[rd] = abs(fregs[ra])
-                return nxt
-        elif op is Op.FMIN:
-            def cl():
-                a = fregs[ra]
-                b = fregs[rb]
-                if isnan_(a):
-                    fregs[rd] = b
-                elif isnan_(b):
-                    fregs[rd] = a
-                else:
-                    fregs[rd] = a if a < b else b
-                return nxt
-        elif op is Op.FMAX:
-            def cl():
-                a = fregs[ra]
-                b = fregs[rb]
-                if isnan_(a):
-                    fregs[rd] = b
-                elif isnan_(b):
-                    fregs[rd] = a
-                else:
-                    fregs[rd] = a if a > b else b
-                return nxt
-
-        # -- conversions ------------------------------------------------------
-        elif op is Op.ITOF:
-            def cl():
-                fregs[rd] = float(iregs[ra])
-                return nxt
-        elif op is Op.FTOI:
-            def cl():
-                a = fregs[ra]
-                if isnan_(a) or isinf_(a):
-                    value = I64MIN  # x86 cvttsd2si "integer indefinite"
-                else:
-                    value = int(a)
-                    if value < I64MIN or value > I64MAX:
-                        value = I64MIN
-                iregs[rd] = value
-                return nxt
-
-        # -- control flow -----------------------------------------------------
-        elif op is Op.JMP:
-            target = imm
-            if 0 <= target <= n:
-                def cl():
-                    return target
-            else:
-                def cl():
-                    wild[0] = target
-                    return n
-        elif op is Op.BEQZ:
-            target = imm
-            if 0 <= target <= n:
-                def cl():
-                    return target if iregs[ra] == 0 else nxt
-            else:
-                def cl():
-                    if iregs[ra] == 0:
-                        wild[0] = target
-                        return n
-                    return nxt
-        elif op is Op.BNEZ:
-            target = imm
-            if 0 <= target <= n:
-                def cl():
-                    return target if iregs[ra] != 0 else nxt
-            else:
-                def cl():
-                    if iregs[ra] != 0:
-                        wild[0] = target
-                        return n
-                    return nxt
-        elif op is Op.CALL:
-            target = imm
-            ret_addr = (pc + 1) & M
-            if 0 <= target <= n:
-                def cl():
-                    sp = iregs[SP_] - 8
-                    try:
-                        write_pattern(sp, ret_addr)
-                    except AccessError as exc:
-                        raise _mem_trap(exc, pc, ins) from None
-                    iregs[SP_] = sp
-                    return target
-            else:
-                def cl():
-                    sp = iregs[SP_] - 8
-                    try:
-                        write_pattern(sp, ret_addr)
-                    except AccessError as exc:
-                        raise _mem_trap(exc, pc, ins) from None
-                    iregs[SP_] = sp
-                    wild[0] = target
-                    return n
-        elif op is Op.RET:
-            def cl():
-                sp = iregs[SP_]
-                try:
-                    p = read_pattern(sp)
-                except AccessError as exc:
-                    raise _mem_trap(exc, pc, ins) from None
-                iregs[SP_] = sp + 8
-                target = p - W if p >= S else p
-                if 0 <= target <= n:
-                    return target
-                wild[0] = target
-                return n
-
-        # -- system -----------------------------------------------------------
-        elif op is Op.HALT:
-            # Safe-table variant: retire, stay on the HALT site, let the run
-            # loop observe ``halted``.  The chunk table swaps in a raising
-            # variant (see below).
-            def cl():
-                cpu.halted = True
-                cpu.exit_code = iregs[0]
-                return pc
-        elif op is Op.OUT:
-            def cl():
-                out_append(("i", iregs[ra]))
-                return nxt
-        elif op is Op.FOUT:
-            def cl():
-                out_append(("f", fregs[ra]))
-                return nxt
-        elif op is Op.ABORT:
-            def cl():
-                raise Trap(
-                    Signal.SIGABRT, pc=pc, instr=ins,
-                    detail="application abort",
-                )
-
-        # -- inter-rank communication ----------------------------------------
-        elif op is Op.RANK:
-            def cl():
-                iregs[rd] = cpu.rank
-                return nxt
-        elif op is Op.NRANKS:
-            def cl():
-                net = cpu.network
-                iregs[rd] = net.size if net is not None else 1
-                return nxt
-        elif op is Op.SEND:
-            def cl():
-                net = cpu.network
-                if net is None:
-                    raise Trap(
-                        Signal.SIGBUS, pc=pc, instr=ins,
-                        detail="send outside a cluster",
-                    )
-                dst = iregs[ra]
-                if not net.valid_rank(dst):
-                    raise Trap(
-                        Signal.SIGBUS, pc=pc, instr=ins,
-                        detail=f"send to invalid rank {dst}",
-                    )
-                net.send(cpu.rank, dst, iregs[rb] & M)
-                return nxt
-        elif op is Op.FSEND:
-            def cl():
-                net = cpu.network
-                if net is None:
-                    raise Trap(
-                        Signal.SIGBUS, pc=pc, instr=ins,
-                        detail="fsend outside a cluster",
-                    )
-                dst = iregs[ra]
-                if not net.valid_rank(dst):
-                    raise Trap(
-                        Signal.SIGBUS, pc=pc, instr=ins,
-                        detail=f"fsend to invalid rank {dst}",
-                    )
-                net.send(cpu.rank, dst, f2p(fregs[rb]))
-                return nxt
-        elif op is Op.RECV:
-            def cl():
-                net = cpu.network
-                if net is None:
-                    raise Trap(
-                        Signal.SIGBUS, pc=pc, instr=ins,
-                        detail="recv outside a cluster",
-                    )
-                src = iregs[ra]
-                if not net.valid_rank(src):
-                    raise Trap(
-                        Signal.SIGBUS, pc=pc, instr=ins,
-                        detail=f"recv from invalid rank {src}",
-                    )
-                p = net.recv(cpu.rank, src)
-                if p is None:
-                    raise Blocked(pc=pc, rank=cpu.rank, src=src)
-                p &= M
-                iregs[rd] = p - W if p >= S else p
-                return nxt
-        elif op is Op.FRECV:
-            def cl():
-                net = cpu.network
-                if net is None:
-                    raise Trap(
-                        Signal.SIGBUS, pc=pc, instr=ins,
-                        detail="frecv outside a cluster",
-                    )
-                src = iregs[ra]
-                if not net.valid_rank(src):
-                    raise Trap(
-                        Signal.SIGBUS, pc=pc, instr=ins,
-                        detail=f"frecv from invalid rank {src}",
-                    )
-                p = net.recv(cpu.rank, src)
-                if p is None:
-                    raise Blocked(pc=pc, rank=cpu.rank, src=src)
-                fregs[rd] = p2f(p)
-                return nxt
-        else:  # pragma: no cover - new opcode without a compiled template
-            raise NotImplementedError(f"no compiled template for {op!r}")
-        return cl
-
-    def make_pad():
-        """Slot ``n``: fetch past the image (or a parked wild target)."""
-        def pad():
-            t = wild[0]
-            if t is None:
-                t = n
-            else:
-                wild[0] = None
-            raise _fetch_trap(t)
-        return pad
-
-    def make_halt_raising(pc: int):
-        def halt():
-            cpu.halted = True
-            cpu.exit_code = iregs[0]
-            extra[0] += 1  # HALT retires, then the chunk unwinds
-            raise _HALT
-        return halt
-
-    def make_fused_cmp_branch(pc: int, ins: Instr, tail: Instr):
-        cmp = _CMP_TO_OPERATOR[ins.op]
-        bank = fregs if ins.op in _FCMP_OPS else iregs
-        rd1, a1, b1 = ins.rd, ins.ra, ins.rb
-        target = tail.imm
-        nxt2 = pc + 2
-        if tail.op is Op.BNEZ:
-            def cl():
-                if cmp(bank[a1], bank[b1]):
-                    iregs[rd1] = 1
-                    extra[0] += 1
-                    return target
-                iregs[rd1] = 0
-                extra[0] += 1
-                return nxt2
-        else:  # BEQZ: taken when the comparison is false
-            def cl():
-                if cmp(bank[a1], bank[b1]):
-                    iregs[rd1] = 1
-                    extra[0] += 1
-                    return nxt2
-                iregs[rd1] = 0
-                extra[0] += 1
-                return target
-        return cl
-
-    def make_fused_addi_load(pc: int, ins: Instr, tail: Instr):
-        d1, a1, i1 = ins.rd, ins.ra, ins.imm
-        d2, a2, i2 = tail.rd, tail.ra, tail.imm
-        load_pc = pc + 1
-        nxt2 = pc + 2
-        if tail.op is Op.LD:
-            def cl():
-                v = (iregs[a1] + i1) & M
-                iregs[d1] = v - W if v >= S else v
-                extra[0] += 1  # the ADDI is committed even if the load traps
-                try:
-                    p = read_pattern(iregs[a2] + i2)
-                except AccessError as exc:
-                    raise _mem_trap(exc, load_pc, tail) from None
-                iregs[d2] = p - W if p >= S else p
-                return nxt2
-        else:  # FLD
-            def cl():
-                v = (iregs[a1] + i1) & M
-                iregs[d1] = v - W if v >= S else v
-                extra[0] += 1
-                try:
-                    value = read_float(iregs[a2] + i2)
-                except AccessError as exc:
-                    raise _mem_trap(exc, load_pc, tail) from None
-                fregs[d2] = value
-                return nxt2
-        return cl
-
-    safe = [make(pc, ins) for pc, ins in enumerate(instrs)]
-    safe.append(make_pad())
-    code = list(safe)
-    for pc, ins in enumerate(instrs):
-        if ins.op is Op.HALT:
-            code[pc] = make_halt_raising(pc)
-        elif plan[pc] == FUSE_CMP_BRANCH:
-            code[pc] = make_fused_cmp_branch(pc, ins, instrs[pc + 1])
-        elif plan[pc] == FUSE_ADDI_LOAD:
-            code[pc] = make_fused_addi_load(pc, ins, instrs[pc + 1])
-    return code, safe
+def _block_image(program, cls: type, ranges: tuple) -> _BlockImage:
+    """The program's block cache for *cls* under the segment map *ranges*."""
+    images = program.__dict__.setdefault("_block_images", {})
+    image = images.get((cls, ranges))
+    if image is None:
+        image = images[cls, ranges] = _BlockImage(program.instrs, ranges)
+    return image
 
 
 class CompiledCPU(CPU):
-    """Drop-in :class:`CPU` whose run loop dispatches compiled closures.
-
-    Compilation is lazy (first :meth:`run`), so processes that are only
-    snapshotted or inspected never pay for it; the closure tables bind the
-    live register files / memory / output objects, which
-    ``restore_into`` refills in place, so one compiled process can host
-    any number of restored runs.
+    """Drop-in :class:`CPU` that runs hot basic blocks as generated code.
 
     ``run_probed`` (instret-bucketed telemetry progress probes) is
     inherited from :class:`CPU` unchanged: it slices the budget through
-    the public ``run`` contract, and this backend's exact-budget chunking
-    guarantees the probe sequence and final state are bit-identical to
-    the interpreter's.
+    the public ``run`` contract, which this backend honours exactly.
     """
 
-    __slots__ = ("_code", "_safe", "_extra", "_wild")
+    #: Entries of a block before it is compiled.  Compiling every block on
+    #: first entry would pay code generation for blocks that run once.
+    HOT = 8
+
+    __slots__ = ("_program", "_image", "_code", "_ranges", "_state")
 
     def __init__(self, program, memory):
         super().__init__(program, memory)
-        self._code = None
-        self._safe = None
-        self._extra = [0]   # retirements a chunk iteration count misses
-        self._wild = [None]  # out-of-image jump target awaiting its fetch fault
+        self._program = program
+        self._image = None
+        self._code = None     # entry pc -> this process's block function
+        self._ranges = None   # the segment map the blocks were built for
+        self._state = None
+
+    def _bind_image(self) -> None:
+        memory = self.memory
+        self._ranges = memory._ranges
+        self._image = _block_image(
+            self._program, type(self), tuple(memory._ranges)
+        )
+        self._code = [None] * self._n_instrs
+        cells = memory._cells
+        word = memoryview(bytearray(8))
+        self._state = (
+            self.iregs, self.fregs, cells, cells.get, self.output.append, self,
+            word.cast("Q"), word.cast("d"),
+        )
+
+    #: The code generator; a class attribute so a test CPU can plant a
+    #: fault in the generated code (see ``repro.fuzz.mutations``).
+    block_source = staticmethod(block_source)
+
+    def _compile(self, pc: int):
+        """Compile the block entered at *pc* into the image (None: never)."""
+        image = self._image
+        if self.instrs[pc].op in INTERPRETED:
+            return None
+        source, consts = self.block_source(
+            self.instrs, pc, image.spans[pc], image.globals["RANGES"]
+        )
+        namespace: dict = {}
+        name = f"<block {self._program.source_name}:{pc}>"
+        exec(compile(source, name, "exec"), image.globals, namespace)
+        entry = image.codes[pc] = (namespace["block"].__code__, consts)
+        return entry
 
     def run(self, max_steps: int) -> str:
         """Exactly :meth:`CPU.run`, at compiled speed."""
-        code = self._code
-        if code is None:
-            code, self._safe = _build_tables(self)
-            self._code = code
-        safe = self._safe
-        extra = self._extra
-        wild = self._wild
-        n = self._n_instrs
         if self.halted:
             return STOP_HALT
+        if self._ranges is not self.memory._ranges:
+            self._bind_image()  # first run, or the segment map changed
+        image = self._image
+        spans = image.spans
+        codes = image.codes
+        heat = image.heat
+        code = self._code
+        instrs = self.instrs
+        handlers = self._handlers
+        n = self._n_instrs
         pc = self.pc
-        retired = 0
+        left = max_steps
+        start = pc
         try:
             while True:
-                remaining = max_steps - retired
-                if remaining <= 0:
-                    return STOP_HALT if self.halted else STOP_STEPS
-                if pc < 0 or pc > n:
+                if 0 <= pc < n:
+                    fn = code[pc]
+                    if fn is not None:
+                        length = spans[pc]
+                        if length <= left:
+                            start = pc
+                            pc = fn()
+                            left -= length
+                            continue
+                if left <= 0:
+                    break
+                if not 0 <= pc < n:
+                    if self.halted:  # a compiled HALT returned _HALTED
+                        break
+                    start = pc
                     raise _fetch_trap(pc)
-                if remaining == 1:
-                    # The last budgeted step must not over-retire: run it
-                    # unfused.
-                    pc = safe[pc]()
-                    retired += 1
-                    continue
-                # A fused pair retires two instructions, so a chunk of k
-                # dispatches retires at most 2k <= remaining.
-                k = remaining >> 1
-                i = 0
-                extra[0] = 0
-                try:
-                    while i < k:
-                        pc = code[pc]()
-                        i += 1
-                finally:
-                    retired += i + extra[0]
-        except _HaltSignal:
-            # _HALT is one shared instance: every raise chains this run's
-            # frames onto its traceback, which would pin the CPU, memory
-            # and closure tables of every halted run.
-            _HALT.__traceback__ = None
-            return STOP_HALT
-        except Trap as trap:
-            pc = trap.pc
+                if fn is None:
+                    # Cold entry: bind the image's block, or count heat.
+                    entry = codes[pc]
+                    if entry is None:
+                        heat[pc] += 1
+                        if heat[pc] >= self.HOT:
+                            entry = self._compile(pc)
+                    if entry is not None:
+                        code[pc] = FunctionType(
+                            entry[0], image.globals, None,
+                            self._state + entry[1],
+                        )
+                        continue
+                # The reference interpreter runs the block (or the budget
+                # tail); each instruction is a block of one for trap
+                # accounting.
+                for _ in range(min(spans[pc], left)):
+                    start = self.pc = pc
+                    ins = instrs[pc]
+                    handlers[ins.op](ins)
+                    left -= 1
+                    if self.halted:
+                        return STOP_HALT
+                    pc = self.pc
+            return STOP_HALT if self.halted else STOP_STEPS
+        except (Trap, Blocked) as stop:
+            # Everything in the block before the faulter retired.
+            left -= stop.pc - start
+            pc = stop.pc
             raise
         finally:
-            if wild[0] is not None:
-                # Budget expired right after an out-of-image jump: expose
-                # the wild pc (the fault belongs to the *next* fetch).
-                pc = wild[0]
-                wild[0] = None
-            self.pc = pc
-            self.instret += retired
+            self.instret += max_steps - left
+            if not self.halted:
+                self.pc = pc
 
 
 # -- backend selection -------------------------------------------------------
@@ -914,7 +475,7 @@ def cpu_class(backend: "str | type[CPU] | None") -> type[CPU]:
     """Resolve a backend name (``None`` = :func:`default_backend`).
 
     A :class:`CPU` subclass passes through unchanged, so callers (the
-    fuzz harness's scratch mutants, experiments) can plug a custom
+    fuzz harness's eager and mutant CPUs, experiments) can plug a custom
     engine into ``Process.load`` without registering it in
     :data:`BACKENDS`.
     """
@@ -934,10 +495,7 @@ __all__ = [
     "CompiledCPU",
     "BACKENDS",
     "DEFAULT_BACKEND",
+    "block_source",
     "default_backend",
     "cpu_class",
-    "fusion_plan",
-    "FUSE_NONE",
-    "FUSE_CMP_BRANCH",
-    "FUSE_ADDI_LOAD",
 ]

@@ -153,12 +153,16 @@ class Memory:
     def load_cells(self, cells: dict[int, int]) -> None:
         """Wholesale-replace contents with *cells* (bulk restore path).
 
-        Skips the per-cell segment/alignment checks of
-        :meth:`write_pattern`: callers pass cells captured from a process
-        with an identical segment map (see ``repro.checkpoint.snapshot``),
-        where every address was validated when originally written.
+        Refills the cell dict in place, so code that bound it (the
+        compiled backend's blocks) sees the restored contents.  Skips the
+        per-cell segment/alignment checks of :meth:`write_pattern`:
+        callers pass cells captured from a process with an identical
+        segment map (see ``repro.checkpoint.snapshot``), where every
+        address was validated when originally written.
         """
-        self._cells = dict(cells)
+        if cells is not self._cells:
+            self._cells.clear()
+            self._cells.update(cells)
 
     def clear(self) -> None:
         """Drop contents but keep the segment map."""

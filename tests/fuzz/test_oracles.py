@@ -76,6 +76,12 @@ _TRIGGERS = {
         Instr(Op.LD, rd=2, ra=1),
         Instr(Op.HALT),
     ]),
+    "block-trap-pc": _program([
+        Instr(Op.MOVI, rd=1, imm=8),
+        Instr(Op.LD, rd=2, ra=1),
+        Instr(Op.NOP),
+        Instr(Op.HALT),
+    ]),
 }
 
 
