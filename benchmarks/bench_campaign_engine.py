@@ -17,6 +17,7 @@ runner; on fewer cores only the ladder's serial win is asserted.
 import os
 import time
 
+from repro.apps.base import TRAP_FREE_MEMO
 from repro.core import LETGO_E
 from repro.faultinject import NO_LADDER, CampaignConfig, CampaignEngine
 
@@ -36,6 +37,9 @@ def test_campaign_engine_speedup(apps):
     counts = {}
 
     def measure(label, engine):
+        # Every mode executes all its plans: this compares prefix reuse
+        # and fan-out, not runs a previous mode left in the memo.
+        TRAP_FREE_MEMO.clear()
         t0 = time.perf_counter()
         result = engine.run(app, ENGINE_N, SEED, LETGO_E)
         elapsed = time.perf_counter() - t0

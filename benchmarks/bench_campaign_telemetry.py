@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+from repro.apps.base import TRAP_FREE_MEMO
 from repro.core import LETGO_E
 from repro.faultinject import CampaignConfig, CampaignEngine
 
@@ -35,6 +36,7 @@ MAX_ENABLED_OVERHEAD = 1.25
 
 
 def _measure(app, telemetry: bool):
+    TRAP_FREE_MEMO.clear()  # both timings execute every plan
     engine = CampaignEngine(
         config=CampaignConfig(jobs=1, telemetry=telemetry)
     )

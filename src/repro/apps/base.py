@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import struct
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.analysis.functions import FunctionTable
 from repro.isa.program import Program
@@ -29,6 +29,9 @@ from repro.machine.process import Process
 
 if TYPE_CHECKING:  # checkpoint.driver imports apps.base; break the cycle
     from repro.checkpoint.snapshot import SnapshotLadder
+    from repro.faultinject.fault_model import InjectionPlan
+    from repro.faultinject.injector import InjectionResult
+    from repro.faultinject.outcomes import Outcome
 
 Output = list[tuple[str, int | float]]
 
@@ -39,6 +42,9 @@ Output = list[tuple[str, int | float]]
 # spec).
 _UNIT_CACHE: dict[str, CompiledUnit] = {}
 _LADDER_CACHE: dict[tuple[str, int | None], "SnapshotLadder"] = {}
+
+#: Most post-fault results the process-wide :data:`TRAP_FREE_MEMO` keeps.
+MEMO_CAPACITY = 32_768
 
 
 @dataclass(frozen=True)
@@ -225,4 +231,110 @@ class MiniApp(ABC):
         )
 
 
-__all__ = ["MiniApp", "GoldenRun", "Output", "pack_output"]
+# -- trap-free memo ------------------------------------------------------------
+
+
+class MemoEntry(NamedTuple):
+    """What one trap-free post-fault run produced."""
+
+    outcome: "Outcome"
+    target_pc: int
+    target_reg: tuple[str, int]
+    steps: int
+    #: ``converged-skipped-instr`` of a run that converged on a ladder
+    #: rung; None when it ran to its end.
+    skipped: int | None
+
+
+class TrapFreeMemo:
+    """Bounded LRU of post-fault results that raised no crash signal.
+
+    LetGo acts only on a crash signal (paper Table 1, Figure 4), so a
+    post-fault run that raises none ends identically under the baseline
+    and under every LetGo configuration.  A campaign family that runs the
+    same plans under several configurations executes such a run once;
+    every later configuration is served from here.
+
+    Keys (:meth:`key`) hold the app class (its acceptance check and SDC
+    slice decide the outcome), the program checksum, the instruction
+    budget, the ladder interval (it decides the converged counters) and
+    the plan: instances of one class with one source must classify
+    alike, the contract the engine's worker specs already rely on.  Only
+    results :meth:`admits` are stored: no signal, no repair, no watchdog
+    expiry.
+
+    ``added`` (None until :meth:`take_added` is first called, which a
+    pool worker does) collects every entry put since the last call, so a
+    worker can ship its new entries back to the campaign parent with its
+    shard.
+    """
+
+    def __init__(self, capacity: int = MEMO_CAPACITY):
+        self.capacity = capacity
+        self._entries: OrderedDict[tuple, MemoEntry] = OrderedDict()
+        self.added: list[tuple[tuple, MemoEntry]] | None = None
+
+    @staticmethod
+    def key(
+        app: "MiniApp",
+        plan: "InjectionPlan",
+        ladder: "SnapshotLadder | None",
+    ) -> tuple:
+        interval = ladder.interval if ladder is not None else 0
+        return (
+            type(app), app.program.checksum(), app.max_steps, interval, plan
+        )
+
+    @staticmethod
+    def admits(result: "InjectionResult") -> bool:
+        """True if *result* is configuration-independent: trap-free."""
+        return (
+            result.first_signal is None
+            and result.interventions == 0
+            and not result.timed_out
+        )
+
+    def get(self, key: tuple) -> MemoEntry | None:
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def put(self, key: tuple, entry: MemoEntry) -> None:
+        entries = self._entries
+        entries[key] = entry
+        entries.move_to_end(key)
+        if len(entries) > self.capacity:
+            entries.popitem(last=False)
+        if self.added is not None:
+            self.added.append((key, entry))
+
+    def take_added(self) -> list[tuple[tuple, MemoEntry]]:
+        """The entries put since the last call; the first call starts
+        tracking them."""
+        added, self.added = self.added or [], []
+        return added
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+#: The process-wide memo every engine shard reads and fills.  Cold
+#: :func:`~repro.faultinject.injector.run_injection` calls (no ``memo=``)
+#: never touch it.
+TRAP_FREE_MEMO = TrapFreeMemo()
+
+
+__all__ = [
+    "MiniApp",
+    "GoldenRun",
+    "Output",
+    "pack_output",
+    "MEMO_CAPACITY",
+    "MemoEntry",
+    "TrapFreeMemo",
+    "TRAP_FREE_MEMO",
+]

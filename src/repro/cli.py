@@ -301,12 +301,15 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     import json
 
     from repro.fuzz.corpus import iter_corpus, save_case
-    from repro.fuzz.mutations import MUTATIONS
+    from repro.fuzz.mutations import MEMO_MUTATIONS, MUTATIONS
     from repro.fuzz.oracles import ALL_ORACLES
     from repro.fuzz.runner import FuzzConfig, mutation_selftest, run_fuzz
 
     if args.selftest:
-        names = [args.mutation] if args.mutation else sorted(MUTATIONS)
+        names = (
+            [args.mutation] if args.mutation
+            else sorted(MUTATIONS) + sorted(MEMO_MUTATIONS)
+        )
         rows = []
         ok = True
         for name in names:
@@ -318,11 +321,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                 "-" if result.found_at is None else result.found_at,
                 "-" if result.original_len is None else result.original_len,
                 "-" if result.shrunk_len is None else result.shrunk_len,
+                result.limit,
                 "ok" if result.ok else "FAIL",
             ])
         print(ascii_table(
-            ["mutation", "status", "case", "len", "shrunk", "verdict"],
-            rows, title="mutation self-test (shrunk must be <= 25)",
+            ["mutation", "status", "case", "len", "shrunk", "limit", "verdict"],
+            rows,
+            title="mutation self-test (len: instructions; plans for memo-*)",
         ))
         return 0 if ok else 1
 
@@ -499,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracles", default="all",
                    help="comma list: backend,debugger,snapshot,"
-                        "merge,resume,jobs,converge (default: all)")
+                        "merge,resume,jobs,converge,paired (default: all)")
     p.add_argument("--budget", type=int, default=256,
                    help="step budget per ISA differential case")
     p.add_argument("--jobs", type=int, default=1,
@@ -516,12 +521,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "into --corpus-dir")
     p.add_argument("--mutation", default=None,
                    help="plant a known-bad backend mutant "
-                        "(fmin-nan, halt-pc, shri-logical, segv-order)")
+                        "(fmin-nan, halt-pc, shri-logical, segv-order); "
+                        "with --selftest also memo-traps")
     p.add_argument("--no-shrink", action="store_true",
                    help="skip delta-debugging divergent programs")
     p.add_argument("--selftest", action="store_true",
                    help="verify the fuzzer kills and shrinks every "
-                        "planted mutant (<= 25 instructions)")
+                        "planted mutant (<= 25 instructions; memo "
+                        "mutants to one plan)")
     return parser
 
 

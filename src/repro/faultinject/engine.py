@@ -17,6 +17,14 @@ a rung it reaches is finished as the golden run (see
 :func:`~repro.faultinject.injector.run_injection`'s ``ladder``), with an
 identical result.
 
+**Trap-free memo.**  A post-fault run that raises no crash signal ends
+the same under every LetGo configuration.  Every shard passes the
+process-wide :data:`~repro.apps.base.TRAP_FREE_MEMO`, so a campaign
+family (baseline plus LetGo variants on the same plans) runs each such
+plan once; later configurations only restore, advance and flip.  Pool
+workers send the entries they add back with their shard, and the parent
+merges them, so a later campaign's forked pool starts warm.
+
 **Multiprocess fan-out.**  Plans are split into contiguous shards, each
 shard sorted by injection depth for ladder locality, and executed on a
 ``ProcessPoolExecutor``.  Nothing un-picklable crosses the process
@@ -63,7 +71,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.apps.base import MiniApp
+from repro.apps.base import TRAP_FREE_MEMO, MiniApp
 from repro.checkpoint.snapshot import SnapshotLadder, restore_into, snapshot
 from repro.core.config import LetGoConfig
 from repro.errors import CampaignAbortedError
@@ -107,8 +115,11 @@ class EngineStats:
 
     @property
     def injections_per_sec(self) -> float:
-        """End-to-end campaign throughput."""
-        return self.n / self.elapsed_seconds if self.elapsed_seconds > 0 else 0.0
+        """Injections executed this invocation per wall-clock second
+        (journaled plans a resume skipped do not count)."""
+        if self.elapsed_seconds <= 0:
+            return 0.0
+        return self.executed / self.elapsed_seconds
 
     @property
     def mean_fast_forward(self) -> float:
@@ -121,7 +132,7 @@ class EngineStats:
         if not self.per_worker_seconds or self.elapsed_seconds <= 0:
             return 0.0
         busy = sum(self.per_worker_seconds)
-        return busy / (len(self.per_worker_seconds) * self.elapsed_seconds)
+        return busy / (self.jobs * self.elapsed_seconds)
 
     def describe(self) -> str:
         """One-line human-readable summary."""
@@ -132,7 +143,7 @@ class EngineStats:
             else "ladder off"
         )
         line = (
-            f"{self.n} injections in {self.elapsed_seconds:.2f}s "
+            f"{self.executed} injections in {self.elapsed_seconds:.2f}s "
             f"({self.injections_per_sec:.1f}/s) | jobs={self.jobs} "
             f"util={self.utilization:.0%} | {ladder}"
         )
@@ -225,6 +236,7 @@ def _run_shard(
                 wall_clock_limit=campaign.wall_clock_limit,
                 tracer=tracer,
                 ladder=ladder,
+                memo=TRAP_FREE_MEMO,
             )
     pairs = [(idx, out[idx]) for idx in sorted(out)]
     payload = tracer.export() if telemetry else None
@@ -284,11 +296,16 @@ def _worker_init(
     global _WORKER
     app = _app_from_spec(spec)
     _WORKER = (app, _ladder_for(app, campaign), letgo_config, campaign)
+    TRAP_FREE_MEMO.take_added()  # track the entries this worker adds
 
 
 def _worker_run(batch: list[tuple[int, InjectionPlan]]):
+    """One pooled shard, plus the trap-free memo entries it added."""
     app, ladder, letgo_config, campaign = _WORKER
-    return _run_shard(app, ladder, letgo_config, batch, campaign)
+    pairs, stat, payload = _run_shard(
+        app, ladder, letgo_config, batch, campaign
+    )
+    return pairs, stat, payload, TRAP_FREE_MEMO.take_added()
 
 
 def _split(items: list, k: int) -> list[list]:
@@ -400,13 +417,15 @@ class _Supervisor:
                 for future in as_completed(futures):
                     shard = futures[future]
                     try:
-                        pairs, stat, payload = future.result()
+                        pairs, stat, payload, added = future.result()
                     except BrokenExecutor:
                         broken = True
                         self.queue.append(shard)
                     except Exception as exc:
                         self._failure(shard, exc)
                     else:
+                        for key, entry in added:
+                            TRAP_FREE_MEMO.put(key, entry)
                         self._commit(pairs, stat, payload)
                 if broken:
                     pool.shutdown(wait=False, cancel_futures=True)

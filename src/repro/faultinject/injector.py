@@ -22,6 +22,12 @@ deterministic and the golden path trap-free, so the rest of such a run
 *is* the golden run: it is finished from the golden facts (output,
 retirement count) through the same classification code, and the
 :class:`InjectionResult` is identical to the full-length run's.
+
+Runs accept an optional **trap-free memo** (``memo``, see
+:class:`~repro.apps.base.TrapFreeMemo`): a post-fault run that raises no
+crash signal ends the same under every LetGo configuration, so its
+result is stored, and a later run of the same plan under any
+configuration still advances and flips but skips the post-fault run.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 
-from repro.apps.base import MiniApp
+from repro.apps.base import MemoEntry, MiniApp, TrapFreeMemo
 from repro.checkpoint.snapshot import SnapshotLadder
 from repro.core.config import LetGoConfig
 from repro.core.session import (
@@ -153,6 +159,7 @@ def run_injection(
     backend: str | None = None,
     tracer=None,
     ladder: SnapshotLadder | None = None,
+    memo: TrapFreeMemo | None = None,
 ) -> InjectionResult:
     """Execute one injection run; ``config=None`` is the no-LetGo baseline.
 
@@ -179,6 +186,13 @@ def run_injection(
     ``converged-skipped-instr`` (golden instructions not executed) are
     counted on the tracer.  The result is identical to the run without a
     ladder, which stays the full-length reference.
+
+    ``memo`` (a :class:`~repro.apps.base.TrapFreeMemo`) stores the
+    result of a post-fault run that raised no signal, and serves a later
+    run of the same plan under any config: it still advances and flips,
+    checks that the flip hit the stored target, and re-emits the spans
+    and counters the post-fault run would have, plus ``memo-hit``.
+    Without a memo the run is cold and stores nothing.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     deadline = (
@@ -200,17 +214,27 @@ def run_injection(
     else:
         target_pc, target_reg = placed
         tracer.instant("flip", pc=target_pc, reg=target_reg[0])
-        budget = max(app.max_steps - process.cpu.instret, 1)
-        if config is None:
-            result = _finish_baseline(
-                app, session, plan, target_pc, target_reg, budget, deadline,
-                tracer, ladder,
-            )
+        key = memo.key(app, plan, ladder) if memo is not None else None
+        entry = memo.get(key) if memo is not None else None
+        if entry is not None:
+            result = _replay(plan, target_pc, target_reg, entry, tracer)
         else:
-            result = _finish_letgo(
-                app, session, plan, target_pc, target_reg, budget, config,
-                deadline, tracer, ladder,
-            )
+            budget = max(app.max_steps - process.cpu.instret, 1)
+            if config is None:
+                result, skipped = _finish_baseline(
+                    app, session, plan, target_pc, target_reg, budget,
+                    deadline, tracer, ladder,
+                )
+            else:
+                result, skipped = _finish_letgo(
+                    app, session, plan, target_pc, target_reg, budget,
+                    config, deadline, tracer, ladder,
+                )
+            if memo is not None and memo.admits(result):
+                memo.put(key, MemoEntry(
+                    result.outcome, target_pc, target_reg, result.steps,
+                    skipped,
+                ))
     tracer.count(f"outcome:{result.outcome.value}")
     if result.timed_out:
         tracer.count("timeout")
@@ -219,20 +243,60 @@ def run_injection(
     return result
 
 
+def _replay(
+    plan: InjectionPlan,
+    target_pc: int,
+    target_reg: tuple[str, int],
+    entry: MemoEntry,
+    tracer,
+) -> InjectionResult:
+    """The memoized result of a trap-free post-fault run, not re-run.
+
+    Emits the spans and counters the run would have: one ``post-fault``
+    span, and for a run that finished (every trap-free outcome but a
+    hang) the converged counters and one ``acceptance-check`` span.
+    """
+    if (target_pc, target_reg) != (entry.target_pc, entry.target_reg):
+        raise InjectionError(
+            f"memoized run of {plan} flipped {entry.target_reg} at pc "
+            f"{entry.target_pc}; this run flipped {target_reg} at pc "
+            f"{target_pc}"
+        )
+    tracer.count("memo-hit")
+    with tracer.span("post-fault"):
+        pass
+    if entry.outcome is not Outcome.HANG:
+        _count_converged(entry.skipped, tracer)
+        with tracer.span("acceptance-check"):
+            pass
+    return InjectionResult(
+        outcome=entry.outcome,
+        plan=plan,
+        target_pc=target_pc,
+        target_reg=target_reg,
+        steps=entry.steps,
+    )
+
+
+def _count_converged(skipped: int | None, tracer) -> None:
+    if skipped is not None:
+        tracer.count("converged")
+        tracer.count("converged-skipped-instr", skipped)
+
+
 def _classify_finished(
     app: MiniApp, process, converged: bool, continued: bool, tracer
-) -> tuple[Outcome, int]:
-    """(outcome, steps) of a run that halted or converged to the golden run.
+) -> tuple[Outcome, int, int | None]:
+    """(outcome, steps, skipped) of a run that halted or converged to the
+    golden run.
 
     A converged run stopped on a ladder rung in the golden state; its
     remainder is the golden run, so it finishes with the golden output
-    and retirement count through the same classification.
+    and retirement count through the same classification.  *skipped*
+    counts the golden instructions it did not execute (None: it halted).
     """
-    if converged:
-        tracer.count("converged")
-        tracer.count(
-            "converged-skipped-instr", app.golden.instret - process.cpu.instret
-        )
+    skipped = app.golden.instret - process.cpu.instret if converged else None
+    _count_converged(skipped, tracer)
     with tracer.span("acceptance-check"):
         output = list(app.golden.output if converged else process.output)
         outcome = classify_finished(
@@ -241,7 +305,7 @@ def _classify_finished(
             continued=continued,
         )
     steps = app.golden.instret if converged else process.cpu.instret
-    return outcome, steps
+    return outcome, steps, skipped
 
 
 def _finish_baseline(
@@ -254,7 +318,7 @@ def _finish_baseline(
     deadline: float | None = None,
     tracer=NULL_TRACER,
     ladder: SnapshotLadder | None = None,
-) -> InjectionResult:
+) -> tuple[InjectionResult, int | None]:
     process = session.process
     with tracer.span("post-fault"):
         event, timed_out = cont_sliced(
@@ -262,13 +326,14 @@ def _finish_baseline(
         )
     steps = process.cpu.instret
     signal: Signal | None = None
+    skipped: int | None = None
     if event.kind == STOP_TRAP:
         assert event.trap is not None
         session.deliver_default(event.trap)
         outcome: Outcome = Outcome.CRASH
         signal = event.trap.signal
     elif event.kind in (STOP_EXITED, STOP_CONVERGED):
-        outcome, steps = _classify_finished(
+        outcome, steps, skipped = _classify_finished(
             app, process, event.kind == STOP_CONVERGED, False, tracer
         )
     else:
@@ -281,7 +346,7 @@ def _finish_baseline(
         first_signal=signal,
         steps=steps,
         timed_out=timed_out,
-    )
+    ), skipped
 
 
 def _finish_letgo(
@@ -295,15 +360,16 @@ def _finish_letgo(
     deadline: float | None = None,
     tracer=NULL_TRACER,
     ladder: SnapshotLadder | None = None,
-) -> InjectionResult:
+) -> tuple[InjectionResult, int | None]:
     process = session.process
     with tracer.span("post-fault"):
         report = LetGoSession(config, app.functions).run(
             process, budget, deadline=deadline, tracer=tracer, ladder=ladder
         )
     steps = process.cpu.instret
+    skipped: int | None = None
     if report.status in (COMPLETED, CONVERGED):
-        outcome, steps = _classify_finished(
+        outcome, steps, skipped = _classify_finished(
             app, process, report.status == CONVERGED, report.intervened,
             tracer,
         )
@@ -328,7 +394,7 @@ def _finish_letgo(
         interventions=len(report.interventions),
         steps=steps,
         timed_out=report.timed_out,
-    )
+    ), skipped
 
 
 __all__ = ["InjectionResult", "run_injection"]

@@ -15,13 +15,21 @@ The interpreter builds its dispatch table per-instance with
 ``getattr(self, "_op_...")``, so overriding a handler in a subclass is
 all a mutant needs.  The block-level mutant instead overrides the
 compiled backend's code generator on the eager compiled CPU.
+
+:data:`MEMO_MUTATIONS` are trap-free memo mutants instead: each one
+widens what :class:`~repro.apps.base.TrapFreeMemo` stores, and
+:func:`planted_memo` swaps it in for the process-wide memo.  The
+``paired`` campaign oracle must catch them.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
+from contextlib import contextmanager
 from math import isnan
 
+from repro.apps.base import TRAP_FREE_MEMO, TrapFreeMemo
 from repro.fuzz.oracles import EagerCompiledCPU
 from repro.isa.instructions import Instr
 from repro.machine.compiled import block_source
@@ -105,4 +113,39 @@ MUTATIONS: dict[str, type[CPU]] = {
 }
 
 
-__all__ = ["MUTATIONS"] + [cls.__name__ for cls in MUTATIONS.values()]
+class MemoStoresTraps(TrapFreeMemo):
+    """Stores every run the watchdog did not stop, crashing ones too: a
+    later LetGo config is then served the baseline's crash instead of
+    its own repair."""
+
+    @staticmethod
+    def admits(result) -> bool:
+        return not result.timed_out
+
+
+#: name -> trap-free memo mutant, checked by the ``paired`` oracle.
+MEMO_MUTATIONS: dict[str, type[TrapFreeMemo]] = {
+    "memo-traps": MemoStoresTraps,
+}
+
+
+@contextmanager
+def planted_memo(cls: type[TrapFreeMemo]) -> Iterator[TrapFreeMemo]:
+    """Run the process-wide trap-free memo as *cls* (emptied on entry
+    and exit).  The engine holds the memo object itself, so the mutant
+    is planted by swapping that object's class."""
+    memo = TRAP_FREE_MEMO
+    saved = type(memo)
+    memo.clear()
+    memo.__class__ = cls
+    try:
+        yield memo
+    finally:
+        memo.__class__ = saved
+        memo.clear()
+
+
+__all__ = ["MUTATIONS", "MEMO_MUTATIONS", "planted_memo"] + [
+    cls.__name__
+    for cls in (*MUTATIONS.values(), *MEMO_MUTATIONS.values())
+]

@@ -15,14 +15,19 @@ default hot threshold and compiling every block on first entry.
   an in-place :func:`~repro.checkpoint.snapshot.restore_into` replay of
   the same process after it finished.
 
-Four *metamorphic* oracles check campaign-engine invariants on
+Five *metamorphic* oracles check campaign-engine invariants on
 generated apps: ``merge`` (shard + ``CampaignResult.merge`` equals the
 unsharded run; associative and counts-commutative; telemetry counters
 sum), ``resume`` (a journal pre-seeded with a prefix of results resumes
 to the bit-identical campaign), ``jobs`` (jobs=1 equals jobs=N,
-telemetry counters included), and ``converge`` (stopping post-fault runs
+telemetry counters included), ``converge`` (stopping post-fault runs
 at the ladder rung where they reach the golden state changes no per-plan
-result against the cold, full-length ``run_injection``).
+result against the cold, full-length ``run_injection``), and ``paired``
+(serving trap-free runs from the memo across a campaign family changes
+no per-plan result, signature or counter against memo-cleared runs).
+Each engine run starts from a cleared trap-free memo unless an oracle
+asks for it warm, so the first four test the ladder, pool and journal
+paths rather than the memo.
 
 Every oracle returns a list of :class:`Divergence` records -- empty
 means the property held.
@@ -35,8 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.apps.base import TRAP_FREE_MEMO
 from repro.checkpoint.snapshot import restore, restore_into, snapshot
-from repro.core.config import LETGO_E, LetGoConfig
+from repro.core.config import LETGO_E, VARIANTS, LetGoConfig
 from repro.faultinject.campaign import CampaignConfig, CampaignResult
 from repro.faultinject.engine import CampaignEngine
 from repro.faultinject.fault_model import plan_injections
@@ -54,6 +60,7 @@ from repro.machine.debugger import (
     DebugSession,
 )
 from repro.machine.process import Process, ProcessStatus
+from repro.telemetry import MEMO_COUNTERS
 
 #: Backend selectors accepted by the differential oracles: a registry
 #: name ("interpreter"/"compiled") or a CPU subclass (scratch mutants).
@@ -78,8 +85,14 @@ COMPILED_SIDES = ("compiled", EagerCompiledCPU)
 #: Differential oracle names (program-level).
 PROGRAM_ORACLES = ("backend", "debugger", "snapshot")
 #: Metamorphic oracle names (campaign-level).
-CAMPAIGN_ORACLES = ("merge", "resume", "jobs", "converge")
+CAMPAIGN_ORACLES = ("merge", "resume", "jobs", "converge", "paired")
 ALL_ORACLES = PROGRAM_ORACLES + CAMPAIGN_ORACLES
+#: The baseline (None) and every LetGo variant: the campaign family the
+#: ``paired`` oracle runs on the same plans, and the configs the other
+#: campaign oracles draw from.
+CAMPAIGN_CONFIGS: tuple[LetGoConfig | None, ...] = (None,) + tuple(
+    VARIANTS.values()
+)
 
 
 @dataclass(frozen=True)
@@ -287,7 +300,11 @@ def _counter_sum(counter_dicts) -> dict[str, int]:
     return {k: v for k, v in sorted(total.items()) if v}
 
 
-def _run_with_engine(app, n, seed, config, plans, campaign):
+def _run_with_engine(app, n, seed, config, plans, campaign, *, warm=False):
+    """One engine campaign; the trap-free memo is cleared first unless
+    *warm*, so the run executes every plan itself."""
+    if not warm:
+        TRAP_FREE_MEMO.clear()
     engine = CampaignEngine(config=campaign)
     result = engine.run(app, n, seed, config, plans=plans)
     return result, engine.telemetry
@@ -503,6 +520,65 @@ def check_converge(
     return found
 
 
+def check_paired(
+    app, n: int, seed: int, coverage=None, plans=None
+) -> list[Divergence]:
+    """Memo-served campaigns == memo-cleared campaigns, per config.
+
+    Runs the baseline and every :data:`~repro.core.config.VARIANTS`
+    config on the same plans twice: in order with the trap-free memo
+    warm, so each run may be served what earlier ones stored, and with
+    the memo cleared before each run.  Per config, every per-plan result
+    (``_result_key``), the telemetry signature and every counter except
+    ``memo-hit`` must agree.  *plans* overrides the seeded draw.
+    """
+    if plans is None:
+        plans = plan_injections(
+            np.random.default_rng(seed), app.golden.instret, n
+        )
+    cc = CampaignConfig(jobs=1, keep_results=True, telemetry=True)
+    cold = []
+    for config in CAMPAIGN_CONFIGS:
+        result, report = _run_with_engine(app, n, seed, config, plans, cc)
+        _tally(coverage, result, report)
+        cold.append((result, report))
+    TRAP_FREE_MEMO.clear()
+    found: list[Divergence] = []
+    for config, (want, want_tel) in zip(CAMPAIGN_CONFIGS, cold):
+        name = config.name if config is not None else "baseline"
+        have, have_tel = _run_with_engine(
+            app, n, seed, config, plans, cc, warm=True
+        )
+        for index, (a, b) in enumerate(zip(want.results, have.results)):
+            if _result_key(a) != _result_key(b):
+                found.append(Divergence(
+                    "paired", at=f"{name}#plan{index}",
+                    detail=(
+                        f"{_result_key(b)!r} != memo-cleared "
+                        f"{_result_key(a)!r} ({plans[index]})"
+                    ),
+                ))
+                break
+        if have_tel.signature() != want_tel.signature():
+            found.append(Divergence(
+                "paired", at=f"{name}:signature",
+                detail=f"{have_tel.signature()!r} != {want_tel.signature()!r}",
+            ))
+        counters = [
+            {
+                k: v for k, v in sorted(tel.counters.items())
+                if k not in MEMO_COUNTERS
+            }
+            for tel in (have_tel, want_tel)
+        ]
+        if counters[0] != counters[1]:
+            found.append(Divergence(
+                "paired", at=f"{name}:counters",
+                detail=f"{counters[0]!r} != {counters[1]!r}",
+            ))
+    return found
+
+
 def _filtered_counters(report) -> dict[str, int]:
     """Outcome/heuristic/signal counters only (scheduling events vary)."""
     if report is None:
@@ -519,6 +595,7 @@ __all__ = [
     "Divergence",
     "PROGRAM_ORACLES",
     "CAMPAIGN_ORACLES",
+    "CAMPAIGN_CONFIGS",
     "ALL_ORACLES",
     "classify_stop",
     "check_backends",
@@ -529,4 +606,5 @@ __all__ = [
     "check_resume",
     "check_jobs",
     "check_converge",
+    "check_paired",
 ]

@@ -15,8 +15,8 @@ Case kinds:
   oracles (backend lockstep, debugger, snapshot round-trip);
 * ``lang`` -- a generated MiniC source: compiled (a front-end crash is
   itself a finding), run through the differential oracles, and on a
-  stride wrapped as an app for the merge/resume/converge metamorphic
-  oracles;
+  stride wrapped as an app for the merge/resume/converge/paired
+  metamorphic oracles;
 * ``jobs`` -- campaign-parameter fuzz of the jobs=1 vs jobs=N oracle
   against the fixed importable apps (these spawn a process pool, so
   they always run in the parent, never inside a fuzz worker).
@@ -33,7 +33,9 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from repro.core.config import VARIANTS
+import numpy as np
+
+from repro.faultinject.fault_model import plan_injections
 from repro.fuzz.app import FIXED_APPS, LangApp
 from repro.fuzz.corpus import case_to_dict
 from repro.fuzz.coverage import FuzzCoverage
@@ -44,9 +46,10 @@ from repro.fuzz.generator import (
     gen_lang_source,
     gen_segments,
 )
-from repro.fuzz.mutations import MUTATIONS
+from repro.fuzz.mutations import MEMO_MUTATIONS, MUTATIONS, planted_memo
 from repro.fuzz.oracles import (
     ALL_ORACLES,
+    CAMPAIGN_CONFIGS,
     CAMPAIGN_ORACLES,
     COMPILED_SIDES,
     PROGRAM_ORACLES,
@@ -54,13 +57,11 @@ from repro.fuzz.oracles import (
     check_converge,
     check_jobs,
     check_merge,
+    check_paired,
     check_program,
     check_resume,
 )
-from repro.fuzz.shrinker import emit_pytest, shrink
-
-#: LetGo configurations the campaign oracles draw from (None = baseline).
-_CAMPAIGN_CONFIGS = (None,) + tuple(VARIANTS.values())
+from repro.fuzz.shrinker import emit_pytest, shrink, shrink_list
 
 
 @dataclass(frozen=True)
@@ -239,7 +240,7 @@ def run_case(config: FuzzConfig, kind: str, index: int):
             kind, index, program, config, rng, budget, coverage
         )
         if index % config.campaign_stride == 0 and config.mutation is None:
-            letgo = rng.choice(_CAMPAIGN_CONFIGS)
+            letgo = rng.choice(CAMPAIGN_CONFIGS)
             n = config.campaign_n
             campaign_seed = rng.randrange(1 << 30)
             if "merge" in config.oracles:
@@ -270,10 +271,18 @@ def run_case(config: FuzzConfig, kind: str, index: int):
                     findings.append(Finding(
                         kind, index, div.oracle, div.at, div.detail
                     ))
+            if "paired" in config.oracles:
+                coverage.oracles["paired"] += 1
+                for div in check_paired(
+                    app, n, campaign_seed, coverage=coverage
+                ):
+                    findings.append(Finding(
+                        kind, index, div.oracle, div.at, div.detail
+                    ))
 
     elif kind == "jobs":
         app = FIXED_APPS[index % len(FIXED_APPS)]()
-        letgo = rng.choice(_CAMPAIGN_CONFIGS)
+        letgo = rng.choice(CAMPAIGN_CONFIGS)
         coverage.oracles["jobs"] += 1
         for div in check_jobs(
             app, rng.randint(4, 4 + config.campaign_n), rng.randrange(1 << 30),
@@ -361,7 +370,11 @@ def run_fuzz(config: FuzzConfig, on_progress=None) -> FuzzReport:
 
 @dataclass
 class SelftestResult:
-    """Outcome of one mutant-killing run (the shrinker acceptance gate)."""
+    """Outcome of one mutant-killing run (the shrinker acceptance gate).
+
+    Lengths count instructions for a backend mutant and plans for a memo
+    mutant; ``limit`` is the most the shrunk reproducer may keep.
+    """
 
     mutation: str
     killed: bool
@@ -369,14 +382,54 @@ class SelftestResult:
     original_len: int | None = None
     shrunk_len: int | None = None
     finding: Finding | None = None
+    limit: int = 25
 
     @property
     def ok(self) -> bool:
         return (
             self.killed
             and self.shrunk_len is not None
-            and self.shrunk_len <= 25
+            and self.shrunk_len <= self.limit
         )
+
+
+#: Plans per campaign of the memo mutants' self-test.
+MEMO_SELFTEST_PLANS = 8
+
+
+def _memo_selftest(mutation: str, seed: int, max_cases: int) -> SelftestResult:
+    """Plant memo mutant *mutation*; the ``paired`` oracle must kill it
+    on a fixed generated app, and the plan list shrink to one plan."""
+    with planted_memo(MEMO_MUTATIONS[mutation]):
+        for index in range(max_cases):
+            rng = random.Random(f"{seed}:memo:{index}")
+            app = FIXED_APPS[index % len(FIXED_APPS)]()
+            campaign_seed = rng.randrange(1 << 30)
+            plans = plan_injections(
+                np.random.default_rng(campaign_seed),
+                app.golden.instret,
+                MEMO_SELFTEST_PLANS,
+            )
+            found = check_paired(app, len(plans), campaign_seed, plans=plans)
+            if not found:
+                continue
+            shrunk = shrink_list(
+                plans,
+                lambda subset: bool(check_paired(
+                    app, len(subset), campaign_seed, plans=subset
+                )),
+            )
+            first = found[0]
+            finding = Finding(
+                "paired", index, first.oracle, first.at, first.detail,
+                shrunk_len=len(shrunk), original_len=len(plans),
+            )
+            return SelftestResult(
+                mutation, killed=True, found_at=index,
+                original_len=len(plans), shrunk_len=len(shrunk),
+                finding=finding, limit=1,
+            )
+    return SelftestResult(mutation, killed=False, limit=1)
 
 
 def mutation_selftest(
@@ -386,7 +439,15 @@ def mutation_selftest(
     budget: int = 96,
 ) -> SelftestResult:
     """Plant *mutation* as the compiled side; the fuzzer must kill and
-    shrink it to <= 25 instructions within *max_cases* programs."""
+    shrink it to <= 25 instructions within *max_cases* programs.
+
+    A memo mutant (:data:`~repro.fuzz.mutations.MEMO_MUTATIONS`) is
+    planted as the process-wide trap-free memo instead; the ``paired``
+    oracle must kill it within *max_cases* campaigns and shrink its plan
+    list to a single plan.
+    """
+    if mutation in MEMO_MUTATIONS:
+        return _memo_selftest(mutation, seed, max_cases)
     config = FuzzConfig(
         iterations=max_cases, lang_iterations=0, seed=seed,
         oracles=PROGRAM_ORACLES, budget=budget, mutation=mutation,

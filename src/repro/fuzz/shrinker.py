@@ -138,6 +138,27 @@ def shrink(
     return current
 
 
+def shrink_list(items: list, predicate: Callable[[list], bool]) -> list:
+    """Smallest sub-list (by ddmin chunk deletion) still satisfying
+    *predicate*, which must already hold for *items*.
+
+    Used on a campaign's plan list: a memo divergence reproduces on the
+    one or two plans that trigger it.
+    """
+    current = list(items)
+    size = max(1, len(current) // 2)
+    while size >= 1:
+        start = 0
+        while start < len(current) and len(current) > 1:
+            candidate = current[:start] + current[start + size:]
+            if candidate and predicate(candidate):
+                current = candidate
+            else:
+                start += size
+        size //= 2
+    return current
+
+
 # -- pytest emission ----------------------------------------------------------
 
 
@@ -224,4 +245,4 @@ def test_{test_name}():
 """
 
 
-__all__ = ["shrink", "emit_pytest"]
+__all__ = ["shrink", "shrink_list", "emit_pytest"]

@@ -33,6 +33,7 @@ from repro.telemetry.export import (
 from repro.telemetry.report import (
     INJECTION_PHASES,
     LADDER_COUNTERS,
+    MEMO_COUNTERS,
     PhaseStat,
     TelemetryReport,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "PhaseStat",
     "INJECTION_PHASES",
     "LADDER_COUNTERS",
+    "MEMO_COUNTERS",
     "write_jsonl",
     "read_jsonl",
     "chrome_trace",

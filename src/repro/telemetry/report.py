@@ -15,7 +15,9 @@ signature at ``jobs=1`` and ``jobs=4``.  Engine-level phases (one
 ``shard`` span per shard, journal appends) are excluded because the shard
 *count* legitimately depends on the fan-out geometry; so are the
 counters of the snapshot-ladder geometry (:data:`LADDER_COUNTERS`), so
-the signature is also the same at every ``ladder_interval``.
+the signature is also the same at every ``ladder_interval``, and the
+trap-free memo's hit tally (:data:`MEMO_COUNTERS`), so it is the same
+whether a run was served from the memo or executed.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ INJECTION_PHASES = frozenset(
 LADDER_COUNTERS = frozenset(
     {"restore", "cold-start", "converged", "converged-skipped-instr"}
 )
+
+#: Counters of the trap-free memo: how many runs it served.  They depend
+#: on what ran earlier in the process (and, with a pool, in which
+#: worker), so they are excluded from the deterministic signature.
+MEMO_COUNTERS = frozenset({"memo-hit"})
 
 
 @dataclass
@@ -118,16 +125,17 @@ class TelemetryReport:
     def signature(self) -> dict:
         """The sharding-independent core of this report.
 
-        Counters (less :data:`LADDER_COUNTERS`) plus per-injection phase
-        counts: for a given (app, n, seed, config, plans) this dict is
-        identical whatever ``jobs``, ``shard_size`` or ``ladder_interval``
-        the campaign ran with.
+        Counters (less :data:`LADDER_COUNTERS` and :data:`MEMO_COUNTERS`)
+        plus per-injection phase counts: for a given (app, n, seed,
+        config, plans) this dict is identical whatever ``jobs``,
+        ``shard_size`` or ``ladder_interval`` the campaign ran with, and
+        whatever the trap-free memo held.
         """
         return {
             "counters": {
                 name: value
                 for name, value in sorted(self.counters.items())
-                if name not in LADDER_COUNTERS
+                if name not in LADDER_COUNTERS and name not in MEMO_COUNTERS
             },
             "phase_counts": {
                 name: stat.count
@@ -199,4 +207,10 @@ class TelemetryReport:
         return "\n".join(parts)
 
 
-__all__ = ["TelemetryReport", "PhaseStat", "INJECTION_PHASES", "LADDER_COUNTERS"]
+__all__ = [
+    "TelemetryReport",
+    "PhaseStat",
+    "INJECTION_PHASES",
+    "LADDER_COUNTERS",
+    "MEMO_COUNTERS",
+]

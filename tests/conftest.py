@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import make_app
+from repro.apps.base import TRAP_FREE_MEMO
 from repro.isa import assemble
 from repro.lang import compile_unit
 
@@ -98,6 +99,15 @@ def demo_program():
 def demo_unit():
     """Compiled MiniC demo unit."""
     return compile_unit(DEMO_MINIC, "demo-minic")
+
+
+@pytest.fixture(autouse=True)
+def _cleared_trap_free_memo():
+    """Each test starts with an empty process-wide trap-free memo, so test
+    order cannot decide which runs are served from it."""
+    TRAP_FREE_MEMO.clear()
+    yield
+    TRAP_FREE_MEMO.clear()
 
 
 def _cached_app(name):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.base import MiniApp
+from repro.apps.base import TRAP_FREE_MEMO, MiniApp
 from repro.core import LETGO_E
 from repro.faultinject import (
     NO_LADDER,
@@ -55,6 +55,7 @@ def test_engine_modes_identical(app_fixture, config, request):
     fanout = _engine(jobs=3, keep_results=True)
     reference = _fingerprint(naive.run(app, N, SEED, config))
     assert _fingerprint(ladder.run(app, N, SEED, config)) == reference
+    TRAP_FREE_MEMO.clear()  # the pool must execute, not be served
     assert _fingerprint(fanout.run(app, N, SEED, config)) == reference
     assert naive.stats.restored == 0
     assert ladder.stats.restored > 0

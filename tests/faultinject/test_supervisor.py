@@ -255,6 +255,32 @@ def test_resume_of_complete_journal_runs_nothing(pennant_app, tmp_path):
     assert _fingerprint(resumed) == _fingerprint(reference)
 
 
+def test_resumed_plans_do_not_count_as_injected(pennant_app, tmp_path):
+    journal_path = tmp_path / "c.journal"
+    _engine(jobs=1, journal=str(journal_path)).run(pennant_app, N, SEED, None)
+    engine = _engine(jobs=1, resume=str(journal_path))
+    engine.run(pennant_app, N, SEED, None)
+    stats = engine.stats
+    assert stats.injections_per_sec == 0.0
+    assert stats.describe().startswith("0 injections in ")
+    assert f"resumed={N}" in stats.describe()
+
+
+def test_utilization_divides_by_jobs_not_shards(pennant_app, tmp_path):
+    engine = _engine(
+        jobs=1, shard_size=2, journal=str(tmp_path / "u.journal")
+    )
+    engine.run(pennant_app, 16, SEED, None)
+    stats = engine.stats
+    assert len(stats.per_worker_seconds) == 8
+    busy = sum(stats.per_worker_seconds) / stats.elapsed_seconds
+    assert stats.utilization == pytest.approx(busy)
+    assert 0.0 < stats.utilization <= 1.0
+    assert stats.injections_per_sec == pytest.approx(
+        16 / stats.elapsed_seconds
+    )
+
+
 # -- wall-clock watchdog ----------------------------------------------------
 
 

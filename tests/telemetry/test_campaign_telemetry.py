@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 
+from repro.apps.base import TRAP_FREE_MEMO
 from repro.core import LETGO_E
 from repro.faultinject import CampaignConfig, CampaignEngine
 from repro.fuzz.app import FuzzAppA
@@ -26,6 +27,9 @@ SEED = 71
 
 
 def _run(app, config=None, **knobs):
+    # Every run executes all its plans, so runs compared here differ only
+    # in the knobs, not in what the trap-free memo served.
+    TRAP_FREE_MEMO.clear()
     engine = CampaignEngine(config=CampaignConfig(telemetry=True, **knobs))
     result = engine.run(app, N, SEED, config)
     assert engine.telemetry is not None

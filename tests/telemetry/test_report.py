@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.telemetry import (
     INJECTION_PHASES,
     LADDER_COUNTERS,
+    MEMO_COUNTERS,
     PhaseStat,
     TelemetryReport,
     Tracer,
@@ -83,10 +84,11 @@ def test_signature_drops_ladder_geometry_counters():
         "cold-start": 3,
         "converged": 4,
         "converged-skipped-instr": 51_000,
+        "memo-hit": 7,
         "outcome:benign": 12,
     }
     report = TelemetryReport.from_records([], counters=counters)
-    assert set(LADDER_COUNTERS) < set(counters)
+    assert set(LADDER_COUNTERS | MEMO_COUNTERS) < set(counters)
     assert report.signature()["counters"] == {"outcome:benign": 12}
     assert report.counters == counters  # still reported, just not signed
 
