@@ -18,8 +18,10 @@ compares against.
 
 The rungs also cut the *post*-fault run short: :meth:`Snapshot.matches`
 decides whether a live process is in exactly a rung's architectural
-state.  The machine is deterministic and the golden path trap-free, so a
-run that matches a rung will finish exactly as the golden run does.
+state, possibly some retirements behind it (a LetGo repair skips an
+instruction without retiring it).  The machine is deterministic and the
+golden path trap-free, so a run that matches a rung will finish exactly
+as the golden run does, that many retirements short.
 """
 
 from __future__ import annotations
@@ -58,9 +60,12 @@ class Snapshot:
         """Number of written memory cells captured (checkpoint 'size')."""
         return len(self.cells)
 
-    def matches(self, process: Process) -> bool:
-        """True if *process* is in exactly this snapshot's state.
+    def matches(self, process: Process, lag: int = 0) -> bool:
+        """True if *process* is in exactly this snapshot's state, *lag*
+        retirements behind it.
 
+        *lag* counts instructions the live run skipped without retiring
+        them (one per LetGo repair); every other field must be equal.
         Cheap fields first: retirement count, pc and halt flag, integer
         registers, then float registers by IEEE bit pattern (``-0.0 ==
         0.0`` and ``NaN != NaN`` make ``==`` wrong both ways), the output
@@ -73,7 +78,7 @@ class Snapshot:
         """
         cpu = process.cpu
         return (
-            cpu.instret == self.instret
+            cpu.instret + lag == self.instret
             and cpu.pc == self.pc
             and not cpu.halted
             and process.status is ProcessStatus.RUNNING
@@ -226,21 +231,22 @@ def build_ladder(
     process = Process.load(program)
     cpu = process.cpu
     rungs: list[Snapshot] = []
-    while cpu.instret < max_steps:
+    while True:
         try:
-            stop = cpu.run(step)
+            stop = cpu.run(min(step, max_steps - cpu.instret))
         except Trap as trap:
             raise SimulationError(f"golden run trapped: {trap}") from trap
         if stop == STOP_HALT:
             break
+        if cpu.instret >= max_steps:
+            raise SimulationError(
+                f"golden run exceeded {max_steps} instructions while "
+                "building ladder"
+            )
         rungs.append(snapshot(process))
         if adaptive and len(rungs) == MAX_RUNGS:
             del rungs[::2]  # keep the rungs on multiples of 2 * step
             step *= 2
-    else:
-        raise SimulationError(
-            f"golden run exceeded {max_steps} instructions while building ladder"
-        )
     return SnapshotLadder(
         checksum=program.checksum(),
         interval=step,

@@ -301,7 +301,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     import json
 
     from repro.fuzz.corpus import iter_corpus, save_case
-    from repro.fuzz.mutations import MEMO_MUTATIONS, MUTATIONS
+    from repro.fuzz.mutations import (
+        CONVERGE_MUTATIONS,
+        MEMO_MUTATIONS,
+        MUTATIONS,
+    )
     from repro.fuzz.oracles import ALL_ORACLES
     from repro.fuzz.runner import FuzzConfig, mutation_selftest, run_fuzz
 
@@ -309,6 +313,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         names = (
             [args.mutation] if args.mutation
             else sorted(MUTATIONS) + sorted(MEMO_MUTATIONS)
+            + sorted(CONVERGE_MUTATIONS)
         )
         rows = []
         ok = True
@@ -327,7 +332,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(ascii_table(
             ["mutation", "status", "case", "len", "shrunk", "limit", "verdict"],
             rows,
-            title="mutation self-test (len: instructions; plans for memo-*)",
+            title=(
+                "mutation self-test "
+                "(len: instructions; plans for memo-* and converge-*)"
+            ),
         ))
         return 0 if ok else 1
 
@@ -419,6 +427,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         f"(seed {config.seed}); {len(cov['opcodes'])} opcodes, "
         f"stops {cov['stops']}, outcomes {cov['outcomes']}, "
         f"heuristics {cov['heuristics']}"
+        + (f", convergence {cov['convergence']}" if cov["convergence"] else "")
     )
     for finding in report.findings:
         line = f"  {finding.kind}[{finding.index}] {finding.oracle}@{finding.at}"
@@ -522,13 +531,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mutation", default=None,
                    help="plant a known-bad backend mutant "
                         "(fmin-nan, halt-pc, shri-logical, segv-order); "
-                        "with --selftest also memo-traps")
+                        "with --selftest also memo-traps, converge-lag")
     p.add_argument("--no-shrink", action="store_true",
                    help="skip delta-debugging divergent programs")
     p.add_argument("--selftest", action="store_true",
                    help="verify the fuzzer kills and shrinks every "
-                        "planted mutant (<= 25 instructions; memo "
-                        "mutants to one plan)")
+                        "planted mutant (<= 25 instructions; memo and "
+                        "convergence mutants to one plan)")
     return parser
 
 

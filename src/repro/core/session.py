@@ -61,6 +61,7 @@ def cont_sliced(
     *,
     deadline: float | None = None,
     ladder: "SnapshotLadder | None" = None,
+    lag: int = 0,
 ) -> tuple[StopEvent, bool]:
     """``session.cont(budget)``, sliced at watchdog and ladder-rung stops.
 
@@ -71,7 +72,11 @@ def cont_sliced(
     rung the process is compared with the golden state there
     (:meth:`~repro.checkpoint.snapshot.Snapshot.matches`); on a match,
     with budget left for the golden remainder, it stops with
-    :data:`STOP_CONVERGED`.
+    :data:`STOP_CONVERGED`.  *lag* is how many retirements the run is
+    behind its golden position (one per LetGo repair, which skips the
+    faulting instruction without retiring it): the run is compared with
+    the rung at ``instret + lag``, so its slice ends *lag* instructions
+    before that rung's retirement count.
 
     Returns ``(event, timed_out)``; ``event.steps`` counts every slice.
     An expired deadline returns a budget-style stop with ``timed_out``
@@ -84,9 +89,11 @@ def cont_sliced(
         if deadline is not None and perf_counter() >= deadline:
             return StopEvent(STOP_BUDGET, steps, pc=cpu.pc), True
         chunk = remaining if deadline is None else min(remaining, WATCHDOG_SLICE)
-        rung = ladder.next_rung(cpu.instret) if ladder is not None else None
+        rung = (
+            ladder.next_rung(cpu.instret + lag) if ladder is not None else None
+        )
         if rung is not None:
-            chunk = min(chunk, rung.instret - cpu.instret)
+            chunk = min(chunk, rung.instret - lag - cpu.instret)
         event = session.cont(chunk)
         steps += event.steps
         remaining -= event.steps
@@ -97,7 +104,7 @@ def cont_sliced(
         if (
             rung is not None
             and remaining >= ladder.total - rung.instret
-            and rung.matches(session.process)
+            and rung.matches(session.process, lag)
         ):
             return StopEvent(STOP_CONVERGED, steps, pc=cpu.pc), False
 
@@ -164,11 +171,13 @@ class LetGoSession:
         ``ladder`` (the golden run's
         :class:`~repro.checkpoint.snapshot.SnapshotLadder`) lets the run
         stop at the first rung where its state equals the golden state
-        (see :func:`cont_sliced`).  It then reports ``CONVERGED``: the
-        remainder is the trap-free golden run and is not executed, so
-        ``output`` holds only the prefix so far.  Run to the end, the
-        same run would report ``COMPLETED`` with the golden output and
-        the golden retirement count.
+        (see :func:`cont_sliced`).  Each repair leaves the run one
+        retirement behind its golden position, so the rung is matched at
+        ``instret + len(interventions)``.  The run then reports
+        ``CONVERGED``: the remainder is the trap-free golden run and is
+        not executed, so ``output`` holds only the prefix so far.  Run to
+        the end, the same run would report ``COMPLETED`` with the golden
+        output and the golden retirement count less one per repair.
 
         ``tracer`` (a :class:`repro.telemetry.Tracer`) records per-repair
         spans plus signal-disposition and heuristic-firing counters; the
@@ -181,7 +190,8 @@ class LetGoSession:
         total_steps = 0
         while True:
             event, timed_out = cont_sliced(
-                session, remaining, deadline=deadline, ladder=ladder
+                session, remaining, deadline=deadline, ladder=ladder,
+                lag=len(interventions),
             )
             total_steps += event.steps
             remaining -= event.steps

@@ -17,10 +17,12 @@ default of ``None`` keeps runs bit-for-bit deterministic.
 
 Runs accept an optional golden **snapshot ladder** (``ladder``): the
 post-fault run is then compared with the golden state at every rung it
-reaches, and a run that matches one stops there.  The machine is
-deterministic and the golden path trap-free, so the rest of such a run
-*is* the golden run: it is finished from the golden facts (output,
-retirement count) through the same classification code, and the
+reaches, and a run that matches one stops there.  A LetGo run is
+matched at ``instret + repairs``: each repair skips the faulting
+instruction without retiring it.  The machine is deterministic and the
+golden path trap-free, so the rest of such a run *is* the golden run: it
+is finished from the golden facts (output, retirement count less the
+repairs) through the same classification code, and the
 :class:`InjectionResult` is identical to the full-length run's.
 
 Runs accept an optional **trap-free memo** (``memo``, see
@@ -182,10 +184,13 @@ def run_injection(
 
     ``ladder`` (the app's golden :class:`SnapshotLadder`) stops the
     post-fault run at the first rung where its state equals the golden
-    state and finishes it as the golden run; ``converged`` and
-    ``converged-skipped-instr`` (golden instructions not executed) are
-    counted on the tracer.  The result is identical to the run without a
-    ladder, which stays the full-length reference.
+    state and finishes it as the golden run.  A LetGo run that was
+    repaired is compared with the rung one retirement ahead per repair
+    and finishes that many retirements short of the golden count.
+    ``converged``, ``converged-lagged`` (converged runs with at least
+    one repair) and ``converged-skipped-instr`` (golden instructions not
+    executed) are counted on the tracer.  The result is identical to the
+    run without a ladder, which stays the full-length reference.
 
     ``memo`` (a :class:`~repro.apps.base.TrapFreeMemo`) stores the
     result of a post-fault run that raised no signal, and serves a later
@@ -254,7 +259,8 @@ def _replay(
 
     Emits the spans and counters the run would have: one ``post-fault``
     span, and for a run that finished (every trap-free outcome but a
-    hang) the converged counters and one ``acceptance-check`` span.
+    hang) the converged counters and one ``acceptance-check`` span.  A
+    trap-free run was never repaired, so it never converged lagged.
     """
     if (target_pc, target_reg) != (entry.target_pc, entry.target_reg):
         raise InjectionError(
@@ -278,25 +284,31 @@ def _replay(
     )
 
 
-def _count_converged(skipped: int | None, tracer) -> None:
+def _count_converged(skipped: int | None, tracer, lag: int = 0) -> None:
     if skipped is not None:
         tracer.count("converged")
+        if lag:
+            tracer.count("converged-lagged")
         tracer.count("converged-skipped-instr", skipped)
 
 
 def _classify_finished(
-    app: MiniApp, process, converged: bool, continued: bool, tracer
+    app: MiniApp, process, converged: bool, continued: bool, tracer,
+    lag: int = 0,
 ) -> tuple[Outcome, int, int | None]:
     """(outcome, steps, skipped) of a run that halted or converged to the
     golden run.
 
-    A converged run stopped on a ladder rung in the golden state; its
-    remainder is the golden run, so it finishes with the golden output
-    and retirement count through the same classification.  *skipped*
-    counts the golden instructions it did not execute (None: it halted).
+    A converged run stopped on a ladder rung in the golden state, *lag*
+    retirements behind it (its repair count); its remainder is the
+    golden run, so it finishes with the golden output and the golden
+    retirement count less *lag* through the same classification.
+    *skipped* counts the golden instructions it did not execute (None:
+    it halted).
     """
-    skipped = app.golden.instret - process.cpu.instret if converged else None
-    _count_converged(skipped, tracer)
+    finish = app.golden.instret - lag
+    skipped = finish - process.cpu.instret if converged else None
+    _count_converged(skipped, tracer, lag)
     with tracer.span("acceptance-check"):
         output = list(app.golden.output if converged else process.output)
         outcome = classify_finished(
@@ -304,7 +316,7 @@ def _classify_finished(
             matches_golden=app.matches_golden(output),
             continued=continued,
         )
-    steps = app.golden.instret if converged else process.cpu.instret
+    steps = finish if converged else process.cpu.instret
     return outcome, steps, skipped
 
 
@@ -371,7 +383,7 @@ def _finish_letgo(
     if report.status in (COMPLETED, CONVERGED):
         outcome, steps, skipped = _classify_finished(
             app, process, report.status == CONVERGED, report.intervened,
-            tracer,
+            tracer, len(report.interventions),
         )
     elif report.status == HUNG:
         outcome = Outcome.C_HANG if report.intervened else Outcome.HANG

@@ -10,7 +10,9 @@ A fuzzer that silently stops exercising half the ISA still reports
 * ``outcomes``  -- campaign outcome classes hit by the metamorphic
   oracles (:class:`~repro.faultinject.outcomes.Outcome` values);
 * ``heuristics``-- LetGo heuristic firings observed via telemetry;
-* ``oracles``   -- cases checked per oracle.
+* ``oracles``   -- cases checked per oracle;
+* ``convergence`` -- ladder-cut runs the ``converge`` oracle checked
+  (``converged``, and ``converged-lagged``: those LetGo had repaired).
 
 Counters merge additively and export to a stable sorted-JSON form;
 ``tests/fuzz/coverage_floor.json`` pins the floor a fixed-seed run must
@@ -28,7 +30,9 @@ from repro.isa.program import Program
 from repro.machine.process import Process
 from repro.machine.signals import Trap
 
-_SECTIONS = ("opcodes", "stops", "outcomes", "heuristics", "oracles")
+_SECTIONS = (
+    "opcodes", "stops", "outcomes", "heuristics", "oracles", "convergence"
+)
 
 
 @dataclass
@@ -40,6 +44,7 @@ class FuzzCoverage:
     outcomes: Counter = field(default_factory=Counter)
     heuristics: Counter = field(default_factory=Counter)
     oracles: Counter = field(default_factory=Counter)
+    convergence: Counter = field(default_factory=Counter)
 
     def merge(self, other: "FuzzCoverage") -> None:
         for section in _SECTIONS:

@@ -20,16 +20,22 @@ compiled backend's code generator on the eager compiled CPU.
 widens what :class:`~repro.apps.base.TrapFreeMemo` stores, and
 :func:`planted_memo` swaps it in for the process-wide memo.  The
 ``paired`` campaign oracle must catch them.
+
+:data:`CONVERGE_MUTATIONS` are ladder-convergence mutants: each one
+replaces how the injector finishes a run that halted or converged on a
+rung, and :func:`planted_convergence` swaps it in.  The ``converge``
+campaign oracle must catch them.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from math import isnan
 
 from repro.apps.base import TRAP_FREE_MEMO, TrapFreeMemo
+from repro.faultinject import injector
 from repro.fuzz.oracles import EagerCompiledCPU
 from repro.isa.instructions import Instr
 from repro.machine.compiled import block_source
@@ -145,7 +151,42 @@ def planted_memo(cls: type[TrapFreeMemo]) -> Iterator[TrapFreeMemo]:
         memo.clear()
 
 
-__all__ = ["MUTATIONS", "MEMO_MUTATIONS", "planted_memo"] + [
+_FINISH = injector._classify_finished
+
+
+def _finish_dropping_the_lag(
+    app, process, converged, continued, tracer, lag=0
+):
+    """Finishes a run that converged behind the rung grid at the golden
+    retirement count, as if its repairs had retired: a repaired run's
+    ``steps`` come out one too high per repair."""
+    return _FINISH(app, process, converged, continued, tracer)
+
+
+#: name -> replacement finisher, checked by the ``converge`` oracle.
+CONVERGE_MUTATIONS: dict[str, Callable] = {
+    "converge-lag": _finish_dropping_the_lag,
+}
+
+
+@contextmanager
+def planted_convergence(finish: Callable) -> Iterator[None]:
+    """Finish halted and converged runs with *finish* instead of the
+    injector's own classifier (restored on exit)."""
+    injector._classify_finished = finish
+    try:
+        yield
+    finally:
+        injector._classify_finished = _FINISH
+
+
+__all__ = [
+    "MUTATIONS",
+    "MEMO_MUTATIONS",
+    "CONVERGE_MUTATIONS",
+    "planted_memo",
+    "planted_convergence",
+] + [
     cls.__name__
     for cls in (*MUTATIONS.values(), *MEMO_MUTATIONS.values())
 ]

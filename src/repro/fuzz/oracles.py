@@ -477,18 +477,23 @@ TINY_LADDER_INTERVAL = 7
 
 
 def check_converge(
-    app, n: int, seed: int, coverage=None
+    app, n: int, seed: int, coverage=None, plans=None
 ) -> list[Divergence]:
     """Ladder-cut campaigns == cold full-length ``run_injection``, per plan.
 
     The engine passes its snapshot ladder to every run, which stops a
-    post-fault run at the first rung where it reaches the golden state.
-    For the baseline and LetGo-E the engine runs at the app's default
-    ladder interval and at :data:`TINY_LADDER_INTERVAL`; every per-plan
-    result must equal the cold run's under ``_result_key``, and the
-    telemetry signature must not depend on the interval.
+    post-fault run at the first rung where it reaches the golden state
+    (a LetGo run that was repaired: where it reaches it one retirement
+    behind per repair).  For the baseline and LetGo-E the engine runs at
+    the app's default ladder interval and at
+    :data:`TINY_LADDER_INTERVAL`; every per-plan result must equal the
+    cold run's under ``_result_key``, and the telemetry signature must
+    not depend on the interval.  *plans* overrides the seeded draw.
     """
-    plans = plan_injections(np.random.default_rng(seed), app.golden.instret, n)
+    if plans is None:
+        plans = plan_injections(
+            np.random.default_rng(seed), app.golden.instret, n
+        )
     intervals = (app.default_ladder_interval, TINY_LADDER_INTERVAL)
     found: list[Divergence] = []
     for config in (None, LETGO_E):
@@ -503,6 +508,9 @@ def check_converge(
                 ),
             )
             _tally(coverage, result, report)
+            if coverage is not None:
+                for name in ("converged", "converged-lagged"):
+                    coverage.convergence[name] += report.counters.get(name, 0)
             signatures.append(report.signature())
             got = [_result_key(r) for r in result.results]
             for index, (want, have) in enumerate(zip(cold, got)):

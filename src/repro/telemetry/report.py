@@ -42,10 +42,17 @@ INJECTION_PHASES = frozenset(
 
 #: Counters that depend on the snapshot-ladder geometry: how each run was
 #: positioned (rung restore vs cold start) and whether its post-fault run
-#: stopped at a rung in the golden state.  Exact, but excluded from the
+#: stopped at a rung in the golden state (``converged-lagged``: after at
+#: least one LetGo repair).  Exact, but excluded from the
 #: deterministic signature.
 LADDER_COUNTERS = frozenset(
-    {"restore", "cold-start", "converged", "converged-skipped-instr"}
+    {
+        "restore",
+        "cold-start",
+        "converged",
+        "converged-lagged",
+        "converged-skipped-instr",
+    }
 )
 
 #: Counters of the trap-free memo: how many runs it served.  They depend

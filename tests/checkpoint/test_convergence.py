@@ -1,4 +1,5 @@
-"""Golden-state convergence: the rung comparison and the post-fault cut.
+"""Golden-state convergence: the rung comparison and the post-fault cut,
+including runs that LetGo repaired, which match a rung behind it.
 
 :meth:`Snapshot.matches` decides whether a post-fault run may stop at a
 ladder rung and be finished as the golden run.  A false match would
@@ -17,6 +18,7 @@ from repro.core.session import STOP_CONVERGED, cont_sliced
 from repro.faultinject import run_injection
 from repro.faultinject.fault_model import InjectionPlan
 from repro.faultinject.outcomes import Outcome
+from repro.fuzz.app import LangApp
 from repro.isa import assemble
 from repro.isa.registers import SP
 from repro.lang import compile_source
@@ -88,6 +90,16 @@ def test_off_by_one_instret_does_not_match(program, rung, backend):
     process = _at(program, rung, backend)
     process.cpu.instret += 1
     assert not rung.matches(process)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_lagged_match_needs_the_exact_lag(program, rung, backend):
+    process = _at(program, rung, backend)
+    assert not rung.matches(process, lag=1)
+    process.cpu.instret -= 1  # one skipped, unretired instruction
+    assert rung.matches(process, lag=1)
+    assert not rung.matches(process)
+    assert not rung.matches(process, lag=2)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -226,6 +238,30 @@ def test_cont_sliced_needs_budget_for_the_golden_remainder(program, backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_cont_sliced_converges_a_lagging_run_short_of_the_rung(program, backend):
+    ladder = build_ladder(program, interval=97)
+    start, rung = ladder.rungs[2], ladder.rungs[3]
+    process = _at(program, start, backend)
+    process.cpu.instret -= 2  # the golden state, two retirements behind
+    event, _ = cont_sliced(DebugSession(process), 10**6, ladder=ladder, lag=2)
+    assert event.kind == STOP_CONVERGED
+    assert event.steps == 97
+    assert process.cpu.instret == rung.instret - 2
+    # The same run at the wrong lag never matches and goes on to HALT.
+    process = _at(program, start, backend)
+    process.cpu.instret -= 2
+    event, _ = cont_sliced(DebugSession(process), 10**6, ladder=ladder, lag=1)
+    assert event.kind == STOP_EXITED
+    assert process.cpu.instret == ladder.total - 2
+    # A lagging run needs budget for the golden remainder as well.
+    short = 97 + (ladder.total - rung.instret) - 1
+    process = _at(program, start, backend)
+    process.cpu.instret -= 2
+    event, _ = cont_sliced(DebugSession(process), short, ladder=ladder, lag=2)
+    assert (event.kind, event.steps) == (STOP_BUDGET, short)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_cont_sliced_wild_pc_traps_instead_of_converging(backend):
     program = assemble(WILD_RET)
     ladder = build_ladder(program, interval=1)
@@ -266,21 +302,21 @@ def test_converged_run_is_identical_to_the_cold_run(pennant_app, config):
     assert tracer.counters["outcome:benign"] == 1
 
 
-# -- LetGo runs off the rung grid ------------------------------------------------
+# -- LetGo runs behind the rung grid ---------------------------------------------
 
 #: A pennant fault LetGo-E repairs once and the run completes benign: the
 #: repair skips the faulting instruction without retiring it, so from then
-#: on the run's instret lags its golden position and no rung can match.
+#: on the run is one retirement behind its golden position.
 OFF_GRID_PLAN = InjectionPlan(
     dyn_index=22537, bit=40, reg_choice=0.6605000674278948
 )
 
 
-def test_letgo_repair_off_the_grid_runs_to_halt(pennant_app):
+def test_repaired_run_converges_one_retirement_behind(pennant_app):
     cold = run_injection(pennant_app, OFF_GRID_PLAN, LETGO_E)
     assert cold.interventions == 1
     assert cold.outcome is Outcome.C_BENIGN
-    assert cold.steps != pennant_app.golden.instret  # off the grid
+    assert cold.steps == pennant_app.golden.instret - 1
 
     tracer = Tracer()
     session = DebugSession(pennant_app.load())
@@ -289,5 +325,86 @@ def test_letgo_repair_off_the_grid_runs_to_halt(pennant_app):
         session=session, tracer=tracer, ladder=pennant_app.ladder(),
     )
     assert laddered == cold
-    assert session.process.cpu.halted
-    assert "converged" not in tracer.counters
+    assert laddered.steps == pennant_app.golden.instret - 1
+    cpu = session.process.cpu
+    assert not cpu.halted  # stopped on a rung, not at HALT
+    assert tracer.counters["converged"] == 1
+    assert tracer.counters["converged-lagged"] == 1
+    assert tracer.counters["converged-skipped-instr"] == (
+        pennant_app.golden.instret - 1 - cpu.instret
+    ) > 0
+
+
+def _with_budget(app, max_steps):
+    """*app* with its per-run instruction budget set to *max_steps*."""
+    budgeted = type(f"Budgeted{type(app).__name__}", (type(app),), {
+        "max_steps": property(lambda self: max_steps),
+    })
+    return budgeted()
+
+
+@pytest.mark.parametrize("short", [1, 0], ids=["budget-short", "budget-exact"])
+def test_repaired_run_needs_budget_for_the_golden_remainder(pennant_app, short):
+    # The repaired run retires golden.instret - 1 instructions in all; one
+    # fewer in the budget makes the full-length run a hang, so the
+    # laddered run must not converge either.
+    app = _with_budget(pennant_app, pennant_app.golden.instret - 1 - short)
+    cold = run_injection(app, OFF_GRID_PLAN, LETGO_E)
+    tracer = Tracer()
+    laddered = run_injection(
+        app, OFF_GRID_PLAN, LETGO_E, tracer=tracer, ladder=app.ladder(),
+    )
+    assert laddered == cold
+    assert cold.interventions == 1
+    if short:
+        assert cold.outcome is Outcome.C_HANG
+        assert "converged" not in tracer.counters
+    else:
+        assert cold.outcome is Outcome.C_BENIGN
+        assert tracer.counters["converged-lagged"] == 1
+
+
+#: Two dead loads through one index: a high bit flipped into ``j`` makes
+#: both fault, and the next statements overwrite everything they touched.
+TWO_REPAIRS_SOURCE = """
+global float data[8];
+func main() -> int {
+    var int i;
+    var int j;
+    var float a;
+    var float b;
+    var float s = 0.0;
+    for (i = 0; i < 40; i = i + 1) {
+        j = i - (i / 8) * 8;
+        a = data[j];
+        b = data[j];
+        a = 0.0;
+        b = 0.0;
+        j = 0;
+        data[i - (i / 8) * 8] = float(i);
+        s = s + float(i);
+    }
+    out(s);
+    return 0;
+}
+"""
+
+#: Flips the stored index ``j`` in the first loop iteration.
+TWO_REPAIRS_PLAN = InjectionPlan(dyn_index=22, bit=62, reg_choice=0.5)
+
+
+@pytest.mark.parametrize("interval", [None, 7], ids=["default", "tiny"])
+def test_two_repairs_converge_two_retirements_behind(interval):
+    app = LangApp(TWO_REPAIRS_SOURCE, "two-repairs")
+    config = replace(LETGO_E, max_interventions=2)
+    cold = run_injection(app, TWO_REPAIRS_PLAN, config)
+    assert cold.interventions == 2
+    assert cold.outcome is Outcome.C_BENIGN
+    assert cold.steps == app.golden.instret - 2
+    tracer = Tracer()
+    laddered = run_injection(
+        app, TWO_REPAIRS_PLAN, config, tracer=tracer,
+        ladder=app.ladder(interval),
+    )
+    assert laddered == cold
+    assert tracer.counters["converged-lagged"] == 1

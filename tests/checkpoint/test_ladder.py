@@ -106,6 +106,19 @@ def test_runaway_golden_run_rejected():
         build_ladder(looper, interval=64, max_steps=1_000)
 
 
+@pytest.mark.parametrize(
+    "interval", [100, 10**6, None], ids=["grid", "one-chunk", "adaptive"]
+)
+def test_golden_run_past_the_budget_rejected(program, reference, interval):
+    # The run halts inside the last chunk: only the budget can reject it.
+    total = reference.cpu.instret
+    with pytest.raises(SimulationError, match="exceeded"):
+        build_ladder(program, interval=interval, max_steps=total - 1)
+    ladder = build_ladder(program, interval=interval, max_steps=total)
+    assert ladder.total == total
+    assert ladder.rungs == build_ladder(program, interval=interval).rungs
+
+
 def test_trapping_golden_run_rejected():
     program = Program(instrs=[Instr(Op.ABORT)], functions={"main": 0})
     with pytest.raises(SimulationError, match="^golden run trapped: "):

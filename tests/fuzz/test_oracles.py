@@ -8,6 +8,8 @@ import pytest
 from repro.core.config import VARIANTS
 from repro.fuzz.app import FuzzAppA, FuzzAppC, LangApp
 from repro.fuzz.generator import gen_isa_program, gen_lang_source, gen_segments
+from repro.faultinject import injector
+from repro.faultinject.injector import _classify_finished
 from repro.fuzz.mutations import MUTATIONS
 from repro.fuzz.observe import observe
 from repro.checkpoint.snapshot import Snapshot
@@ -19,6 +21,7 @@ from repro.fuzz.oracles import (
     check_program,
     check_resume,
 )
+from repro.fuzz.runner import mutation_selftest
 from repro.isa.instructions import Instr, Op
 from repro.isa.layout import DATA_BASE
 from repro.isa.program import DataSymbol, Program
@@ -148,10 +151,10 @@ def test_converge_oracle_holds():
 
 def test_converge_oracle_catches_a_loose_state_comparison(monkeypatch):
     # Planted bug: registers and pc only, memory and output ignored.
-    def loose(self, process):
+    def loose(self, process, lag=0):
         cpu = process.cpu
         return (
-            cpu.instret == self.instret
+            cpu.instret + lag == self.instret
             and cpu.pc == self.pc
             and tuple(cpu.iregs) == self.iregs
         )
@@ -159,3 +162,14 @@ def test_converge_oracle_catches_a_loose_state_comparison(monkeypatch):
     monkeypatch.setattr(Snapshot, "matches", loose)
     found = check_converge(FuzzAppC(), 12, 15)
     assert found and {d.oracle for d in found} == {"converge"}
+
+
+def test_converge_oracle_catches_a_dropped_lag():
+    # Planted bug: a repaired run that converged finishes at the golden
+    # retirement count, as if its repairs had retired.
+    result = mutation_selftest("converge-lag")
+    assert result.killed and result.ok
+    assert result.finding.oracle == "converge"
+    assert result.finding.at.startswith("LetGo-E@")
+    assert result.shrunk_len == 1 < result.original_len
+    assert injector._classify_finished is _classify_finished

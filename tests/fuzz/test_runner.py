@@ -14,7 +14,7 @@ pytestmark = pytest.mark.fuzz
 FLOOR_PATH = Path(__file__).parent / "coverage_floor.json"
 #: The exact configuration the checked-in floor was recorded from.
 FLOOR_CONFIG = FuzzConfig(
-    iterations=120, lang_iterations=12, seed=0, jobs_cases=0
+    iterations=120, lang_iterations=24, seed=0, jobs_cases=0
 )
 
 

@@ -70,11 +70,12 @@ def test_signature_identical_across_jobs_1_and_4(pennant_app):
 
 def test_signature_identical_at_every_ladder_interval(pennant_app):
     # The ladder changes how runs are positioned (restore vs cold start)
-    # and where post-fault runs stop (converged), never what they report.
+    # and where post-fault runs stop (converged, lagged or not), never
+    # what they report.
     # A 7-instruction ladder on pennant would hold ~18k snapshots, so the
     # tiny interval runs on a small generated app.
     cases = ((pennant_app, (0, None)), (FuzzAppA(), (0, 7, None)))
-    converged = 0
+    converged = lagged = 0
     for app, intervals in cases:
         reports = [
             _run(app, LETGO_E, jobs=1, ladder_interval=k)[1] for k in intervals
@@ -82,9 +83,11 @@ def test_signature_identical_at_every_ladder_interval(pennant_app):
         assert "restore" not in reports[0].counters
         assert "converged" not in reports[0].counters
         converged += sum(r.counters.get("converged", 0) for r in reports)
+        lagged += sum(r.counters.get("converged-lagged", 0) for r in reports)
         signatures = [report.signature() for report in reports]
         assert all(sig == signatures[0] for sig in signatures), app.name
     assert converged > 0
+    assert lagged > 0  # repaired runs converge too, behind the grid
 
 
 def test_telemetry_does_not_change_outcomes(pennant_app):

@@ -83,6 +83,7 @@ def test_signature_drops_ladder_geometry_counters():
         "restore": 9,
         "cold-start": 3,
         "converged": 4,
+        "converged-lagged": 2,
         "converged-skipped-instr": 51_000,
         "memo-hit": 7,
         "outcome:benign": 12,
