@@ -54,8 +54,9 @@ checkpoint/restart discipline to the campaign runner itself:
   run cannot stall a worker forever.
 
 Throughput and resilience observability come back in an
-:class:`EngineStats` record: injections/sec, ladder restore-distance,
-per-shard utilization, retries, pool rebuilds, and quarantined plans.
+:class:`EngineStats` record, read off the campaign's one tally (its
+tracer): injections/sec, ladder restore-distance, per-shard utilization,
+retries, pool rebuilds, and quarantined plans.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from repro.faultinject.fault_model import InjectionPlan, plan_injections
 from repro.faultinject.injector import InjectionResult, run_injection
 from repro.faultinject.journal import CampaignJournal, JournalHeader
 from repro.machine.debugger import DebugSession
-from repro.telemetry import NULL_TRACER, TelemetryReport, Tracer
+from repro.telemetry import DEFAULT_CAPACITY, TelemetryReport, Tracer
 from repro.telemetry.export import write_chrome_trace, write_jsonl
 
 #: ``ladder_interval`` value that disables the ladder entirely.
@@ -89,7 +90,11 @@ NO_LADDER = 0
 
 @dataclass(frozen=True)
 class EngineStats:
-    """Throughput + resilience observability for one engine campaign."""
+    """Throughput + resilience observability for one engine campaign.
+
+    Tallies are the campaign tracer's counters, and per-shard seconds its
+    ``shard`` phases, so they always agree with the telemetry report.
+    """
 
     n: int
     jobs: int                      # worker processes actually used (1 = in-process)
@@ -178,15 +183,12 @@ def _run_shard(
     letgo_config: LetGoConfig | None,
     batch: list[tuple[int, InjectionPlan]],
     campaign: CampaignConfig,
-) -> tuple[
-    list[tuple[int, InjectionResult]], tuple[int, int, int, float], dict | None
-]:
+) -> tuple[list[tuple[int, InjectionResult]], dict]:
     """Run one shard of (index, plan) pairs.
 
     Plans execute in injection-depth order (ladder/cache locality) but the
     returned pairs are in index order, so reassembling shards by plan
     index reproduces the serial result order exactly.
-    Shard stats: (restored, cold_starts, fast_forward_steps, seconds).
 
     One *host process* serves the whole shard: every plan restores its
     launch state (ladder rung, or a pristine instret-0 snapshot) into the
@@ -194,23 +196,18 @@ def _run_shard(
     compiled backend -- binding compiled blocks to the process are paid
     once per shard rather than once per injection.
 
-    With telemetry enabled a leaf :class:`~repro.telemetry.Tracer` records the
-    shard's phase spans and counters; its picklable export is the third
-    return element (None when disabled), absorbed by the supervisor.  The
-    leaf is created here -- identically for in-process and pooled shards
-    -- so the merged stream is independent of *where* the shard ran.
+    A leaf :class:`~repro.telemetry.Tracer` accounts the shard; its
+    picklable export is the second return element, absorbed by the
+    supervisor.  The leaf is created here -- identically for in-process
+    and pooled shards -- so the merged totals are independent of *where*
+    the shard ran.
     """
-    t0 = perf_counter()
-    telemetry = campaign.telemetry_enabled
-    if telemetry:
-        tracer = Tracer(
-            tid=f"shard-{min(idx for idx, _ in batch):05d}",
-            probe_interval=campaign.probe_interval,
-        )
-        tracer.instant("worker-start", pid=os.getpid(), plans=len(batch))
-    else:
-        tracer = NULL_TRACER
-    restored = cold = fast_forward = 0
+    tracer = Tracer(
+        capacity=_capacity(campaign),
+        tid=f"shard-{min(idx for idx, _ in batch):05d}",
+        probe_interval=campaign.probe_interval,
+    )
+    tracer.instant("worker-start", pid=os.getpid(), plans=len(batch))
     out: dict[int, InjectionResult] = {}
     with tracer.span("shard"):
         host = app.load(campaign.backend)
@@ -221,13 +218,11 @@ def _run_shard(
             with tracer.span("restore"):
                 restore_into(host, pristine if snap is None else snap)
             if snap is None:
-                cold += 1
-                fast_forward += target
                 tracer.count("cold-start")
+                tracer.count("fast-forward-instr", target)
             else:
-                restored += 1
-                fast_forward += target - snap.instret
                 tracer.count("restore")
+                tracer.count("fast-forward-instr", target - snap.instret)
             out[idx] = run_injection(
                 app,
                 plan,
@@ -238,9 +233,12 @@ def _run_shard(
                 ladder=ladder,
                 memo=TRAP_FREE_MEMO,
             )
-    pairs = [(idx, out[idx]) for idx in sorted(out)]
-    payload = tracer.export() if telemetry else None
-    return pairs, (restored, cold, fast_forward, perf_counter() - t0), payload
+    return [(idx, out[idx]) for idx in sorted(out)], tracer.export()
+
+
+def _capacity(campaign: CampaignConfig) -> int:
+    """Timeline ring size: the default with telemetry on, else none."""
+    return DEFAULT_CAPACITY if campaign.telemetry_enabled else 0
 
 
 # -- worker protocol --------------------------------------------------------
@@ -302,10 +300,8 @@ def _worker_init(
 def _worker_run(batch: list[tuple[int, InjectionPlan]]):
     """One pooled shard, plus the trap-free memo entries it added."""
     app, ladder, letgo_config, campaign = _WORKER
-    pairs, stat, payload = _run_shard(
-        app, ladder, letgo_config, batch, campaign
-    )
-    return pairs, stat, payload, TRAP_FREE_MEMO.take_added()
+    pairs, payload = _run_shard(app, ladder, letgo_config, batch, campaign)
+    return pairs, payload, TRAP_FREE_MEMO.take_added()
 
 
 def _split(items: list, k: int) -> list[list]:
@@ -344,17 +340,13 @@ class _Supervisor:
     spec: tuple | None
     jobs: int
     journal: CampaignJournal | None
+    tracer: Tracer                    # parent-side merged accounting
 
     pairs: dict[int, InjectionResult] = field(default_factory=dict)
     shard_sizes: list[int] = field(default_factory=list)
-    shard_stats: list[tuple[int, int, int, float]] = field(default_factory=list)
+    shard_seconds: list[float] = field(default_factory=list)
     attempts: dict[tuple[int, ...], int] = field(default_factory=dict)
     quarantined: list[int] = field(default_factory=list)
-    retries: int = 0
-    pool_rebuilds: int = 0
-    degraded: bool = False
-    timeouts: int = 0
-    tracer: object = NULL_TRACER      # parent-side merged event stream
     on_progress: Callable[[int, int], None] | None = None
     total: int = 0                    # campaign n, for progress reporting
     done_base: int = 0                # plans settled before this invocation
@@ -373,13 +365,13 @@ class _Supervisor:
             self.tracer.gauge("queue-depth", len(self.queue))
             shard = self.queue.popleft()
             try:
-                pairs, stat, payload = _run_shard(
+                pairs, payload = _run_shard(
                     self.app, self.ladder, self.letgo_config, shard, self.campaign
                 )
             except Exception as exc:
                 self._failure(shard, exc)
             else:
-                self._commit(pairs, stat, payload)
+                self._commit(pairs, payload)
 
     # -- pool --------------------------------------------------------------
 
@@ -417,7 +409,7 @@ class _Supervisor:
                 for future in as_completed(futures):
                     shard = futures[future]
                     try:
-                        pairs, stat, payload, added = future.result()
+                        pairs, payload, added = future.result()
                     except BrokenExecutor:
                         broken = True
                         self.queue.append(shard)
@@ -426,17 +418,16 @@ class _Supervisor:
                     else:
                         for key, entry in added:
                             TRAP_FREE_MEMO.put(key, entry)
-                        self._commit(pairs, stat, payload)
+                        self._commit(pairs, payload)
                 if broken:
                     pool.shutdown(wait=False, cancel_futures=True)
-                    self.pool_rebuilds += 1
                     self.tracer.count("pool-rebuild")
-                    self.tracer.instant("pool-rebuild", n=self.pool_rebuilds)
-                    if self.pool_rebuilds > self.campaign.max_pool_rebuilds:
+                    rebuilds = self.tracer.counters["pool-rebuild"]
+                    self.tracer.instant("pool-rebuild", n=rebuilds)
+                    if rebuilds > self.campaign.max_pool_rebuilds:
                         if not self.campaign.serial_fallback:
                             raise CampaignAbortedError(
-                                f"worker pool broke "
-                                f"{self.pool_rebuilds} times; giving up",
+                                f"worker pool broke {rebuilds} times; giving up",
                                 journal=(
                                     self.journal.path if self.journal else None
                                 ),
@@ -454,7 +445,6 @@ class _Supervisor:
 
     def _degrade(self) -> None:
         """Multiprocessing unavailable or unreliable: finish in-process."""
-        self.degraded = True
         self.tracer.count("serial-degrade")
         self.tracer.instant("serial-degrade")
         self._run_serial()
@@ -462,18 +452,12 @@ class _Supervisor:
     # -- shared bookkeeping ------------------------------------------------
 
     def _commit(
-        self,
-        pairs: list[tuple[int, InjectionResult]],
-        stat: tuple[int, int, int, float],
-        payload: dict | None = None,
+        self, pairs: list[tuple[int, InjectionResult]], payload: dict
     ) -> None:
-        if payload is not None:
-            # Re-base the shard's events to where the shard actually ran
-            # on the parent timeline: it finished "now" and lasted
-            # stat[3] seconds.
-            self.tracer.absorb(
-                payload, offset=max(0.0, self.tracer.now() - stat[3])
-            )
+        # Re-base the shard's events to where it ran on the parent
+        # timeline: it finished "now" and lasted its one ``shard`` span.
+        seconds = payload["phases"]["shard"].total_seconds
+        self.tracer.absorb(payload, offset=max(0.0, self.tracer.now() - seconds))
         # Journal first: the shard is durable before its results count.
         if self.journal is not None:
             self.journal.record_shard(
@@ -481,8 +465,7 @@ class _Supervisor:
             )
         self.pairs.update(pairs)
         self.shard_sizes.append(len(pairs))
-        self.shard_stats.append(stat)
-        self.timeouts += sum(1 for _, result in pairs if result.timed_out)
+        self.shard_seconds.append(seconds)
         if self.on_progress is not None:
             self.on_progress(self.done_base + len(self.pairs), self.total)
 
@@ -491,7 +474,6 @@ class _Supervisor:
         count = self.attempts.get(key, 0) + 1
         self.attempts[key] = count
         if count <= self.campaign.max_retries:
-            self.retries += 1
             self.tracer.count("retry")
             self.tracer.instant(
                 "retry", plans=len(shard), attempt=count,
@@ -544,8 +526,8 @@ class CampaignEngine:
     identical :class:`CampaignResult`; the engine only changes how fast
     it arrives and what it survives.  The last run's :class:`EngineStats`
     is kept on :attr:`stats`.  With telemetry enabled the last run's
-    aggregated :class:`~repro.telemetry.TelemetryReport` is kept on
-    :attr:`telemetry`; :attr:`on_progress` optionally receives
+    :class:`~repro.telemetry.TelemetryReport`, read off the same tracer,
+    is kept on :attr:`telemetry`; :attr:`on_progress` optionally receives
     ``(done, total)`` after every committed shard.
     """
 
@@ -583,10 +565,9 @@ class CampaignEngine:
         an uninterrupted run with the same seed.
         """
         cfg = self.config
-        tracer = (
-            Tracer(tid="engine", probe_interval=cfg.probe_interval)
-            if cfg.telemetry_enabled
-            else NULL_TRACER
+        tracer = Tracer(
+            capacity=_capacity(cfg), tid="engine",
+            probe_interval=cfg.probe_interval,
         )
         self.telemetry = None
         t0 = perf_counter()
@@ -677,25 +658,26 @@ class CampaignEngine:
             )
 
         elapsed = perf_counter() - t0
+        tally = tracer.counters.get
         self.stats = EngineStats(
             n=n,
             jobs=jobs,
             elapsed_seconds=elapsed,
             ladder_interval=ladder.interval if ladder is not None else NO_LADDER,
             ladder_rungs=len(ladder) if ladder is not None else 0,
-            restored=sum(s[0] for s in supervisor.shard_stats),
-            cold_starts=sum(s[1] for s in supervisor.shard_stats),
-            fast_forward_steps=sum(s[2] for s in supervisor.shard_stats),
+            restored=tally("restore", 0),
+            cold_starts=tally("cold-start", 0),
+            fast_forward_steps=tally("fast-forward-instr", 0),
             per_worker_injections=tuple(supervisor.shard_sizes),
-            per_worker_seconds=tuple(s[3] for s in supervisor.shard_stats),
-            retries=supervisor.retries,
-            pool_rebuilds=supervisor.pool_rebuilds,
-            degraded_serial=supervisor.degraded,
+            per_worker_seconds=tuple(supervisor.shard_seconds),
+            retries=tally("retry", 0),
+            pool_rebuilds=tally("pool-rebuild", 0),
+            degraded_serial="serial-degrade" in tracer.counters,
             resumed=len(resumed_pairs),
-            timeouts=supervisor.timeouts,
+            timeouts=tally("timeout", 0),
             quarantined=tuple(sorted(prior_quarantine + supervisor.quarantined)),
         )
-        if tracer.enabled:
+        if cfg.telemetry_enabled:
             self.telemetry = TelemetryReport.from_tracer(
                 tracer, wall_seconds=elapsed
             )
@@ -709,8 +691,8 @@ class CampaignEngine:
             }
             if cfg.trace is not None:
                 write_jsonl(
-                    cfg.trace, tracer.records(),
-                    counters=tracer.counters, meta=meta,
+                    cfg.trace, tracer.records(), counters=tracer.counters,
+                    phases=tracer.phases, meta=meta,
                 )
             if cfg.chrome_trace is not None:
                 write_chrome_trace(

@@ -2,10 +2,11 @@
 
 Two consumers, two formats:
 
-* **JSONL** -- one JSON object per line, header first.  Trivially
-  greppable/streamable, and :func:`read_jsonl` round-trips it back into
-  the canonical record list for offline aggregation (the CI smoke job
-  re-derives the phase breakdown from the file alone).
+* **JSONL** -- one JSON object per line, header first.  The header
+  carries the exact totals (counters and per-phase count / total / max
+  seconds), the lines after it the bounded timeline.  Trivially
+  greppable/streamable, and :func:`read_jsonl` round-trips it back (the
+  CI smoke job checks the phase counts from the file alone).
 * **Chrome trace** -- the ``trace_event`` JSON schema understood by
   ``chrome://tracing`` / Perfetto: spans become complete (``"X"``)
   events, instants ``"i"``, gauges counter (``"C"``) events, with
@@ -16,6 +17,7 @@ Two consumers, two formats:
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 #: Schema version written into every exported trace header.
@@ -29,14 +31,20 @@ def write_jsonl(
     path: str | Path,
     records: list[dict],
     counters: dict[str, int] | None = None,
+    phases: dict | None = None,
     meta: dict | None = None,
 ) -> Path:
-    """Write a trace as JSON lines: one ``meta`` header, then the events."""
+    """Write a trace as JSON lines: one ``meta`` header, then the events.
+
+    *phases* maps span names to :class:`~repro.telemetry.PhaseStat`; the
+    header stores each as ``{"count", "total_seconds", "max_seconds"}``.
+    """
     path = Path(path)
     header = {
         "kind": "meta",
         "format": TRACE_FORMAT,
         "counters": dict(counters or {}),
+        "phases": {name: asdict(stat) for name, stat in (phases or {}).items()},
         **(meta or {}),
     }
     lines = [json.dumps(header, sort_keys=True)]

@@ -1,8 +1,11 @@
 """Aggregated telemetry: where a campaign's wall-clock actually went.
 
-A :class:`TelemetryReport` reduces a merged event stream to per-phase
-statistics (count / total / mean / max seconds) plus the counter tallies,
-and renders them as the end-of-campaign breakdown table the CLI prints.
+A :class:`TelemetryReport` snapshots a merged tracer's exact totals --
+per-phase statistics (count / total / mean / max seconds) and the counter
+tallies -- and renders them as the end-of-campaign breakdown table the
+CLI prints.  Neither comes from the timeline ring, so a report is exact
+whatever the ring's capacity; ``events`` and ``dropped`` only describe
+the timeline.
 
 Determinism contract
 --------------------
@@ -25,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.reporting.tables import ascii_table
+from repro.telemetry.tracer import PhaseStat
 
 #: Span names whose counts are per-injection, i.e. independent of
 #: sharding and worker geometry.  These (plus all counters) form the
@@ -41,7 +45,8 @@ INJECTION_PHASES = frozenset(
 
 
 #: Counters that depend on the snapshot-ladder geometry: how each run was
-#: positioned (rung restore vs cold start) and whether its post-fault run
+#: positioned (rung restore vs cold start, and the golden-prefix
+#: instructions replayed from there) and whether its post-fault run
 #: stopped at a rung in the golden state (``converged-lagged``: after at
 #: least one LetGo repair).  Exact, but excluded from the
 #: deterministic signature.
@@ -49,6 +54,7 @@ LADDER_COUNTERS = frozenset(
     {
         "restore",
         "cold-start",
+        "fast-forward-instr",
         "converged",
         "converged-lagged",
         "converged-skipped-instr",
@@ -59,25 +65,6 @@ LADDER_COUNTERS = frozenset(
 #: on what ran earlier in the process (and, with a pool, in which
 #: worker), so they are excluded from the deterministic signature.
 MEMO_COUNTERS = frozenset({"memo-hit"})
-
-
-@dataclass
-class PhaseStat:
-    """Aggregate of every span with one name."""
-
-    count: int = 0
-    total_seconds: float = 0.0
-    max_seconds: float = 0.0
-
-    def add(self, seconds: float) -> None:
-        self.count += 1
-        self.total_seconds += seconds
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.total_seconds / self.count if self.count else 0.0
 
 
 @dataclass
@@ -93,37 +80,14 @@ class TelemetryReport:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_records(
-        cls,
-        records: list[dict],
-        counters: dict[str, int] | None = None,
-        dropped: int = 0,
-        wall_seconds: float = 0.0,
-    ) -> "TelemetryReport":
-        """Aggregate a canonical record list (see ``Tracer.records``)."""
-        report = cls(
-            counters=dict(counters or {}),
-            events=len(records),
-            dropped=dropped,
-            wall_seconds=wall_seconds,
-        )
-        phases = report.phases
-        for record in records:
-            if record["kind"] != "span":
-                continue
-            stat = phases.get(record["name"])
-            if stat is None:
-                stat = phases[record["name"]] = PhaseStat()
-            stat.add(record["dur"])
-        return report
-
-    @classmethod
     def from_tracer(cls, tracer, wall_seconds: float = 0.0) -> "TelemetryReport":
-        """Aggregate everything a (merged) tracer recorded."""
-        return cls.from_records(
-            tracer.records(),
-            counters=tracer.counters,
-            dropped=tracer.dropped,
+        """Snapshot a (merged) tracer's exact totals and its timeline size."""
+        payload = tracer.export()  # copies, so the report stays fixed
+        return cls(
+            phases=payload["phases"],
+            counters=payload["counters"],
+            events=len(payload["records"]),
+            dropped=payload["dropped"],
             wall_seconds=wall_seconds,
         )
 
@@ -216,7 +180,6 @@ class TelemetryReport:
 
 __all__ = [
     "TelemetryReport",
-    "PhaseStat",
     "INJECTION_PHASES",
     "LADDER_COUNTERS",
     "MEMO_COUNTERS",

@@ -1,48 +1,67 @@
-"""The tracer: a ring-buffered structured-event recorder.
+"""The tracer: exact running totals plus a ring-buffered event timeline.
 
-A :class:`Tracer` is a cheap append-only log of what one execution stream
-(the campaign parent, or one worker shard) did and when.  Three event
-kinds cover the campaign engine's needs:
+A :class:`Tracer` is the one accounting source of an execution stream
+(the campaign parent, or one worker shard).  Its **totals** are exact at
+any size: ``counters`` (name -> int) and ``phases`` (name ->
+:class:`PhaseStat`: count, total and max seconds), which every
+:meth:`Tracer.span` updates on exit, exceptions included, so failed
+shards still account their time.  Both merge by sum (and max), which is
+order-independent: absorbing shards in any completion order reproduces
+the serial campaign's totals exactly.
 
-``span``
-    A named duration with nesting depth -- one timed phase (``restore``,
-    ``post-fault``, ``journal-append``).  Opened with :meth:`Tracer.span`
-    as a context manager; the record is written on exit, exceptions
-    included, so failed shards still account their time.
-``instant``
-    A point event with optional arguments (``flip``, ``retry``,
-    ``quarantine``, ``progress`` probes).
-``gauge``
-    A sampled value over time (``queue-depth``).
-
-Counters are kept separately in a plain dict (name -> int): they are the
-deterministic backbone of the aggregated report, and summing dicts is
-order-independent, which is what makes the cross-process merge reproduce
-the serial campaign's tallies exactly.
+Its **timeline** is a ring buffer of ``capacity`` raw events, for the
+trace files only: ``span`` (a named duration with nesting depth),
+``instant`` (a point event with optional arguments: ``flip``, ``retry``,
+``progress`` probes) and ``gauge`` (a sampled value: ``queue-depth``).
+When the ring is full the oldest event is dropped and ``dropped``
+incremented.  ``capacity=0`` keeps no timeline: :meth:`Tracer.instant`
+and :meth:`Tracer.gauge` return before building a record.
 
 Timestamps come from :func:`time.perf_counter` and are stored relative to
 the tracer's birth; :meth:`export` produces a picklable payload and
 :meth:`absorb` merges one into a parent tracer, shifting times by a
-caller-supplied offset so worker streams land on the parent's timeline.
+caller-supplied offset so worker streams land on the parent's timeline,
+and through the parent's own ring, so its bound holds for the merged
+stream.
 
-The ring buffer (``capacity`` events) bounds memory at large N: when full,
-the oldest event is dropped and ``dropped`` incremented -- counters are
-never dropped, so aggregated tallies stay exact even when the raw trace
-is truncated.
-
-Disabled tracing is the module-level :data:`NULL_TRACER` singleton: every
-method is a no-op and :meth:`NullTracer.span` returns one shared, reusable
-null context manager, so instrumented code costs one attribute lookup and
-one method call per phase when telemetry is off.
+Code that is not traced passes the module-level :data:`NULL_TRACER`
+singleton: every method is a no-op and :meth:`NullTracer.span` returns
+one shared, reusable null context manager.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, replace
 from time import perf_counter
 
-#: Default ring-buffer capacity (events, not counters).
+#: Default ring-buffer capacity (timeline events, not totals).
 DEFAULT_CAPACITY = 100_000
+
+
+@dataclass
+class PhaseStat:
+    """Aggregate of every span with one name."""
+
+    count: int = 0
+    total_seconds: float = 0.0
+    max_seconds: float = 0.0
+
+    def add(self, seconds: float) -> None:
+        self.count += 1
+        self.total_seconds += seconds
+        if seconds > self.max_seconds:
+            self.max_seconds = seconds
+
+    def merge(self, other: "PhaseStat") -> None:
+        self.count += other.count
+        self.total_seconds += other.total_seconds
+        if other.max_seconds > self.max_seconds:
+            self.max_seconds = other.max_seconds
+
+    @property
+    def mean_seconds(self) -> float:
+        return self.total_seconds / self.count if self.count else 0.0
 
 
 class _NullSpan:
@@ -61,11 +80,7 @@ _NULL_SPAN = _NullSpan()
 
 
 class NullTracer:
-    """Disabled tracer: every operation is a no-op.
-
-    ``enabled`` is False so instrumented code can skip building event
-    arguments entirely (``if tracer.enabled: ...``) on hot-ish paths.
-    """
+    """Disabled tracer: every operation is a no-op."""
 
     __slots__ = ()
 
@@ -92,7 +107,7 @@ NULL_TRACER = NullTracer()
 
 
 class _Span:
-    """One open span; records itself on ``__exit__``."""
+    """One open span; accounts itself on ``__exit__``."""
 
     __slots__ = ("tracer", "name", "t0")
 
@@ -106,26 +121,32 @@ class _Span:
         return self
 
     def __exit__(self, *exc) -> bool:
-        end = perf_counter()
+        dur = perf_counter() - self.t0
         tracer = self.tracer
         tracer._depth -= 1
-        tracer._append(
-            {
-                "kind": "span",
-                "name": self.name,
-                "ts": self.t0 - tracer._t0,
-                "dur": end - self.t0,
-                "depth": tracer._depth,
-                "tid": tracer.tid,
-            }
-        )
+        stat = tracer.phases.get(self.name)
+        if stat is None:
+            stat = tracer.phases[self.name] = PhaseStat()
+        stat.add(dur)
+        if tracer.capacity:
+            tracer._append(
+                {
+                    "kind": "span",
+                    "name": self.name,
+                    "ts": self.t0 - tracer._t0,
+                    "dur": dur,
+                    "depth": tracer._depth,
+                    "tid": tracer.tid,
+                }
+            )
         return False
 
 
 class Tracer:
-    """Enabled structured-event recorder for one execution stream.
+    """Enabled recorder for one execution stream.
 
     ``tid`` labels the stream (``"engine"``, ``"shard-0042"``);
+    ``capacity`` bounds the timeline ring (0: no timeline);
     ``probe_interval`` > 0 asks instrumented run loops to emit
     ``progress`` instants every that many retired instructions.
     """
@@ -135,9 +156,9 @@ class Tracer:
         "probe_interval",
         "capacity",
         "counters",
+        "phases",
         "dropped",
         "_events",
-        "_foreign",
         "_depth",
         "_t0",
     )
@@ -150,17 +171,17 @@ class Tracer:
         tid: str = "main",
         probe_interval: int = 0,
     ):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        if capacity < 0:
+            raise ValueError("capacity must be >= 0")
         if probe_interval < 0:
             raise ValueError("probe_interval must be >= 0")
         self.tid = tid
         self.probe_interval = probe_interval
         self.capacity = capacity
         self.counters: dict[str, int] = {}
+        self.phases: dict[str, PhaseStat] = {}
         self.dropped = 0
         self._events: deque[dict] = deque(maxlen=capacity)
-        self._foreign: list[dict] = []
         self._depth = 0
         self._t0 = perf_counter()
 
@@ -183,6 +204,8 @@ class Tracer:
 
     def instant(self, name: str, **args) -> None:
         """Record a point event, with optional structured arguments."""
+        if not self.capacity:
+            return
         self._append(
             {
                 "kind": "instant",
@@ -195,6 +218,8 @@ class Tracer:
 
     def gauge(self, name: str, value: float) -> None:
         """Sample a time-varying value (e.g. queue depth)."""
+        if not self.capacity:
+            return
         self._append(
             {
                 "kind": "gauge",
@@ -221,37 +246,39 @@ class Tracer:
             "tid": self.tid,
             "records": list(self._events),
             "counters": dict(self.counters),
+            "phases": {name: replace(stat) for name, stat in self.phases.items()},
             "dropped": self.dropped,
         }
 
     def absorb(self, payload: dict, offset: float = 0.0) -> None:
         """Merge an exported payload from another tracer.
 
+        Counters and phase totals merge by sum (phase maxima by max), so
+        absorbing shards in any completion order yields identical totals.
         *offset* (seconds on this tracer's timeline) shifts the payload's
         events to where its stream actually ran -- the engine passes
         ``commit_time - shard_duration`` so worker spans line up with the
-        parent's view in the Chrome trace.  Counter merging is a plain
-        sum, hence order-independent: absorbing shards in any completion
-        order yields identical aggregated counters.
+        parent's view in the Chrome trace.  The shifted events enter this
+        tracer's ring, under its capacity.
         """
         for name, value in payload["counters"].items():
             self.count(name, value)
+        for name, stat in payload["phases"].items():
+            self.phases.setdefault(name, PhaseStat()).merge(stat)
         self.dropped += payload["dropped"]
         for record in payload["records"]:
             shifted = dict(record)
             shifted["ts"] = record["ts"] + offset
-            self._foreign.append(shifted)
+            self._append(shifted)
 
     def records(self) -> list[dict]:
-        """All events (own + absorbed), sorted by timestamp then tid.
+        """The timeline (own + absorbed events), sorted by timestamp then tid.
 
         The sort makes the exported trace independent of shard completion
         order, so two runs of the same campaign differ only in the
         timestamp *values*, never in record ordering logic.
         """
-        merged = list(self._events) + self._foreign
-        merged.sort(key=lambda r: (r["ts"], r["tid"], r["name"]))
-        return merged
+        return sorted(self._events, key=lambda r: (r["ts"], r["tid"], r["name"]))
 
 
-__all__ = ["Tracer", "NullTracer", "NULL_TRACER", "DEFAULT_CAPACITY"]
+__all__ = ["Tracer", "NullTracer", "NULL_TRACER", "PhaseStat", "DEFAULT_CAPACITY"]

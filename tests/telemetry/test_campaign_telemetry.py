@@ -6,8 +6,10 @@ The acceptance contract this file pins:
   campaign's :class:`CampaignResult` tallies;
 * the same seed yields an identical aggregated report signature across
   ``jobs=1`` and ``jobs=4`` (sharding never leaks into the numbers);
-* telemetry never changes campaign outcomes, and disabled telemetry
-  leaves no report behind;
+* phase counts and the signature stay exact however small the timeline
+  ring is;
+* telemetry never changes campaign outcomes or the engine's tallies, and
+  disabled telemetry leaves no report behind;
 * the exported trace files parse and their per-injection phase times sum
   to no more than the campaign's wall-clock.
 """
@@ -16,9 +18,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.apps.base import TRAP_FREE_MEMO
 from repro.core import LETGO_E
 from repro.faultinject import CampaignConfig, CampaignEngine
+from repro.faultinject import engine as engine_mod
 from repro.fuzz.app import FuzzAppA
 from repro.telemetry import INJECTION_PHASES, read_jsonl
 
@@ -90,6 +95,58 @@ def test_signature_identical_at_every_ladder_interval(pennant_app):
     assert lagged > 0  # repaired runs converge too, behind the grid
 
 
+def test_small_ring_keeps_phase_counts_and_signature_exact(
+    pennant_app, monkeypatch
+):
+    # The ring holds only the timeline: with room for 8 events per
+    # stream, every per-injection phase is still counted exactly.
+    reference = _run(pennant_app, LETGO_E, jobs=1)[1].signature()
+    monkeypatch.setattr(engine_mod, "DEFAULT_CAPACITY", 8)
+    for jobs in (1, 2):
+        _, report = _run(pennant_app, LETGO_E, jobs=jobs)
+        for phase in ("restore", "advance-to-site", "post-fault"):
+            assert report.phases[phase].count == N, (jobs, phase)
+        assert report.signature() == reference, jobs
+        assert report.events <= 8
+        assert report.dropped > 0
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"jobs": 1},
+        {"jobs": 2, "ladder_interval": 0},
+        {"jobs": 1, "wall_clock_limit": 0.0},
+    ],
+    ids=["ladder", "cold", "watchdog"],
+)
+def test_engine_stats_tallies_identical_with_telemetry_on_and_off(
+    pennant_app, knobs
+):
+    tallies = []
+    for telemetry in (False, True):
+        TRAP_FREE_MEMO.clear()
+        engine = CampaignEngine(
+            config=CampaignConfig(telemetry=telemetry, **knobs)
+        )
+        engine.run(pennant_app, N, SEED, LETGO_E)
+        stats = engine.stats
+        tallies.append(
+            (
+                stats.restored,
+                stats.cold_starts,
+                stats.fast_forward_steps,
+                stats.timeouts,
+                stats.executed,
+            )
+        )
+    assert tallies[0] == tallies[1]
+    restored, cold, fast_forward, timeouts, executed = tallies[0]
+    assert executed == N and fast_forward > 0
+    assert (cold == N) == (knobs.get("ladder_interval") == 0)
+    assert (timeouts > 0) == ("wall_clock_limit" in knobs)
+
+
 def test_telemetry_does_not_change_outcomes(pennant_app):
     plain = CampaignEngine(config=CampaignConfig(jobs=1))
     traced = CampaignEngine(config=CampaignConfig(jobs=1, telemetry=True))
@@ -129,6 +186,9 @@ def test_trace_files_written_and_parse(pennant_app, tmp_path):
     assert meta["app"] == pennant_app.name
     assert meta["n"] == N and meta["seed"] == SEED
     assert meta["counters"] == engine.telemetry.counters
+    # The header carries the exact phase totals, not just the timeline.
+    assert meta["phases"]["post-fault"]["count"] == N
+    assert meta["phases"]["shard"]["count"] == 2
     assert any(r["kind"] == "span" and r["name"] == "shard" for r in records)
     # Worker streams survived the cross-process merge.
     assert any(r["tid"].startswith("shard-") for r in records)

@@ -1,4 +1,4 @@
-"""TelemetryReport: aggregation, the deterministic signature, rendering."""
+"""TelemetryReport: the tracer's totals, the deterministic signature, rendering."""
 
 from __future__ import annotations
 
@@ -16,16 +16,37 @@ def _span(name, ts, dur, tid="t"):
     return {"kind": "span", "name": name, "ts": ts, "dur": dur, "depth": 0, "tid": tid}
 
 
+def _tracer(spans=(), counters=None):
+    """A tracer that absorbed one stream of finished (name, ts, dur) spans.
+
+    Goes through the real merge protocol, so the durations are exact.
+    """
+    phases = {}
+    for name, _, dur in spans:
+        phases.setdefault(name, PhaseStat()).add(dur)
+    tracer = Tracer(tid="engine")
+    tracer.absorb(
+        {
+            "tid": "t",
+            "records": [_span(*span) for span in spans],
+            "counters": dict(counters or {}),
+            "phases": phases,
+            "dropped": 0,
+        }
+    )
+    return tracer
+
+
 # -- phase aggregation -------------------------------------------------------
 
 
 def test_phase_stats_aggregate_count_total_mean_max():
-    records = [
-        _span("restore", 0.0, 0.010),
-        _span("restore", 0.1, 0.030),
-        _span("post-fault", 0.2, 0.500),
+    spans = [
+        ("restore", 0.0, 0.010),
+        ("restore", 0.1, 0.030),
+        ("post-fault", 0.2, 0.500),
     ]
-    report = TelemetryReport.from_records(records, wall_seconds=1.0)
+    report = TelemetryReport.from_tracer(_tracer(spans), wall_seconds=1.0)
     restore = report.phases["restore"]
     assert restore.count == 2
     assert restore.total_seconds == 0.04
@@ -36,11 +57,10 @@ def test_phase_stats_aggregate_count_total_mean_max():
 
 
 def test_non_span_records_counted_but_not_phased():
-    records = [
-        {"kind": "instant", "name": "flip", "ts": 0.0, "args": None, "tid": "t"},
-        {"kind": "gauge", "name": "queue-depth", "ts": 0.0, "value": 1.0, "tid": "t"},
-    ]
-    report = TelemetryReport.from_records(records)
+    tracer = Tracer()
+    tracer.instant("flip")
+    tracer.gauge("queue-depth", 1.0)
+    report = TelemetryReport.from_tracer(tracer)
     assert report.phases == {}
     assert report.events == 2
 
@@ -64,12 +84,12 @@ def test_empty_phase_stat_mean_is_zero():
 
 
 def test_signature_keeps_injection_phases_and_counters_only():
-    records = [
-        _span("restore", 0.0, 0.01),
-        _span("shard", 0.0, 1.0),  # engine-level: geometry-dependent
-        _span("journal-append", 0.5, 0.002),
+    spans = [
+        ("restore", 0.0, 0.01),
+        ("shard", 0.0, 1.0),  # engine-level: geometry-dependent
+        ("journal-append", 0.5, 0.002),
     ]
-    report = TelemetryReport.from_records(records, counters={"retry": 1})
+    report = TelemetryReport.from_tracer(_tracer(spans, counters={"retry": 1}))
     signature = report.signature()
     assert signature == {
         "counters": {"retry": 1},
@@ -82,21 +102,22 @@ def test_signature_drops_ladder_geometry_counters():
     counters = {
         "restore": 9,
         "cold-start": 3,
+        "fast-forward-instr": 40_000,
         "converged": 4,
         "converged-lagged": 2,
         "converged-skipped-instr": 51_000,
         "memo-hit": 7,
         "outcome:benign": 12,
     }
-    report = TelemetryReport.from_records([], counters=counters)
+    report = TelemetryReport.from_tracer(_tracer(counters=counters))
     assert set(LADDER_COUNTERS | MEMO_COUNTERS) < set(counters)
     assert report.signature()["counters"] == {"outcome:benign": 12}
     assert report.counters == counters  # still reported, just not signed
 
 
 def test_signature_independent_of_durations():
-    fast = TelemetryReport.from_records([_span("repair", 0.0, 0.001)])
-    slow = TelemetryReport.from_records([_span("repair", 9.0, 5.000)])
+    fast = TelemetryReport.from_tracer(_tracer([("repair", 0.0, 0.001)]))
+    slow = TelemetryReport.from_tracer(_tracer([("repair", 9.0, 5.000)]))
     assert fast.signature() == slow.signature()
 
 
@@ -127,8 +148,8 @@ def test_outcome_and_heuristic_accessors_strip_prefixes():
 
 
 def test_phase_seconds_totals():
-    report = TelemetryReport.from_records(
-        [_span("restore", 0.0, 0.25), _span("restore", 1.0, 0.25)]
+    report = TelemetryReport.from_tracer(
+        _tracer([("restore", 0.0, 0.25), ("restore", 1.0, 0.25)])
     )
     assert report.phase_seconds() == {"restore": 0.5}
 
@@ -137,9 +158,8 @@ def test_phase_seconds_totals():
 
 
 def test_render_mentions_phases_counters_and_wall():
-    report = TelemetryReport.from_records(
-        [_span("post-fault", 0.0, 0.6)],
-        counters={"outcome:masked": 7},
+    report = TelemetryReport.from_tracer(
+        _tracer([("post-fault", 0.0, 0.6)], counters={"outcome:masked": 7}),
         wall_seconds=1.2,
     )
     text = report.render(title="telemetry: demo")
@@ -151,5 +171,8 @@ def test_render_mentions_phases_counters_and_wall():
 
 
 def test_render_notes_ring_buffer_drops():
-    report = TelemetryReport.from_records([], dropped=4)
+    tracer = Tracer(capacity=1)
+    for name in "abcde":
+        tracer.instant(name)  # each evicts its predecessor
+    report = TelemetryReport.from_tracer(tracer)
     assert "4 dropped" in report.render()

@@ -1,10 +1,10 @@
-"""Tracer unit tests: no-op contract, spans, counters, ring, merge."""
+"""Tracer unit tests: no-op contract, spans, counters, ring, merge, totals."""
 
 from __future__ import annotations
 
 import pickle
 
-from repro.telemetry import NULL_TRACER, Tracer
+from repro.telemetry import NULL_TRACER, PhaseStat, Tracer
 
 
 # -- disabled tracer ---------------------------------------------------------
@@ -122,3 +122,58 @@ def test_records_sorted_across_streams():
     parent.absorb(leaf.export(), offset=-1.0)
     names = [r["name"] for r in parent.records()]
     assert names == ["early", "late"]
+
+
+# -- exact totals ------------------------------------------------------------
+
+
+def test_spans_feed_streaming_phase_totals():
+    tracer = Tracer(capacity=1)
+    for _ in range(3):
+        with tracer.span("restore"):
+            pass
+    stat = tracer.phases["restore"]
+    assert stat.count == 3  # exact, though the ring kept one record
+    assert 0 <= stat.max_seconds <= stat.total_seconds
+    assert len(tracer.records()) == 1 and tracer.dropped == 2
+
+
+def test_capacity_zero_keeps_totals_but_no_timeline():
+    tracer = Tracer(capacity=0)
+    with tracer.span("post-fault"):
+        tracer.instant("flip", pc=4)
+        tracer.gauge("queue-depth", 2)
+    tracer.count("outcome:masked")
+    assert tracer.records() == []
+    assert tracer.dropped == 0  # nothing was built, so nothing dropped
+    assert tracer.phases["post-fault"].count == 1
+    assert tracer.counters == {"outcome:masked": 1}
+
+
+def test_absorb_merges_phases_by_sum_and_max():
+    parent = Tracer(tid="engine")
+    parent.phases["restore"] = PhaseStat(2, 0.5, 0.4)
+    leaf = Tracer(tid="shard-0")
+    leaf.phases["restore"] = PhaseStat(3, 0.25, 0.125)
+    leaf.phases["repair"] = PhaseStat(1, 0.0625, 0.0625)
+    payload = pickle.loads(pickle.dumps(leaf.export()))
+    parent.absorb(payload)
+    assert parent.phases == {
+        "restore": PhaseStat(5, 0.75, 0.4),
+        "repair": PhaseStat(1, 0.0625, 0.0625),
+    }
+    parent.absorb(payload)  # the payload is a copy: absorbing it again adds
+    assert parent.phases["repair"] == PhaseStat(2, 0.125, 0.0625)
+    assert leaf.phases["restore"] == PhaseStat(3, 0.25, 0.125)
+
+
+def test_absorbed_records_respect_the_ring_bound():
+    parent = Tracer(capacity=4, tid="engine")
+    parent.instant("own")
+    for shard in range(3):
+        leaf = Tracer(tid=f"shard-{shard}")
+        for i in range(3):
+            leaf.instant(f"e{i}")
+        parent.absorb(leaf.export())
+    assert len(parent.records()) == 4
+    assert parent.dropped == 10 - 4
