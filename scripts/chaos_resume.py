@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Chaos check: SIGKILL a campaign worker mid-run, then resume.
+"""Chaos check: SIGKILL a campaign worker mid-run, then resume; tear the
+journal's last line, then resume again.
 
 Stages a worker that kills itself (SIGKILL, like the OOM killer) the
 first time it sees one specific injection plan.  The supervising engine
@@ -7,6 +8,11 @@ is configured with no pool rebuilds and no serial fallback, so the
 campaign aborts with a durable journal.  The script then clears the
 fault and resumes from that journal, asserting the reassembled
 CampaignResult is bit-identical to an uninterrupted serial run.
+
+Torn-tail phase: the finished journal is cut partway through its last
+line, as a crash mid-append would leave it.  Resuming must re-run only
+that shard, append after the cut, and again give the bit-identical
+result.
 
 Run from the repo root:
 
@@ -119,6 +125,39 @@ def main() -> int:
         print("[chaos] FAIL: resumed result differs from the serial run")
         return 1
     print("[chaos] OK: resumed result is bit-identical to the serial run")
+    return torn_tail(app, journal_path, reference)
+
+
+def torn_tail(app, journal_path: Path, reference) -> int:
+    """Cut the finished journal mid-way through its last line, resume,
+    and require the serial result and a journal of whole lines."""
+    data = journal_path.read_bytes()
+    last = data.rindex(b"\n", 0, len(data) - 1) + 1
+    journal_path.write_bytes(data[: (last + len(data)) // 2])
+    kept = CampaignJournal.load(journal_path).completed_indices
+    print(
+        f"[chaos] tore the journal's last line: {len(kept)}/{N} plans kept"
+    )
+    engine = CampaignEngine(
+        config=CampaignConfig(
+            jobs=2, keep_results=True, resume=str(journal_path)
+        )
+    )
+    resumed = engine.run(app, N, SEED)
+    print(
+        f"[chaos] resumed={engine.stats.resumed} "
+        f"executed={engine.stats.executed}"
+    )
+    if engine.stats.executed == 0 or len(kept) >= N:
+        print("[chaos] FAIL: the torn line's shard was not re-run")
+        return 1
+    if _fingerprint(resumed) != _fingerprint(reference):
+        print("[chaos] FAIL: torn-tail resume differs from the serial run")
+        return 1
+    if CampaignJournal.load(journal_path).completed_indices != set(range(N)):
+        print("[chaos] FAIL: the resumed journal does not hold every plan")
+        return 1
+    print("[chaos] OK: torn-tail resume is bit-identical to the serial run")
     return 0
 
 

@@ -263,10 +263,12 @@ class TrapFreeMemo:
     results :meth:`admits` are stored: no signal, no repair, no watchdog
     expiry.
 
-    ``added`` (None until :meth:`take_added` is first called, which a
-    pool worker does) collects every entry put since the last call, so a
-    worker can ship its new entries back to the campaign parent with its
-    shard.
+    A pool worker's memo is a function of the parent's: the parent ships
+    the entries it holds for a shard's plans (:meth:`subset`), and the
+    worker resets its memo to exactly those (:meth:`reset`) before
+    running the shard.  ``added`` (None until the first :meth:`reset`)
+    then collects every entry put since, which the worker ships back
+    with the shard (:meth:`take_added`).
     """
 
     def __init__(self, capacity: int = MEMO_CAPACITY):
@@ -309,9 +311,18 @@ class TrapFreeMemo:
         if self.added is not None:
             self.added.append((key, entry))
 
+    def subset(self, keys) -> list[tuple[tuple, MemoEntry]]:
+        """The held entries among *keys*, without touching LRU order."""
+        entries = self._entries
+        return [(key, entries[key]) for key in keys if key in entries]
+
+    def reset(self, entries: list[tuple[tuple, MemoEntry]]) -> None:
+        """Hold exactly *entries*, and track every entry put from now on."""
+        self._entries = OrderedDict(entries)
+        self.added = []
+
     def take_added(self) -> list[tuple[tuple, MemoEntry]]:
-        """The entries put since the last call; the first call starts
-        tracking them."""
+        """The entries put since the last :meth:`reset` or call."""
         added, self.added = self.added or [], []
         return added
 

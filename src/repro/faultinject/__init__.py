@@ -13,7 +13,12 @@ from repro.faultinject.campaign import (
     run_campaign,
     run_paired_campaigns,
 )
-from repro.faultinject.engine import NO_LADDER, CampaignEngine, EngineStats
+from repro.faultinject.engine import (
+    NO_LADDER,
+    CampaignEngine,
+    EngineStats,
+    shutdown_workers,
+)
 from repro.faultinject.fault_model import (
     InjectionPlan,
     flip_bit,
@@ -71,6 +76,7 @@ __all__ = [
     "CampaignEngine",
     "EngineStats",
     "NO_LADDER",
+    "shutdown_workers",
     "Outcome",
     "FINISHED_OUTCOMES",
     "LETGO_CRASH_OUTCOMES",

@@ -21,20 +21,24 @@ identical result.
 the same under every LetGo configuration.  Every shard passes the
 process-wide :data:`~repro.apps.base.TRAP_FREE_MEMO`, so a campaign
 family (baseline plus LetGo variants on the same plans) runs each such
-plan once; later configurations only restore, advance and flip.  Pool
-workers send the entries they add back with their shard, and the parent
-merges them, so a later campaign's forked pool starts warm.
+plan once; later configurations only restore, advance and flip.  A
+pooled shard ships with the parent's entries for its plans, and the
+worker sends the entries it adds back with its results, so pooled and
+in-process campaigns are served alike.
 
 **Multiprocess fan-out.**  Plans are split into contiguous shards, each
-shard sorted by injection depth for ladder locality, and executed on a
-``ProcessPoolExecutor``.  Nothing un-picklable crosses the process
-boundary: workers re-derive the app (registry name or import path) and
-rebuild the ladder from (source, interval) -- on fork-based platforms the
-parent's caches are inherited, so this is free.  Shard results are merged
-in plan order, which makes the parallel output *identical* to the serial
-output for the same seed -- counts, per-plan outcomes, and result
-ordering -- preserving the paired-campaign property every
-Figure-5/Table-3 comparison relies on.
+shard sorted by injection depth for ladder locality, and executed on one
+process-wide ``ProcessPoolExecutor`` that lives across campaigns (see
+:func:`shutdown_workers`).  Nothing un-picklable crosses the process
+boundary: each shard carries its app spec (registry name or import
+path), LetGo config and campaign config, and workers re-derive the app
+and ladder from (source, interval) through module caches -- on
+fork-based platforms those the parent held when the pool started are
+inherited, so this is free.  Shard results are merged in plan order,
+which makes the parallel output *identical* to the serial output for the
+same seed -- counts, per-plan outcomes, and result ordering -- preserving
+the paired-campaign property every Figure-5/Table-3 comparison relies
+on.
 
 On top of both sits the **resilience layer**, applying the paper's own
 checkpoint/restart discipline to the campaign runner itself:
@@ -72,7 +76,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.apps.base import TRAP_FREE_MEMO, MiniApp
+from repro.apps.base import TRAP_FREE_MEMO, MiniApp, TrapFreeMemo
 from repro.checkpoint.snapshot import SnapshotLadder, restore_into, snapshot
 from repro.core.config import LetGoConfig
 from repro.errors import CampaignAbortedError
@@ -243,14 +247,12 @@ def _capacity(campaign: CampaignConfig) -> int:
 
 # -- worker protocol --------------------------------------------------------
 #
-# Workers receive only picklable values, once, at pool init: an app *spec*
-# (registry name or module:qualname import path), the LetGo config and the
-# CampaignConfig (both frozen dataclasses).  App, program image and ladder
-# are re-derived worker-side through the same module caches the parent
-# uses.
-
-#: (app, ladder, letgo_config, campaign) of this worker process.
-_WORKER: tuple = ()
+# Every shard task carries only picklable values: an app *spec* (registry
+# name or module:qualname import path), the LetGo config, the
+# CampaignConfig (both frozen dataclasses), the batch, and the parent's
+# trap-free memo entries for the batch's plans.  App, program image and
+# ladder are re-derived worker-side through the same module caches the
+# parent uses, so a worker holds no campaign state between shards.
 
 
 def _app_from_spec(spec: tuple) -> MiniApp:
@@ -288,20 +290,64 @@ def _app_spec(app: MiniApp) -> tuple | None:
     return spec
 
 
-def _worker_init(
-    spec: tuple, letgo_config: LetGoConfig | None, campaign: CampaignConfig
-) -> None:
-    global _WORKER
+def _worker_run(
+    spec: tuple,
+    letgo_config: LetGoConfig | None,
+    campaign: CampaignConfig,
+    batch: list[tuple[int, InjectionPlan]],
+    memo_entries: list,
+):
+    """One pooled shard, plus the trap-free memo entries it added.
+
+    The worker's memo is reset to exactly the parent's entries for this
+    shard's plans, so what the shard may be served never depends on what
+    this worker ran before.
+    """
     app = _app_from_spec(spec)
-    _WORKER = (app, _ladder_for(app, campaign), letgo_config, campaign)
-    TRAP_FREE_MEMO.take_added()  # track the entries this worker adds
-
-
-def _worker_run(batch: list[tuple[int, InjectionPlan]]):
-    """One pooled shard, plus the trap-free memo entries it added."""
-    app, ladder, letgo_config, campaign = _WORKER
-    pairs, payload = _run_shard(app, ladder, letgo_config, batch, campaign)
+    TRAP_FREE_MEMO.reset(memo_entries)
+    pairs, payload = _run_shard(
+        app, _ladder_for(app, campaign), letgo_config, batch, campaign
+    )
     return pairs, payload, TRAP_FREE_MEMO.take_added()
+
+
+# -- the process-wide worker pool -------------------------------------------
+#
+# Starting a pool costs tens of milliseconds, as much as a small campaign,
+# so workers outlive the campaign that started them: every later pooled
+# campaign with the same worker count reuses them.
+
+#: (pid of the process that started it, workers, executor), or None.
+_POOL: tuple[int, int, ProcessPoolExecutor] | None = None
+
+
+def _worker_pool(jobs: int) -> ProcessPoolExecutor:
+    """The process-wide pool of *jobs* workers, started on first use; a
+    pool of another size is dropped and replaced."""
+    global _POOL
+    if _POOL is not None and _POOL[:2] == (os.getpid(), jobs):
+        return _POOL[2]
+    shutdown_workers()
+    _POOL = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=jobs))
+    return _POOL[2]
+
+
+def shutdown_workers() -> None:
+    """Drop the process-wide worker pool; the next pooled campaign starts
+    a fresh one.  Queued shards are cancelled, and workers exit once the
+    shard each is running ends.
+
+    The main interpreter's exit needs no call.  A ``multiprocessing``
+    child that ran a pooled campaign should call it before it returns:
+    a child's exit joins the child's own children, idle workers too.
+    """
+    global _POOL
+    if _POOL is None:
+        return
+    pid, _, pool = _POOL
+    _POOL = None
+    if pid == os.getpid():  # a forked child must not touch its parent's pool
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _split(items: list, k: int) -> list[list]:
@@ -377,13 +423,18 @@ class _Supervisor:
 
     def _make_pool(self) -> ProcessPoolExecutor | None:
         try:
-            return ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_worker_init,
-                initargs=(self.spec, self.letgo_config, self.campaign),
-            )
+            return _worker_pool(self.jobs)
         except Exception:
             return None
+
+    def _submit(self, pool: ProcessPoolExecutor, shard: list):
+        keys = (
+            TrapFreeMemo.key(self.app, plan, self.ladder) for _, plan in shard
+        )
+        return pool.submit(
+            _worker_run, self.spec, self.letgo_config, self.campaign, shard,
+            TRAP_FREE_MEMO.subset(keys),
+        )
 
     def _run_pool(self) -> None:
         pool = self._make_pool()
@@ -402,7 +453,7 @@ class _Supervisor:
                         self.queue.append(shard)
                         continue
                     try:
-                        futures[pool.submit(_worker_run, shard)] = shard
+                        futures[self._submit(pool, shard)] = shard
                     except BrokenExecutor:
                         broken = True
                         self.queue.append(shard)
@@ -420,7 +471,7 @@ class _Supervisor:
                             TRAP_FREE_MEMO.put(key, entry)
                         self._commit(pairs, payload)
                 if broken:
-                    pool.shutdown(wait=False, cancel_futures=True)
+                    shutdown_workers()
                     self.tracer.count("pool-rebuild")
                     rebuilds = self.tracer.counters["pool-rebuild"]
                     self.tracer.instant("pool-rebuild", n=rebuilds)
@@ -432,16 +483,16 @@ class _Supervisor:
                                     self.journal.path if self.journal else None
                                 ),
                             )
-                        pool = None
                         self._degrade()
                         return
                     pool = self._make_pool()
                     if pool is None:
                         self._degrade()
                         return
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+        except BaseException:
+            # Abandoned shards must not hold up the next campaign's workers.
+            shutdown_workers()
+            raise
 
     def _degrade(self) -> None:
         """Multiprocessing unavailable or unreliable: finish in-process."""
@@ -611,7 +662,7 @@ class CampaignEngine:
             )
 
         # Building (or fetching) the ladder in the parent warms the
-        # per-source cache, which fork-based workers inherit for free.
+        # per-source cache, which a pool forked after it inherits.
         with tracer.span("ladder"):
             ladder = _ladder_for(app, cfg)
 
@@ -706,4 +757,5 @@ __all__ = [
     "CampaignEngine",
     "EngineStats",
     "NO_LADDER",
+    "shutdown_workers",
 ]

@@ -9,13 +9,21 @@ resumes from its journal and re-runs only the missing 10%.
 
 Durability contract
 -------------------
-The journal is a single JSON document rewritten atomically on every
-appended record (temp file in the same directory + fsync + ``os.replace``,
-via :func:`~repro.faultinject.persistence.atomic_write_text`).  A reader
-therefore always sees a complete, parseable journal: either the state
-before the append or the state after, never a torn write.  Rewriting the
-whole document keeps the format trivially recoverable; at campaign scale
-the journal is small relative to the injection work it checkpoints.
+The journal is a JSON-lines file that only ever grows.  :meth:`create`
+writes one header line; every completed shard and every quarantined plan
+then appends one compact JSON line with ``write`` + ``flush`` +
+``fsync`` before the call returns.  An append therefore costs the size of
+its own record, whatever the journal already holds, and the file keeps
+its inode: there is no temp file and no rename.
+
+A crash can tear only the append in flight, and an append is one line
+ending in a newline, so a torn write leaves a *final* line without one.
+:meth:`CampaignJournal.load` drops that fragment (its shard simply runs
+again) and cuts it off the file before the next append, so a resumed
+journal never glues a record onto a fragment.  Any other malformed line
+-- a complete line that does not parse, or an unknown record -- raises
+:class:`~repro.errors.JournalError`, as does a journal of another format
+(format 1 was a whole JSON document rewritten per append).
 
 Identity contract
 -----------------
@@ -35,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -43,7 +52,6 @@ from repro.errors import JournalError
 from repro.faultinject.fault_model import InjectionPlan
 from repro.faultinject.injector import InjectionResult
 from repro.faultinject.persistence import (
-    atomic_write_text,
     plan_from_dict,
     plan_to_dict,
     result_from_dict,
@@ -52,7 +60,7 @@ from repro.faultinject.persistence import (
 from repro.telemetry.tracer import NULL_TRACER
 
 #: Format version written into every journal.
-JOURNAL_FORMAT = 1
+JOURNAL_FORMAT = 2
 
 
 def plans_digest(plans: Sequence[InjectionPlan]) -> str:
@@ -131,6 +139,9 @@ class CampaignJournal:
         self._shards: list[tuple[tuple[int, ...], list[InjectionResult]]] = []
         self._quarantined: list[QuarantineRecord] = []
         self._seen: set[int] = set()
+        #: File length without the torn final line :meth:`load` found,
+        #: cut back to before the next append (None: nothing to cut).
+        self._torn_at: int | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -138,52 +149,64 @@ class CampaignJournal:
     def create(
         cls, path: str | Path, header: JournalHeader, overwrite: bool = False
     ) -> "CampaignJournal":
-        """Start a fresh journal at *path* (written immediately)."""
-        path = Path(path)
-        if path.exists() and not overwrite:
+        """Start a fresh journal at *path* (its header written durably)."""
+        journal = cls(path, header)
+        try:
+            journal._append(
+                {"format": JOURNAL_FORMAT, "header": header.to_dict()},
+                mode="wb" if overwrite else "xb",
+            )
+        except FileExistsError:
             raise JournalError(
                 f"journal {path} already exists; resume from it or remove it"
-            )
-        journal = cls(path, header)
-        journal._flush()
+            ) from None
         return journal
 
     @classmethod
     def load(cls, path: str | Path) -> "CampaignJournal":
-        """Read a journal back, validating format and uniqueness."""
+        """Read a journal back, validating format, lines and uniqueness.
+
+        Only the final line may be torn (no trailing newline): it is
+        ignored here and cut off the file before the next append.
+        """
         path = Path(path)
         try:
-            payload = json.loads(path.read_text())
+            data = path.read_bytes()
         except FileNotFoundError:
             raise JournalError(f"no journal at {path}") from None
-        except (OSError, json.JSONDecodeError) as exc:
+        except OSError as exc:
             raise JournalError(f"unreadable journal {path}: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("format") != JOURNAL_FORMAT:
-            raise JournalError(
-                f"unsupported journal format {payload.get('format')!r} in {path}"
-                if isinstance(payload, dict)
-                else f"journal {path} is not a JSON object"
-            )
+        head, newline, body = data.partition(b"\n")
         try:
-            header = JournalHeader(**payload["header"])
-            journal = cls(path, header)
-            for shard in payload.get("shards", []):
-                indices = [int(i) for i in shard["indices"]]
-                results = [result_from_dict(r) for r in shard["results"]]
-                journal._admit_shard(indices, results)
-            for record in payload.get("quarantined", []):
-                journal._admit_quarantine(
-                    QuarantineRecord(
-                        index=int(record["index"]),
-                        plan=plan_from_dict(record["plan"]),
-                        error=record["error"],
-                        attempts=int(record.get("attempts", 1)),
-                    )
-                )
-        except JournalError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise JournalError(f"malformed journal {path}: {exc!r}") from exc
+            first = json.loads(head)
+        except ValueError:
+            try:  # a format-1 journal is one JSON document over many lines
+                first = json.loads(data)
+            except ValueError as exc:
+                raise JournalError(f"unreadable journal {path}: {exc}") from exc
+        if not isinstance(first, dict):
+            raise JournalError(f"journal {path} does not start with a JSON object")
+        if first.get("format") != JOURNAL_FORMAT:
+            raise JournalError(
+                f"unsupported journal format {first.get('format')!r} in {path} "
+                f"(this version reads format {JOURNAL_FORMAT} only)"
+            )
+        if not newline:
+            raise JournalError(f"malformed journal {path}: torn header line")
+        try:
+            journal = cls(path, JournalHeader(**first["header"]))
+        except (KeyError, TypeError) as exc:
+            raise JournalError(f"malformed journal {path}: header {exc!r}") from exc
+        *lines, torn = body.split(b"\n")
+        for lineno, line in enumerate(lines, start=2):
+            try:
+                journal._admit_line(json.loads(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise JournalError(
+                    f"malformed journal {path}, line {lineno}: {exc!r}"
+                ) from exc
+        if torn:
+            journal._torn_at = len(data) - len(torn)
         return journal
 
     def verify(self, header: JournalHeader) -> None:
@@ -212,9 +235,14 @@ class CampaignJournal:
         self, indices: Iterable[int], results: Sequence[InjectionResult]
     ) -> None:
         """Durably journal one completed shard."""
-        self._admit_shard(list(indices), list(results))
+        indices, results = list(indices), list(results)
+        self._admit_shard(indices, results)
         with self.tracer.span("journal-append"):
-            self._flush()
+            self._append({
+                "kind": "shard",
+                "indices": indices,
+                "results": [result_to_dict(r) for r in results],
+            })
 
     def record_quarantine(
         self, index: int, plan: InjectionPlan, error: str, attempts: int
@@ -224,7 +252,44 @@ class CampaignJournal:
             QuarantineRecord(index=index, plan=plan, error=error, attempts=attempts)
         )
         with self.tracer.span("journal-append"):
-            self._flush()
+            self._append({
+                "kind": "quarantine",
+                "index": index,
+                "plan": plan_to_dict(plan),
+                "error": error,
+                "attempts": attempts,
+            })
+
+    def _append(self, record: dict, mode: str = "ab") -> None:
+        """Write *record* as one line and fsync it before returning."""
+        line = json.dumps(record, separators=(",", ":")).encode() + b"\n"
+        with open(self.path, mode) as handle:
+            if self._torn_at is not None:
+                handle.truncate(self._torn_at)
+                self._torn_at = None
+            handle.write(line)
+            handle.flush()
+            os.fsync(handle.fileno())
+
+    def _admit_line(self, record: dict) -> None:
+        """Take in one shard or quarantine line read back by :meth:`load`."""
+        kind = record["kind"]
+        if kind == "shard":
+            self._admit_shard(
+                [int(i) for i in record["indices"]],
+                [result_from_dict(r) for r in record["results"]],
+            )
+        elif kind == "quarantine":
+            self._admit_quarantine(
+                QuarantineRecord(
+                    index=int(record["index"]),
+                    plan=plan_from_dict(record["plan"]),
+                    error=record["error"],
+                    attempts=int(record["attempts"]),
+                )
+            )
+        else:
+            raise ValueError(f"unknown record kind {kind!r}")
 
     def _claim(self, indices: Iterable[int]) -> None:
         for index in indices:
@@ -279,31 +344,6 @@ class CampaignJournal:
         ]
         out.sort(key=lambda pair: pair[0])
         return out
-
-    # -- serialization -----------------------------------------------------
-
-    def _flush(self) -> None:
-        payload = {
-            "format": JOURNAL_FORMAT,
-            "header": self.header.to_dict(),
-            "shards": [
-                {
-                    "indices": list(indices),
-                    "results": [result_to_dict(r) for r in results],
-                }
-                for indices, results in self._shards
-            ],
-            "quarantined": [
-                {
-                    "index": record.index,
-                    "plan": plan_to_dict(record.plan),
-                    "error": record.error,
-                    "attempts": record.attempts,
-                }
-                for record in self._quarantined
-            ],
-        }
-        atomic_write_text(self.path, json.dumps(payload, indent=1))
 
 
 __all__ = [

@@ -103,13 +103,6 @@ def result_from_dict(data: dict) -> InjectionResult:
     )
 
 
-# Backwards-compatible private aliases (pre-journal spelling).
-_plan_to_dict = plan_to_dict
-_plan_from_dict = plan_from_dict
-_result_to_dict = result_to_dict
-_result_from_dict = result_from_dict
-
-
 def campaign_to_json(campaign: CampaignResult) -> str:
     """Serialize a campaign (including per-run records if kept)."""
     payload = {

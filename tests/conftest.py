@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps import make_app
 from repro.apps.base import TRAP_FREE_MEMO
+from repro.faultinject import shutdown_workers
 from repro.isa import assemble
 from repro.lang import compile_unit
 
@@ -108,6 +109,14 @@ def _cleared_trap_free_memo():
     TRAP_FREE_MEMO.clear()
     yield
     TRAP_FREE_MEMO.clear()
+
+
+@pytest.fixture(autouse=True)
+def _dropped_worker_pool():
+    """Each test's first pooled campaign forks a fresh worker pool, so
+    workers inherit what the test patched in the parent before it."""
+    yield
+    shutdown_workers()
 
 
 def _cached_app(name):

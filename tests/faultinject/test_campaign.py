@@ -148,8 +148,6 @@ def test_merge_shard_with_zero_results():
 def test_duplicate_plans_on_bad_resume_raise(pennant_app, tmp_path):
     """A doctored journal that repeats a shard must raise at resume time,
     not silently double-count the duplicated plans."""
-    import json
-
     from repro.errors import JournalError
     from repro.faultinject import CampaignEngine
 
@@ -157,9 +155,9 @@ def test_duplicate_plans_on_bad_resume_raise(pennant_app, tmp_path):
     CampaignEngine(config=CampaignConfig(journal=str(path))).run(
         pennant_app, 4, seed=SEED
     )
-    payload = json.loads(path.read_text())
-    payload["shards"].append(payload["shards"][0])
-    path.write_text(json.dumps(payload))
+    header, shard, *_ = path.read_text().splitlines(keepends=True)
+    with path.open("a") as handle:
+        handle.write(shard)
     with pytest.raises(JournalError, match="twice"):
         CampaignEngine(config=CampaignConfig(resume=str(path))).run(
             pennant_app, 4, seed=SEED

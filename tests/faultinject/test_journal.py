@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro.errors import JournalError
-from repro.faultinject import InjectionResult, Outcome, plan_injections
+from repro.faultinject import (
+    CampaignConfig,
+    CampaignEngine,
+    InjectionResult,
+    Outcome,
+    plan_injections,
+)
 from repro.faultinject.journal import (
     JOURNAL_FORMAT,
     CampaignJournal,
@@ -50,13 +56,17 @@ def test_roundtrip(tmp_path, plans, header):
 
 
 def test_every_append_is_durable_and_atomic(tmp_path, plans, header):
-    """The on-disk file parses after every append; no temp litter."""
+    """The on-disk file parses after every append, which adds one line to
+    the same file: no rewrite, no temp litter."""
     path = tmp_path / "c.journal"
     journal = CampaignJournal.create(path, header)
+    inode = path.stat().st_ino
     assert CampaignJournal.load(path).completed_indices == frozenset()
     for idx in range(3):
         journal.record_shard([idx], [_result(plans[idx])])
         assert CampaignJournal.load(path).completed_indices == set(range(idx + 1))
+        assert len(path.read_bytes().splitlines()) == 1 + idx + 1
+        assert path.stat().st_ino == inode
     assert [p.name for p in tmp_path.iterdir()] == ["c.journal"]
 
 
@@ -82,9 +92,9 @@ def test_duplicate_plan_rejected_on_load(tmp_path, plans, header):
     path = tmp_path / "c.journal"
     journal = CampaignJournal.create(path, header)
     journal.record_shard([3], [_result(plans[3])])
-    payload = json.loads(path.read_text())
-    payload["shards"].append(payload["shards"][0])
-    path.write_text(json.dumps(payload))
+    header, shard = path.read_text().splitlines(keepends=True)
+    with path.open("a") as handle:
+        handle.write(shard)
     with pytest.raises(JournalError, match="twice"):
         CampaignJournal.load(path)
 
@@ -133,3 +143,61 @@ def test_plans_digest_pins_population(plans):
     assert plans_digest(plans) != plans_digest(plans[:-1])
     reordered = [plans[1], plans[0], *plans[2:]]
     assert plans_digest(plans) != plans_digest(reordered)
+
+
+def _fingerprint(result):
+    return result.n, result.counts, result.results
+
+
+def test_torn_final_line_is_cut_before_the_resumed_appends(
+    tmp_path, pennant_app
+):
+    """A crash mid-append leaves a final line without its newline: load
+    ignores it, the resume re-runs that shard and appends after the cut,
+    and the reloaded journal equals the uninterrupted campaign."""
+    path = tmp_path / "c.journal"
+    knobs = dict(jobs=1, shard_size=2, keep_results=True)
+    full = CampaignEngine(config=CampaignConfig(journal=str(path), **knobs))
+    reference = full.run(pennant_app, 8, SEED)
+    data = path.read_bytes()
+    last = data.rindex(b"\n", 0, len(data) - 1) + 1
+    path.write_bytes(data[: (last + len(data)) // 2])
+
+    assert CampaignJournal.load(path).completed_indices == set(range(6))
+    engine = CampaignEngine(config=CampaignConfig(resume=str(path), **knobs))
+    resumed = engine.run(pennant_app, 8, SEED)
+    assert engine.stats.resumed == 6
+    assert _fingerprint(resumed) == _fingerprint(reference)
+    assert path.read_bytes() == data
+    assert CampaignJournal.load(path).pairs() == list(
+        enumerate(reference.results)
+    )
+
+
+@pytest.mark.parametrize(
+    "bad", [b"{not json}", b'{"kind":"shard","indices":[5]', b'{"kind":"x"}']
+)
+def test_malformed_middle_line_raises(tmp_path, plans, header, bad):
+    path = tmp_path / "c.journal"
+    journal = CampaignJournal.create(path, header)
+    for idx in range(3):
+        journal.record_shard([idx], [_result(plans[idx])])
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = bad + b"\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(JournalError, match="malformed journal .*line 3"):
+        CampaignJournal.load(path)
+
+
+def test_format_1_document_is_rejected_by_name(tmp_path, plans, header):
+    """Journals written before the append-only format were one JSON
+    document, rewritten whole per append."""
+    path = tmp_path / "c.journal"
+    path.write_text(json.dumps({
+        "format": 1,
+        "header": header.to_dict(),
+        "shards": [{"indices": [0], "results": []}],
+        "quarantined": [],
+    }, indent=1))
+    with pytest.raises(JournalError, match="format 1"):
+        CampaignJournal.load(path)

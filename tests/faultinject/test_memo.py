@@ -1,8 +1,6 @@
 """Trap-free memo: what it stores, how a hit replays, worker merge, and
 the ``paired`` oracle and memo mutant that guard it."""
 
-import multiprocessing
-
 import numpy as np
 import pytest
 
@@ -16,6 +14,7 @@ from repro.faultinject import (
     plan_injections,
     run_injection,
 )
+from repro.faultinject.engine import _app_spec, _worker_run
 from repro.fuzz.oracles import check_paired
 from repro.fuzz.runner import mutation_selftest
 from repro.telemetry import Tracer
@@ -128,11 +127,10 @@ def _paired(app, jobs):
     return runs
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="pool workers inherit the parent's memo only under fork",
-)
 def test_pooled_paired_campaign_hits_and_keeps_its_signature(pennant_app):
+    """Pooled shards are served exactly what the parent's memo holds:
+    the shared workers' own history neither adds hits nor survives a
+    clear in the parent."""
     pooled = _paired(pennant_app, jobs=2)
     assert len(TRAP_FREE_MEMO) > 0          # worker entries reached the parent
     assert "memo-hit" not in pooled[0][1].counters
@@ -142,6 +140,7 @@ def test_pooled_paired_campaign_hits_and_keeps_its_signature(pennant_app):
     for (results, tel), (want, want_tel) in zip(pooled, serial):
         assert results == want
         assert tel.signature() == want_tel.signature()
+        assert tel.counters.get("memo-hit") == want_tel.counters.get("memo-hit")
     TRAP_FREE_MEMO.clear()
     engine = CampaignEngine(config=CampaignConfig(
         jobs=2, keep_results=True, telemetry=True
@@ -162,3 +161,18 @@ def test_memo_mutant_is_caught_and_shrunk():
     assert result.shrunk_len == 1 < result.original_len
     assert len(TRAP_FREE_MEMO) == 0
     assert type(TRAP_FREE_MEMO) is TrapFreeMemo
+
+
+def test_worker_memo_holds_exactly_the_shipped_entries(pennant_app):
+    """A worker outlives its shards; each shard must still be served only
+    what the parent shipped with it, never what the worker ran before."""
+    spec = _app_spec(pennant_app)
+    campaign = CampaignConfig(jobs=2)
+    batch = list(enumerate(_plans(pennant_app)))
+    _, _, stored = _worker_run(spec, None, campaign, batch, [])
+    assert stored
+    _, payload, _ = _worker_run(spec, LETGO_E, campaign, batch, [])
+    assert "memo-hit" not in payload["counters"]
+    _, payload, added = _worker_run(spec, LETGO_E, campaign, batch, stored)
+    assert payload["counters"]["memo-hit"] == len(stored)
+    assert added == []
