@@ -9,11 +9,9 @@ LetGo's metrics move.
 
 import os
 
-import numpy as np
-
 from repro.apps import make_app
 from repro.core import LETGO_E
-from repro.faultinject import plan_injections, run_campaign
+from repro.faultinject import run_campaign, seeded_plans
 from repro.reporting import ascii_table, pct
 
 from conftest import SEED, write_artifact
@@ -27,8 +25,7 @@ def build_table():
     rows = []
     series = {}
     for n_bits in (1, 2, 4):
-        rng = np.random.default_rng(SEED)
-        plans = plan_injections(rng, app.golden.instret, N, n_bits=n_bits)
+        plans = seeded_plans(app.golden.instret, N, SEED, n_bits=n_bits)
         campaign = run_campaign(
             app, N, seed=SEED, config=LETGO_E, plans=plans
         )

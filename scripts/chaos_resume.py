@@ -71,10 +71,9 @@ def main() -> int:
         config=CampaignConfig(jobs=1, keep_results=True)
     ).run(app, N, SEED)
 
-    from repro.faultinject import plan_injections
-    import numpy as np
+    from repro.faultinject import seeded_plans
 
-    plans = plan_injections(np.random.default_rng(SEED), app.golden.instret, N)
+    plans = seeded_plans(app.golden.instret, N, SEED)
     _killer.victim = plans[N // 2]
     _SENTINEL.touch()
     engine_mod.run_injection = _killer

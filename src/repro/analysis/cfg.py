@@ -11,11 +11,13 @@ reachability) is available for free in tests and tooling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.isa.instructions import Op
 from repro.isa.program import Program
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ def leaders(program: Program) -> list[int]:
 
 def build_cfg(program: Program) -> nx.DiGraph:
     """Whole-image CFG.  Node attribute ``block`` holds the BasicBlock."""
+    import networkx as nx
+
     n = len(program.instrs)
     lead = leaders(program)
     graph = nx.DiGraph()
@@ -98,6 +102,8 @@ def function_cfg(program: Program, name: str) -> nx.DiGraph:
 
 def reachable_blocks(program: Program) -> set[int]:
     """Leader PCs reachable from the entry function (incl. via calls)."""
+    import networkx as nx
+
     graph = build_cfg(program)
     # Add interprocedural call edges for reachability purposes only.
     for pc, ins in enumerate(program.instrs):

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from repro.apps.base import MiniApp
 from repro.checkpoint.snapshot import Snapshot, restore, snapshot
 from repro.core.config import LetGoConfig
@@ -110,6 +108,8 @@ class CheckpointedRun:
         self.params = params
         self.policy = policy
         self.letgo = letgo
+        import numpy as np
+
         self.rng = np.random.default_rng(seed)
         self._monitor = Monitor(letgo) if letgo is not None else None
         self._modifier = (

@@ -34,8 +34,6 @@ from typing import Sequence
 
 from repro.apps import app_names, make_app
 from repro.core import VARIANTS
-from repro.crsim import PAPER_APP_PARAMS, SystemParams, YEAR, compare_efficiency
-from repro.crsim.params import AppParams
 from repro.faultinject import (
     CampaignConfig,
     InjectionPlan,
@@ -203,6 +201,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.crsim import (
+        PAPER_APP_PARAMS,
+        YEAR,
+        AppParams,
+        SystemParams,
+        compare_efficiency,
+    )
+
     if args.app in PAPER_APP_PARAMS and not args.estimate:
         params = PAPER_APP_PARAMS[args.app]
         source = "paper Table 3"
@@ -481,6 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     # Every execution/resilience/observability flag is derived from the
     # CampaignConfig fields, so config and CLI cannot drift apart.
     add_campaign_arguments(p)
+
+    # crsim.params loads no numpy or scipy (crsim/__init__ is lazy), so
+    # building the parser keeps every command's cold start light.
+    from repro.crsim.params import PAPER_APP_PARAMS
 
     p = sub.add_parser("simulate", help="C/R efficiency with vs without LetGo")
     p.add_argument("--app", required=True, choices=list(PAPER_APP_PARAMS))

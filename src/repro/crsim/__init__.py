@@ -4,71 +4,54 @@ State machines M-S (standard checkpoint/restart) and M-L (C/R + LetGo)
 over Poisson fault arrivals, with Young-interval checkpointing and the
 Table-4 parameter model.  Used to reproduce Figures 7 and 8 and the
 Section-8 HPL discussion.
+
+Names are loaded from their submodule on first access (PEP 562), so
+``repro.crsim.params`` -- all the CLI needs to build its parser -- can be
+imported without loading numpy and ``scipy.optimize``.
 """
 
-from repro.crsim.analytic import (
-    daly_optimal_interval,
-    expected_efficiency_letgo,
-    expected_efficiency_standard,
-)
-from repro.crsim.decision import (
-    GainPoint,
-    Recommendation,
-    gain_surface,
-    recommend,
-)
-from repro.crsim.machines import SimResult, simulate_letgo, simulate_standard
-from repro.crsim.optimize import OptimalInterval, optimize_interval
-from repro.crsim.params import (
-    BASELINE_MTBFAULTS,
-    PAPER_APP_PARAMS,
-    T_CHK_CHOICES,
-    YEAR,
-    AppParams,
-    SystemParams,
-    young_interval,
-)
-from repro.crsim.simulator import (
-    EfficiencyComparison,
-    compare_efficiency,
-    mean_efficiency,
-    single_runs,
-)
-from repro.crsim.sweep import (
-    FIG8_NODE_COUNTS,
-    IntervalPoint,
-    sweep_checkpoint_overhead,
-    sweep_interval_multiplier,
-    sweep_system_scale,
-)
+from importlib import import_module
 
-__all__ = [
-    "daly_optimal_interval",
-    "expected_efficiency_standard",
-    "expected_efficiency_letgo",
-    "GainPoint",
-    "gain_surface",
-    "Recommendation",
-    "recommend",
-    "OptimalInterval",
-    "optimize_interval",
-    "SimResult",
-    "simulate_standard",
-    "simulate_letgo",
-    "SystemParams",
-    "AppParams",
-    "young_interval",
-    "PAPER_APP_PARAMS",
-    "T_CHK_CHOICES",
-    "BASELINE_MTBFAULTS",
-    "YEAR",
-    "EfficiencyComparison",
-    "compare_efficiency",
-    "mean_efficiency",
-    "single_runs",
-    "FIG8_NODE_COUNTS",
-    "IntervalPoint",
-    "sweep_checkpoint_overhead",
-    "sweep_interval_multiplier",
-    "sweep_system_scale",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "daly_optimal_interval": "analytic",
+    "expected_efficiency_standard": "analytic",
+    "expected_efficiency_letgo": "analytic",
+    "GainPoint": "decision",
+    "gain_surface": "decision",
+    "Recommendation": "decision",
+    "recommend": "decision",
+    "OptimalInterval": "optimize",
+    "optimize_interval": "optimize",
+    "SimResult": "machines",
+    "simulate_standard": "machines",
+    "simulate_letgo": "machines",
+    "SystemParams": "params",
+    "AppParams": "params",
+    "young_interval": "params",
+    "PAPER_APP_PARAMS": "params",
+    "T_CHK_CHOICES": "params",
+    "BASELINE_MTBFAULTS": "params",
+    "YEAR": "params",
+    "EfficiencyComparison": "simulator",
+    "compare_efficiency": "simulator",
+    "mean_efficiency": "simulator",
+    "single_runs": "simulator",
+    "FIG8_NODE_COUNTS": "sweep",
+    "IntervalPoint": "sweep",
+    "sweep_checkpoint_overhead": "sweep",
+    "sweep_interval_multiplier": "sweep",
+    "sweep_system_scale": "sweep",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -23,6 +23,7 @@ from repro.faultinject.fault_model import (
     InjectionPlan,
     flip_bit,
     plan_injections,
+    seeded_plans,
     select_target,
 )
 from repro.faultinject.injector import InjectionResult, run_injection
@@ -63,6 +64,7 @@ from repro.faultinject.sites import (
 __all__ = [
     "InjectionPlan",
     "plan_injections",
+    "seeded_plans",
     "select_target",
     "flip_bit",
     "InjectionResult",

@@ -15,11 +15,9 @@ import argparse
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Sequence
 
-import numpy as np
-
 from repro.apps.base import MiniApp
 from repro.core.config import LetGoConfig
-from repro.faultinject.fault_model import InjectionPlan, plan_injections
+from repro.faultinject.fault_model import InjectionPlan, seeded_plans
 from repro.faultinject.injector import InjectionResult
 from repro.faultinject.metrics import (
     LetGoMetrics,
@@ -450,8 +448,7 @@ def run_paired_campaigns(
     Returns config-name -> result ("baseline" for None).  ``campaign``
     passes through to :func:`run_campaign`.
     """
-    rng = np.random.default_rng(seed)
-    plans = plan_injections(rng, app.golden.instret, n)
+    plans = seeded_plans(app.golden.instret, n, seed)
     out: dict[str, CampaignResult] = {}
     for config in configs:
         name = config.name if config is not None else "baseline"

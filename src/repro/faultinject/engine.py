@@ -74,14 +74,12 @@ from dataclasses import dataclass, field
 from time import perf_counter, sleep
 from typing import Callable
 
-import numpy as np
-
 from repro.apps.base import TRAP_FREE_MEMO, MiniApp, TrapFreeMemo
 from repro.checkpoint.snapshot import SnapshotLadder, restore_into, snapshot
 from repro.core.config import LetGoConfig
 from repro.errors import CampaignAbortedError
 from repro.faultinject.campaign import CampaignConfig, CampaignResult
-from repro.faultinject.fault_model import InjectionPlan, plan_injections
+from repro.faultinject.fault_model import InjectionPlan, seeded_plans
 from repro.faultinject.injector import InjectionResult, run_injection
 from repro.faultinject.journal import CampaignJournal, JournalHeader
 from repro.machine.debugger import DebugSession
@@ -623,9 +621,8 @@ class CampaignEngine:
         self.telemetry = None
         t0 = perf_counter()
         if plans is None:
-            rng = np.random.default_rng(seed)
             with tracer.span("plan"):
-                plans = plan_injections(rng, app.golden.instret, n)
+                plans = seeded_plans(app.golden.instret, n, seed)
         elif len(plans) != n:
             raise ValueError("len(plans) must equal n")
 

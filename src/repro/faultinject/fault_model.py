@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.isa.instructions import Instr
 from repro.isa.layout import MASK64
 from repro.machine.cpu import CPU
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _PACK_D = struct.Struct("<d")
 _PACK_Q = struct.Struct("<Q")
@@ -96,6 +98,20 @@ def plan_injections(
     return plans
 
 
+def seeded_plans(
+    total_instret: int, n: int, seed: int, n_bits: int = 1
+) -> list[InjectionPlan]:
+    """The *n* plans a campaign with *seed* draws: :func:`plan_injections`
+    on a fresh ``numpy.random.default_rng(seed)``.
+
+    numpy is imported here, not at module level, so a campaign that is
+    handed explicit plans never loads it.
+    """
+    import numpy as np
+
+    return plan_injections(np.random.default_rng(seed), total_instret, n, n_bits)
+
+
 def select_target(instr: Instr, reg_choice: float) -> tuple[str, int] | None:
     """The (bank, index) register the fault lands in for *instr*.
 
@@ -128,4 +144,10 @@ def flip_bit(cpu: CPU, bank: str, index: int, bit: int) -> None:
         cpu.iregs[index] = pattern - (1 << 64) if pattern >= (1 << 63) else pattern
 
 
-__all__ = ["InjectionPlan", "plan_injections", "select_target", "flip_bit"]
+__all__ = [
+    "InjectionPlan",
+    "plan_injections",
+    "seeded_plans",
+    "select_target",
+    "flip_bit",
+]

@@ -10,15 +10,17 @@ fault raised a crash-causing signal)::
 
 Continuability = Continued_detected + Continued_correct + Continued_SDC
 holds by construction.  Error bars are normal-approximation binomial
-confidence intervals at 95%, as the paper reports.
+confidence intervals at 95%, as the paper reports.  The normal quantile
+comes from the standard library (``statistics.NormalDist``), which agrees
+with ``scipy.stats.norm.ppf`` to within two ULPs, so the campaign path
+needs no scientific stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-
-from scipy import stats
+from statistics import NormalDist
 
 from repro.faultinject.outcomes import Outcome
 
@@ -37,11 +39,16 @@ class Proportion:
 
 
 def proportion(numerator: int, denominator: int, confidence: float = 0.95) -> Proportion:
-    """Normal-approximation binomial proportion with CI half-width."""
+    """Normal-approximation binomial proportion with CI half-width.
+
+    ``confidence`` must lie strictly between 0 and 1.
+    """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
     if denominator <= 0:
         return Proportion(0.0, 0.0, numerator, denominator)
     p = numerator / denominator
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     half = z * sqrt(max(p * (1.0 - p), 0.0) / denominator)
     return Proportion(p, half, numerator, denominator)
 

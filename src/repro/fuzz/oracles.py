@@ -38,14 +38,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro.apps.base import TRAP_FREE_MEMO
 from repro.checkpoint.snapshot import restore, restore_into, snapshot
 from repro.core.config import LETGO_E, VARIANTS, LetGoConfig
 from repro.faultinject.campaign import CampaignConfig, CampaignResult
 from repro.faultinject.engine import CampaignEngine
-from repro.faultinject.fault_model import plan_injections
+from repro.faultinject.fault_model import seeded_plans
 from repro.faultinject.injector import InjectionResult, run_injection
 from repro.faultinject.journal import CampaignJournal, JournalHeader
 from repro.fuzz.observe import Observation, observe
@@ -332,7 +330,7 @@ def check_merge(
 ) -> list[Divergence]:
     """Sharded runs + ``merge`` == unsharded run; merge laws; telemetry."""
     cc = CampaignConfig(keep_results=True, telemetry=True)
-    plans = plan_injections(np.random.default_rng(seed), app.golden.instret, n)
+    plans = seeded_plans(app.golden.instret, n, seed)
     split = max(1, min(split, n - 1))
     full, full_tel = _run_with_engine(app, n, seed, config, plans, cc)
     _tally(coverage, full, full_tel)
@@ -400,7 +398,7 @@ def check_resume(
     coverage=None,
 ) -> list[Divergence]:
     """A journal pre-seeded with *prefix* results resumes bit-identically."""
-    plans = plan_injections(np.random.default_rng(seed), app.golden.instret, n)
+    plans = seeded_plans(app.golden.instret, n, seed)
     cc = CampaignConfig(keep_results=True)
     full, _ = _run_with_engine(app, n, seed, config, plans, cc)
     _tally(coverage, full, None)
@@ -442,7 +440,7 @@ def check_jobs(
     *app* must satisfy the engine's picklable-spec contract (see
     :mod:`repro.fuzz.app`); the engine raises otherwise.
     """
-    plans = plan_injections(np.random.default_rng(seed), app.golden.instret, n)
+    plans = seeded_plans(app.golden.instret, n, seed)
     serial, serial_tel = _run_with_engine(
         app, n, seed, config, plans,
         CampaignConfig(jobs=1, keep_results=True, telemetry=True),
@@ -491,9 +489,7 @@ def check_converge(
     not depend on the interval.  *plans* overrides the seeded draw.
     """
     if plans is None:
-        plans = plan_injections(
-            np.random.default_rng(seed), app.golden.instret, n
-        )
+        plans = seeded_plans(app.golden.instret, n, seed)
     intervals = (app.default_ladder_interval, TINY_LADDER_INTERVAL)
     found: list[Divergence] = []
     for config in (None, LETGO_E):
@@ -541,9 +537,7 @@ def check_paired(
     ``memo-hit`` must agree.  *plans* overrides the seeded draw.
     """
     if plans is None:
-        plans = plan_injections(
-            np.random.default_rng(seed), app.golden.instret, n
-        )
+        plans = seeded_plans(app.golden.instret, n, seed)
     cc = CampaignConfig(jobs=1, keep_results=True, telemetry=True)
     cold = []
     for config in CAMPAIGN_CONFIGS:

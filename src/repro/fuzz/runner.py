@@ -33,9 +33,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
-from repro.faultinject.fault_model import plan_injections
+from repro.faultinject.fault_model import seeded_plans
 from repro.fuzz.app import FIXED_APPS, LangApp
 from repro.fuzz.corpus import case_to_dict
 from repro.fuzz.coverage import FuzzCoverage
@@ -420,10 +418,8 @@ def _campaign_selftest(
             rng = random.Random(f"{seed}:{family}:{index}")
             app = FIXED_APPS[index % len(FIXED_APPS)]()
             campaign_seed = rng.randrange(1 << 30)
-            plans = plan_injections(
-                np.random.default_rng(campaign_seed),
-                app.golden.instret,
-                CAMPAIGN_SELFTEST_PLANS,
+            plans = seeded_plans(
+                app.golden.instret, CAMPAIGN_SELFTEST_PLANS, campaign_seed
             )
             found = check(app, len(plans), campaign_seed, plans=plans)
             if not found:

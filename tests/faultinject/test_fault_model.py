@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faultinject import InjectionPlan, flip_bit, plan_injections, select_target
+from repro.faultinject import (
+    InjectionPlan,
+    flip_bit,
+    plan_injections,
+    seeded_plans,
+    select_target,
+)
 from repro.isa import Instr, Op, Program
 from repro.isa.registers import SP
 from repro.machine import CPU, Memory
@@ -38,6 +44,13 @@ def test_plan_injections_deterministic():
     a = plan_injections(np.random.default_rng(7), 1000, 50)
     b = plan_injections(np.random.default_rng(7), 1000, 50)
     assert a == b
+
+
+@pytest.mark.parametrize("n_bits", [1, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_seeded_plans_match_explicit_rng(seed, n_bits):
+    want = plan_injections(np.random.default_rng(seed), 12_345, 40, n_bits)
+    assert seeded_plans(12_345, 40, seed, n_bits) == want
 
 
 def test_plan_injections_empty_program():

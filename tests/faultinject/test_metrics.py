@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,3 +100,18 @@ def test_ci_95_reference_value():
     # p=0.5, n=400 -> half width ~ 1.96 * 0.5/20 = 0.049
     p = proportion(200, 400)
     assert math.isclose(p.half_width, 0.049, abs_tol=0.002)
+
+
+@pytest.mark.parametrize("confidence", [1.5, -0.2, 1.0])
+def test_proportion_rejects_confidence_outside_unit_interval(confidence):
+    with pytest.raises(ValueError, match="confidence"):
+        proportion(3, 10, confidence)
+
+
+@pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
+def test_half_width_matches_scipy_quantile(confidence):
+    stats = pytest.importorskip("scipy.stats")
+    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    want = z * math.sqrt(0.3 * 0.7 / 10)
+    got = proportion(3, 10, confidence).half_width
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
