@@ -8,6 +8,7 @@ objdump-style reports.
 """
 
 from repro.analysis.cfg import (
+    CFG,
     BasicBlock,
     build_cfg,
     function_cfg,
@@ -20,6 +21,7 @@ from repro.analysis.profiler import Profile, profile_program
 
 __all__ = [
     "BasicBlock",
+    "CFG",
     "build_cfg",
     "function_cfg",
     "leaders",

@@ -3,21 +3,19 @@
 Basic blocks are maximal straight-line instruction runs; edges follow
 branches, fallthroughs and function fallthrough-into-RET.  CALL/RET are
 treated intraprocedurally (a CALL falls through to its return point) --
-standard for binary-level CFGs.  The graph is a :class:`networkx.DiGraph`
-whose nodes are block leader PCs, so the rest of the ecosystem (dominators,
-reachability) is available for free in tests and tooling.
+standard for binary-level CFGs.  A :class:`CFG` is two plain dicts: the
+blocks keyed by leader PC, and each edge ``(src, dst)`` mapped to its
+kind; reachability is a breadth-first search over them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from repro.isa.instructions import Op
+from repro.isa.instructions import BLOCK_END_OPS, BRANCH_OPS, COND_BRANCH_OPS, Op
 from repro.isa.program import Program
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -31,8 +29,22 @@ class BasicBlock:
         return self.end - self.start
 
 
-_UNCOND = frozenset({Op.JMP, Op.RET, Op.HALT, Op.ABORT})
-_COND = frozenset({Op.BEQZ, Op.BNEZ})
+@dataclass(frozen=True)
+class CFG:
+    """Blocks keyed by leader PC; edge ``(src, dst)`` -> its kind."""
+
+    blocks: dict[int, BasicBlock]
+    edges: dict[tuple[int, int], str]
+
+    def restricted(self, start: int, end: int) -> CFG:
+        """The subgraph on the blocks whose leader lies in ``[start, end)``."""
+        blocks = {pc: b for pc, b in self.blocks.items() if start <= pc < end}
+        edges = {
+            edge: kind
+            for edge, kind in self.edges.items()
+            if edge[0] in blocks and edge[1] in blocks
+        }
+        return CFG(blocks, edges)
 
 
 def leaders(program: Program) -> list[int]:
@@ -42,91 +54,87 @@ def leaders(program: Program) -> list[int]:
     marks.add(0)
     for pc, ins in enumerate(program.instrs):
         op = ins.op
-        if op in _COND or op is Op.JMP or op is Op.CALL:
+        if op in BRANCH_OPS:
             target = int(ins.imm)
             if 0 <= target < n:
                 marks.add(target)
-        if op in _COND or op in _UNCOND or op is Op.CALL:
+        if op in BLOCK_END_OPS:
             if pc + 1 < n:
                 marks.add(pc + 1)
     return sorted(m for m in marks if 0 <= m < n)
 
 
-def build_cfg(program: Program) -> nx.DiGraph:
-    """Whole-image CFG.  Node attribute ``block`` holds the BasicBlock."""
-    import networkx as nx
-
+def build_cfg(program: Program) -> CFG:
+    """Whole-image CFG."""
     n = len(program.instrs)
     lead = leaders(program)
-    graph = nx.DiGraph()
-    blocks: list[BasicBlock] = []
-    for i, start in enumerate(lead):
-        end = lead[i + 1] if i + 1 < len(lead) else n
-        block = BasicBlock(start, end)
-        blocks.append(block)
-        graph.add_node(start, block=block)
-    for block in blocks:
+    blocks = {
+        start: BasicBlock(start, lead[i + 1] if i + 1 < len(lead) else n)
+        for i, start in enumerate(lead)
+    }
+    edges: dict[tuple[int, int], str] = {}
+    for block in blocks.values():
         last = program.instrs[block.end - 1]
         op = last.op
         if op is Op.JMP:
             target = int(last.imm)
-            if graph.has_node(target):
-                graph.add_edge(block.start, target, kind="jump")
-        elif op in _COND:
+            if target in blocks:
+                edges[block.start, target] = "jump"
+        elif op in COND_BRANCH_OPS:
             target = int(last.imm)
-            if graph.has_node(target):
-                graph.add_edge(block.start, target, kind="taken")
+            if target in blocks:
+                edges[block.start, target] = "taken"
             if block.end < n:
-                graph.add_edge(block.start, block.end, kind="fallthrough")
+                edges[block.start, block.end] = "fallthrough"
         elif op is Op.CALL:
             # Intraprocedural: the call returns to the next block.
             if block.end < n:
-                graph.add_edge(block.start, block.end, kind="call-return")
-        elif op in (Op.RET, Op.HALT, Op.ABORT):
-            pass  # no static successor
-        else:
-            if block.end < n:
-                graph.add_edge(block.start, block.end, kind="fallthrough")
-    return graph
+                edges[block.start, block.end] = "call-return"
+        elif op in BLOCK_END_OPS:
+            pass  # RET, HALT, ABORT: no static successor
+        elif block.end < n:
+            edges[block.start, block.end] = "fallthrough"
+    return CFG(blocks, edges)
 
 
-def function_cfg(program: Program, name: str) -> nx.DiGraph:
+def function_cfg(program: Program, name: str) -> CFG:
     """CFG restricted to one function's extent."""
     from repro.analysis.functions import FunctionTable
 
     info = FunctionTable(program).by_name(name)
-    full = build_cfg(program)
-    nodes = [n for n in full.nodes if info.start <= n < info.end]
-    return full.subgraph(nodes).copy()
+    return build_cfg(program).restricted(info.start, info.end)
 
 
 def reachable_blocks(program: Program) -> set[int]:
     """Leader PCs reachable from the entry function (incl. via calls)."""
-    import networkx as nx
-
-    graph = build_cfg(program)
+    cfg = build_cfg(program)
+    starts = list(cfg.blocks)
+    successors: dict[int, list[int]] = {pc: [] for pc in starts}
+    for src, dst in cfg.edges:
+        successors[src].append(dst)
     # Add interprocedural call edges for reachability purposes only.
     for pc, ins in enumerate(program.instrs):
-        if ins.op is Op.CALL:
-            src = _leader_of(graph, pc)
-            target = int(ins.imm)
-            if graph.has_node(target) and src is not None:
-                graph.add_edge(src, target, kind="call")
-    entry = program.entry_pc
-    start = _leader_of(graph, entry)
+        if ins.op is Op.CALL and int(ins.imm) in cfg.blocks:
+            successors[_leader_of(cfg, starts, pc)].append(int(ins.imm))
+    start = _leader_of(cfg, starts, program.entry_pc)
     if start is None:
         return set()
-    return set(nx.descendants(graph, start)) | {start}
+    seen = {start}
+    queue = deque(seen)
+    while queue:
+        for nxt in successors[queue.popleft()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
 
 
-def _leader_of(graph: nx.DiGraph, pc: int) -> int | None:
-    best = None
-    for node in graph.nodes:
-        if node <= pc and (best is None or node > best):
-            block = graph.nodes[node]["block"]
-            if pc < block.end:
-                best = node
-    return best
+def _leader_of(cfg: CFG, starts: list[int], pc: int) -> int | None:
+    """Leader of the block holding *pc* (``starts`` sorted), or None."""
+    i = bisect_right(starts, pc) - 1
+    if i >= 0 and pc < cfg.blocks[starts[i]].end:
+        return starts[i]
+    return None
 
 
-__all__ = ["BasicBlock", "leaders", "build_cfg", "function_cfg", "reachable_blocks"]
+__all__ = ["BasicBlock", "CFG", "leaders", "build_cfg", "function_cfg", "reachable_blocks"]

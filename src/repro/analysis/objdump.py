@@ -31,16 +31,15 @@ def objdump(program: Program) -> str:
 
 def cfg_summary(program: Program) -> str:
     """One-line-per-function CFG statistics."""
-    graph = build_cfg(program)
+    cfg = build_cfg(program)
     reachable = reachable_blocks(program)
     table = FunctionTable(program)
     lines = ["cfg summary (blocks / edges / reachable blocks per function):"]
     for info in table.functions:
-        nodes = [n for n in graph.nodes if info.start <= n < info.end]
-        sub = graph.subgraph(nodes)
-        reach = sum(1 for n in nodes if n in reachable)
+        sub = cfg.restricted(info.start, info.end)
+        reach = len(sub.blocks.keys() & reachable)
         lines.append(
-            f"  {info.name:24s} blocks={len(nodes):4d} edges={sub.number_of_edges():4d} "
+            f"  {info.name:24s} blocks={len(sub.blocks):4d} edges={len(sub.edges):4d} "
             f"reachable={reach:4d}"
         )
     return "\n".join(lines)

@@ -488,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     # CampaignConfig fields, so config and CLI cannot drift apart.
     add_campaign_arguments(p)
 
-    # crsim.params loads no numpy or scipy (crsim/__init__ is lazy), so
+    # crsim.params loads no numpy (crsim/__init__ is lazy), so
     # building the parser keeps every command's cold start light.
     from repro.crsim.params import PAPER_APP_PARAMS
 

@@ -7,7 +7,8 @@ Section-8 HPL discussion.
 
 Names are loaded from their submodule on first access (PEP 562), so
 ``repro.crsim.params`` -- all the CLI needs to build its parser -- can be
-imported without loading numpy and ``scipy.optimize``.
+imported without loading numpy.  The interval search in ``optimize`` is
+a standard-library golden-section search.
 """
 
 from importlib import import_module

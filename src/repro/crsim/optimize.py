@@ -2,18 +2,20 @@
 
 Young's formula is the paper's (and this package's) default; this module
 finds the *simulation-optimal* interval by golden-section search on the
-seeded M-S / M-L efficiency curves.  Used by the interval ablation to
-quantify how close Young's choice lands, and available to users tuning a
-deployment whose parameters fall outside the formula's assumptions (e.g.
-low ``P_v``, where verification failures dominate).
+seeded M-S / M-L efficiency curves (a private routine below, so the
+module needs neither numpy nor an optimisation library).  Used by the
+interval ablation to quantify how close Young's choice lands, and
+available to users tuning a deployment whose parameters fall outside the
+formula's assumptions (e.g. low ``P_v``, where verification failures
+dominate).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy import optimize
+from statistics import fmean
+from typing import Callable
 
 from repro.crsim.machines import simulate_letgo, simulate_standard
 from repro.crsim.params import AppParams, SystemParams, YEAR, young_interval
@@ -40,14 +42,44 @@ class OptimalInterval:
         return self.interval / self.young if self.young > 0 else float("inf")
 
 
+#: Search tolerance on the interval, as a fraction of Young's interval.
+_XATOL = 0.02
+#: Most bracket-shrinking steps per search.
+_MAXITER = 24
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(
+    f: Callable[[float], float], lo: float, hi: float, xatol: float, maxiter: int
+) -> tuple[float, float]:
+    """Minimise a unimodal *f* on ``[lo, hi]``; ``(x, f(x))`` of the best probe.
+
+    Each step drops the worse end of the bracket, shrinking it by 1/phi for
+    one new evaluation, until it is at most ``2 * xatol`` wide (scipy's
+    bounded-method test) or *maxiter* steps ran: at most ``maxiter + 2``
+    evaluations.
+    """
+    a, b = lo, hi
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(maxiter):
+        if b - a <= 2.0 * xatol:
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
 def _mean_eff(simulate, system, app, interval, needed, seeds) -> float:
-    return float(
-        np.mean(
-            [
-                simulate(system, app, needed=needed, seed=s, interval=interval).efficiency
-                for s in seeds
-            ]
-        )
+    return fmean(
+        simulate(system, app, needed=needed, seed=s, interval=interval).efficiency
+        for s in seeds
     )
 
 
@@ -77,16 +109,12 @@ def optimize_interval(
     def negative_efficiency(interval: float) -> float:
         return -_mean_eff(simulate, system, app, interval, needed, seeds)
 
-    result = optimize.minimize_scalar(
-        negative_efficiency,
-        bounds=(young / span, young * span),
-        method="bounded",
-        options={"xatol": young * 0.02, "maxiter": 24},
+    best_interval, best = _golden_section(
+        negative_efficiency, young / span, young * span, young * _XATOL, _MAXITER
     )
-    best_interval = float(result.x)
     return OptimalInterval(
         interval=best_interval,
-        efficiency=-float(result.fun),
+        efficiency=-best,
         young=young,
         young_efficiency=_mean_eff(simulate, system, app, young, needed, seeds),
     )

@@ -30,7 +30,7 @@ def classify_op(op: Op) -> str:
         return "load"
     if op in STORE_OPS:
         return "store"
-    if op in BRANCH_OPS or op in (Op.RET, Op.BEQZ, Op.BNEZ):
+    if op in BRANCH_OPS or op is Op.RET:
         return "branch"
     name = op.name
     if name.startswith("F") and op not in (Op.FTOI,):

@@ -124,6 +124,11 @@ MEMORY_OPS = LOAD_OPS | STORE_OPS | frozenset({Op.CALL, Op.RET})
 
 #: Control transfers (the assembler resolves their label immediates).
 BRANCH_OPS = frozenset({Op.JMP, Op.BEQZ, Op.BNEZ, Op.CALL})
+#: Conditional branches: a taken and a fallthrough successor.
+COND_BRANCH_OPS = frozenset({Op.BEQZ, Op.BNEZ})
+#: Basic-block terminators: the control transfers, plus the instructions
+#: with no static successor.
+BLOCK_END_OPS = BRANCH_OPS | frozenset({Op.RET, Op.HALT, Op.ABORT})
 
 _FP_OPS_WRITING_FD = frozenset(
     {

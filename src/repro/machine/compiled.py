@@ -51,17 +51,13 @@ from math import copysign, inf, isinf, isnan, nan, sqrt
 from operator import index
 from types import FunctionType
 
-from repro.isa.instructions import Instr, Op
+from repro.isa.instructions import BLOCK_END_OPS, Instr, Op
 from repro.isa.layout import INT64_MAX, INT64_MIN, MASK64
 from repro.isa.registers import SP
 from repro.machine.cpu import CPU, STOP_HALT, STOP_STEPS
 from repro.machine.memory import AccessError
 from repro.machine.signals import Blocked, Signal, Trap
 
-#: Instructions that end a block (the last instruction of a block).
-BLOCK_ENDS = frozenset(
-    (Op.JMP, Op.BEQZ, Op.BNEZ, Op.CALL, Op.RET, Op.HALT, Op.ABORT)
-)
 #: Instructions that always run on the interpreter handlers, alone.
 INTERPRETED = frozenset((Op.SEND, Op.FSEND, Op.RECV, Op.FRECV))
 
@@ -249,7 +245,7 @@ _TEMPLATES: dict[Op, str] = {
 def block_spans(instrs: list[Instr]) -> list[int]:
     """Length of the block entered at each pc.
 
-    A block ends at a :data:`BLOCK_ENDS` instruction, at the end of the
+    A block ends at a :data:`BLOCK_END_OPS` instruction, at the end of the
     image, or just before an :data:`INTERPRETED` one (which is a block of
     its own).
     """
@@ -257,7 +253,7 @@ def block_spans(instrs: list[Instr]) -> list[int]:
     spans = [1] * n
     for pc in range(n - 2, -1, -1):
         op = instrs[pc].op
-        if op not in BLOCK_ENDS and op not in INTERPRETED and (
+        if op not in BLOCK_END_OPS and op not in INTERPRETED and (
             instrs[pc + 1].op not in INTERPRETED
         ):
             spans[pc] = spans[pc + 1] + 1
@@ -295,7 +291,7 @@ def block_source(
             read=_CHECK.format(inside, pc, "read"),
             write=_CHECK.format(inside, pc, "write"),
         ))
-    if instrs[entry + length - 1].op not in BLOCK_ENDS:
+    if instrs[entry + length - 1].op not in BLOCK_END_OPS:
         body.append(f"return {entry + length}")
     params = ", ".join([_PARAMS] + [f"K{i}" for i in range(len(consts))])
     lines = "\n".join(body).splitlines()

@@ -1,7 +1,5 @@
 """CFG construction: leaders, edges, reachability."""
 
-import networkx as nx
-
 from repro.analysis import build_cfg, function_cfg, leaders, reachable_blocks
 from repro.isa import Instr, Op, Program
 
@@ -18,9 +16,9 @@ def straight_line():
 
 
 def test_straight_line_single_block():
-    graph = build_cfg(straight_line())
-    assert graph.number_of_nodes() == 1
-    assert graph.number_of_edges() == 0
+    cfg = build_cfg(straight_line())
+    assert len(cfg.blocks) == 1
+    assert len(cfg.edges) == 0
 
 
 def branchy():
@@ -40,11 +38,10 @@ def test_leaders_branchy():
 
 
 def test_edges_branchy():
-    graph = build_cfg(branchy())
-    assert set(graph.edges) == {(0, 1), (1, 1), (1, 3)}
-    kinds = nx.get_edge_attributes(graph, "kind")
-    assert kinds[(1, 1)] == "taken"
-    assert kinds[(1, 3)] == "fallthrough"
+    cfg = build_cfg(branchy())
+    assert set(cfg.edges) == {(0, 1), (1, 1), (1, 3)}
+    assert cfg.edges[1, 1] == "taken"
+    assert cfg.edges[1, 3] == "fallthrough"
 
 
 def test_call_gets_return_edge():
@@ -56,11 +53,11 @@ def test_call_gets_return_edge():
         ],
         functions={"main": 0, "f": 2},
     )
-    graph = build_cfg(program)
-    assert (0, 1) in graph.edges
-    assert graph.edges[0, 1]["kind"] == "call-return"
+    cfg = build_cfg(program)
+    assert (0, 1) in cfg.edges
+    assert cfg.edges[0, 1] == "call-return"
     # RET has no static successor
-    assert list(graph.successors(2)) == []
+    assert [dst for src, dst in cfg.edges if src == 2] == []
 
 
 def test_reachable_blocks_include_callee():
@@ -81,15 +78,15 @@ def test_reachable_blocks_include_callee():
 def test_function_cfg_restricted(demo_unit):
     sub = function_cfg(demo_unit.program, "fib")
     table_start = demo_unit.program.functions["fib"]
-    for node in sub.nodes:
-        assert node >= table_start
+    for pc in sub.blocks:
+        assert pc >= table_start
 
 
 def test_demo_cfg_blocks_partition(demo_program):
-    graph = build_cfg(demo_program)
+    cfg = build_cfg(demo_program)
     covered = set()
-    for node in graph.nodes:
-        block = graph.nodes[node]["block"]
+    for pc, block in cfg.blocks.items():
+        assert block.start == pc
         span = set(range(block.start, block.end))
         assert not (span & covered)  # disjoint
         covered |= span
@@ -98,8 +95,8 @@ def test_demo_cfg_blocks_partition(demo_program):
 
 def test_apps_cfgs_build(suite):
     for app in suite.values():
-        graph = build_cfg(app.program)
-        assert graph.number_of_nodes() > 10
+        cfg = build_cfg(app.program)
+        assert len(cfg.blocks) > 10
         reach = reachable_blocks(app.program)
         # all functions are live in the apps
         for name, pc in app.program.functions.items():

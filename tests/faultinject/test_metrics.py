@@ -108,10 +108,18 @@ def test_proportion_rejects_confidence_outside_unit_interval(confidence):
         proportion(3, 10, confidence)
 
 
-@pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
+#: ``scipy.stats.norm.ppf(0.5 + c / 2)`` (scipy 1.17.1), the reference quantiles.
+SCIPY_NORM_PPF = {
+    0.8: 1.2815515655446004,
+    0.9: 1.6448536269514722,
+    0.95: 1.959963984540054,
+    0.99: 2.5758293035489004,
+}
+
+
+@pytest.mark.parametrize("confidence", sorted(SCIPY_NORM_PPF))
 def test_half_width_matches_scipy_quantile(confidence):
-    stats = pytest.importorskip("scipy.stats")
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    z = SCIPY_NORM_PPF[confidence]
     want = z * math.sqrt(0.3 * 0.7 / 10)
     got = proportion(3, 10, confidence).half_width
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
