@@ -5,7 +5,9 @@ branches, fallthroughs and function fallthrough-into-RET.  CALL/RET are
 treated intraprocedurally (a CALL falls through to its return point) --
 standard for binary-level CFGs.  A :class:`CFG` is two plain dicts: the
 blocks keyed by leader PC, and each edge ``(src, dst)`` mapped to its
-kind; reachability is a breadth-first search over them.
+kind; reachability is a breadth-first search over them.  Blocks start
+at :func:`repro.isa.program.leaders`, the rule the compiled backend
+also compiles by.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
-from repro.isa.instructions import BLOCK_END_OPS, BRANCH_OPS, COND_BRANCH_OPS, Op
-from repro.isa.program import Program
+from repro.isa.instructions import BLOCK_END_OPS, COND_BRANCH_OPS, Op
+from repro.isa.program import Program, leaders
 
 
 @dataclass(frozen=True)
@@ -45,23 +47,6 @@ class CFG:
             if edge[0] in blocks and edge[1] in blocks
         }
         return CFG(blocks, edges)
-
-
-def leaders(program: Program) -> list[int]:
-    """Block leader PCs: entry points, branch targets, post-branch PCs."""
-    n = len(program.instrs)
-    marks = set(program.functions.values())
-    marks.add(0)
-    for pc, ins in enumerate(program.instrs):
-        op = ins.op
-        if op in BRANCH_OPS:
-            target = int(ins.imm)
-            if 0 <= target < n:
-                marks.add(target)
-        if op in BLOCK_END_OPS:
-            if pc + 1 < n:
-                marks.add(pc + 1)
-    return sorted(m for m in marks if 0 <= m < n)
 
 
 def build_cfg(program: Program) -> CFG:
@@ -105,9 +90,13 @@ def function_cfg(program: Program, name: str) -> CFG:
     return build_cfg(program).restricted(info.start, info.end)
 
 
-def reachable_blocks(program: Program) -> set[int]:
-    """Leader PCs reachable from the entry function (incl. via calls)."""
-    cfg = build_cfg(program)
+def reachable_blocks(program: Program, cfg: CFG | None = None) -> set[int]:
+    """Leader PCs reachable from the entry function (incl. via calls).
+
+    *cfg* is the program's whole-image CFG, built here when not given.
+    """
+    if cfg is None:
+        cfg = build_cfg(program)
     starts = list(cfg.blocks)
     successors: dict[int, list[int]] = {pc: [] for pc in starts}
     for src, dst in cfg.edges:

@@ -32,7 +32,7 @@ def objdump(program: Program) -> str:
 def cfg_summary(program: Program) -> str:
     """One-line-per-function CFG statistics."""
     cfg = build_cfg(program)
-    reachable = reachable_blocks(program)
+    reachable = reachable_blocks(program, cfg)
     table = FunctionTable(program)
     lines = ["cfg summary (blocks / edges / reachable blocks per function):"]
     for info in table.functions:

@@ -3,7 +3,8 @@
 Each class is a copy of a backend with ONE semantic fault planted --
 deliberately re-creating the bug classes fixed by hand in the substrate
 (NaN min/max, HALT-pc advance, map-before-alignment), a sign-extension
-fault, and an imprecise trap in a compiled basic block.  They are
+fault, an imprecise trap in a compiled basic block, and a compiled
+access that skips the trap its constant address calls for.  They are
 strictly test scaffolding: running the fuzzer with ``--mutation NAME``
 swaps the mutant in as the "compiled" side of every differential
 oracle, which must then (a) flag a divergence and (b) shrink it to a
@@ -13,7 +14,7 @@ the repair-assessment line of work).
 
 The interpreter builds its dispatch table per-instance with
 ``getattr(self, "_op_...")``, so overriding a handler in a subclass is
-all a mutant needs.  The block-level mutant instead overrides the
+all a mutant needs.  The block-level mutants instead override the
 compiled backend's code generator on the eager compiled CPU.
 
 :data:`MEMO_MUTATIONS` are trap-free memo mutants instead: each one
@@ -109,6 +110,19 @@ class BlockTrapAtEnd(EagerCompiledCPU):
         return source, consts
 
 
+class FoldUnchecked(EagerCompiledCPU):
+    """A compiled access whose constant address is unmapped or misaligned
+    reads or writes the cell instead of trapping: the code generator
+    drops the trap it decided on at code-generation time."""
+
+    @staticmethod
+    def block_source(instrs, entry, length, ranges):
+        source, consts = block_source(instrs, entry, length, ranges)
+        # Only the decided traps are unconditional (at body indentation).
+        source = re.sub(r"(?m)^    raise _mem_trap\(.*\n", "", source)
+        return source, consts
+
+
 #: name -> mutant class, the ``--mutation`` CLI choices.
 MUTATIONS: dict[str, type[CPU]] = {
     "fmin-nan": FminNanPropagates,
@@ -116,6 +130,7 @@ MUTATIONS: dict[str, type[CPU]] = {
     "shri-logical": ShriLogical,
     "segv-order": AlignmentBeforeMap,
     "block-trap-pc": BlockTrapAtEnd,
+    "fold-unchecked": FoldUnchecked,
 }
 
 

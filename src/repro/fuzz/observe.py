@@ -27,11 +27,14 @@ from repro.machine.signals import Trap
 
 
 def memory_digest(memory: Memory) -> str:
-    """Order-independent sha256 over the written cells of *memory*."""
+    """Order-independent sha256 over the written cells of *memory*.
+
+    Any int address hashes, so a faulty backend's write outside every
+    segment (even at a negative address) shows as a divergence.
+    """
     h = hashlib.sha256()
     for addr, pattern in sorted(memory.written_cells().items()):
-        h.update(addr.to_bytes(8, "little", signed=False))
-        h.update(pattern.to_bytes(8, "little", signed=False))
+        h.update(b"%d:%d;" % (addr, pattern))
     return h.hexdigest()
 
 

@@ -66,7 +66,8 @@ Backend = str | type[CPU]
 
 
 class EagerCompiledCPU(CompiledCPU):
-    """The compiled backend with every block compiled on first entry.
+    """The compiled backend with every leader's block compiled on first
+    entry.
 
     Random programs are short, so most of their blocks never reach the
     default hot threshold and would run on the interpreter handlers on

@@ -129,6 +129,8 @@ COND_BRANCH_OPS = frozenset({Op.BEQZ, Op.BNEZ})
 #: Basic-block terminators: the control transfers, plus the instructions
 #: with no static successor.
 BLOCK_END_OPS = BRANCH_OPS | frozenset({Op.RET, Op.HALT, Op.ABORT})
+#: Inter-rank communication: a receive may block the rank.
+NETWORK_OPS = frozenset({Op.SEND, Op.FSEND, Op.RECV, Op.FRECV})
 
 _FP_OPS_WRITING_FD = frozenset(
     {

@@ -11,7 +11,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.errors import LoaderError
-from repro.isa.instructions import Instr
+from repro.isa.instructions import BLOCK_END_OPS, BRANCH_OPS, NETWORK_OPS, Instr
 from repro.isa.layout import CELL, DATA_BASE
 
 
@@ -134,3 +134,25 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.instrs)
+
+
+def leaders(program: Program) -> list[int]:
+    """Block leader PCs: where static code can enter a basic block.
+
+    The image start and every function entry, every branch and call
+    target, and the PC after each block terminator or network op.  Every
+    other entry (a restored mid-block state, the PC after a bit flip or a
+    LetGo repair, a wild jump) is made by a fault or by a run paused
+    mid-block.
+    """
+    instrs = program.instrs
+    n = len(instrs)
+    marks = set(program.functions.values())
+    marks.add(0)
+    for pc, ins in enumerate(instrs):
+        op = ins.op
+        if op in BRANCH_OPS:
+            marks.add(int(ins.imm))
+        if op in BLOCK_END_OPS or op in NETWORK_OPS:
+            marks.add(pc + 1)
+    return sorted(m for m in marks if 0 <= m < n)

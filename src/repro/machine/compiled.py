@@ -2,18 +2,34 @@
 
 :class:`CompiledCPU` runs hot straight-line code as generated Python.  A
 *block* runs from its entry pc through the next control-flow instruction
-(``JMP``/``BEQZ``/``BNEZ``/``CALL``/``RET``/``HALT``/``ABORT``).  On its
-:attr:`CompiledCPU.HOT`-th entry a block becomes one straight-line
+(``JMP``/``BEQZ``/``BNEZ``/``CALL``/``RET``/``HALT``/``ABORT``).  Only
+blocks entered at a *leader* (:func:`repro.isa.program.leaders`: the
+image start, a function entry, a branch or call target, or the pc after
+a terminator or a network op) are compiled.  On its
+:attr:`CompiledCPU.HOT`-th entry such a block becomes one straight-line
 function: register indices, immediates and the memory's segment ranges
 are literals, loads and stores check the segment map inline and read or
 write the memory's cell dict directly, and the function returns the next
 pc.  The run loop is ``pc = block()`` once per block instead of one
 dispatch per instruction.
 
+Checks whose result is known when the block is generated are decided
+then.  The generator tracks the integer registers the block itself set
+to a constant (``MOVI``, or ``MOV`` from such a register) until the
+block writes them again.  A ``LD``/``ST``/``FLD``/``FST`` through such a
+base has a literal address: a mapped, aligned one is accessed with no
+check, any other one raises its trap unconditionally.  An indexed access
+through such a base has a known alignment, so only the segment compare
+remains, with the base's segment first.  Nothing outside a block
+function changes registers while it runs, so this is exact.
+
 Everything else runs on the inherited interpreter handlers, which are the
-reference semantics: cold entries, a budget tail shorter than the block,
-and the network ops (``SEND``/``FSEND``/``RECV``/``FRECV``), which are
-always single-instruction entries.
+reference semantics: cold entries, entries no static code makes (a
+restored mid-block state, the pc after a bit flip or a LetGo repair, a
+wild jump, a run resumed mid-block), which run until their block ends,
+a budget tail shorter than the block, and the network ops
+(``SEND``/``FSEND``/``RECV``/``FRECV``), which are always
+single-instruction entries.
 
 The backend preserves the interpreter's contract exactly:
 
@@ -51,15 +67,13 @@ from math import copysign, inf, isinf, isnan, nan, sqrt
 from operator import index
 from types import FunctionType
 
-from repro.isa.instructions import BLOCK_END_OPS, Instr, Op
+from repro.isa.instructions import BLOCK_END_OPS, LOAD_OPS, NETWORK_OPS, Instr, Op
 from repro.isa.layout import INT64_MAX, INT64_MIN, MASK64
+from repro.isa.program import leaders
 from repro.isa.registers import SP
 from repro.machine.cpu import CPU, STOP_HALT, STOP_STEPS
 from repro.machine.memory import AccessError
 from repro.machine.signals import Blocked, Signal, Trap
-
-#: Instructions that always run on the interpreter handlers, alone.
-INTERPRETED = frozenset((Op.SEND, Op.FSEND, Op.RECV, Op.FRECV))
 
 #: What a compiled HALT returns: never a valid pc, so the loop's fetch
 #: check stops there and finds ``halted`` set (``cpu.pc`` is on the HALT).
@@ -129,10 +143,10 @@ def _wrap(expr: str) -> str:
     )
 
 
-#: The inline segment + alignment check of address ``a``.
-_CHECK = "if a & 7 or not ({}):\n    raise _mem_trap(RANGES, I, {}, a, {!r})"
-_ADDR = "a = R[{ra}] + {imm}"
-_ADDRX = "a = R[{ra}] + R[{rb}] * 8 + {imm}"
+#: The trap of a failed check of address ``a``, and the inline segment +
+#: alignment check.
+_RAISE = "raise _mem_trap(RANGES, I, {}, a, {!r})"
+_CHECK = "if a & 7 or not ({}):\n    " + _RAISE
 _LOADF = "Q[0] = G(a, 0)\nF[{rd}] = D[0]"
 _STOREF = "D[0] = F[{rd}]\nC[a] = Q[0]"
 _FMINMAX = (
@@ -140,23 +154,25 @@ _FMINMAX = (
     "elif isnan(b):\n    F[{rd}] = a\nelse:\n    F[{rd}] = a if a %s b else b"
 )
 
-#: Op -> statement template.  ``{read}``/``{write}`` expand to the inline
-#: segment + alignment check of address ``a``; every other field is a
-#: literal of the instruction (``{imm}`` may be a bound name ``K<i>``).
+#: Op -> statement template.  ``{addr}`` expands to the statement that
+#: computes address ``a`` of a ``LD``/``ST``-family access and ``{check}``
+#: to its check (:func:`_access`); ``{read}``/``{write}`` to the inline
+#: segment + alignment check of ``a``; every other field is a literal of
+#: the instruction (``{imm}`` may be a bound name ``K<i>``).
 _TEMPLATES: dict[Op, str] = {
     Op.NOP: "",
     Op.MOV: "R[{rd}] = R[{ra}]",
     Op.MOVI: "R[{rd}] = {imm}",
     Op.FMOV: "F[{rd}] = F[{ra}]",
     Op.FMOVI: "F[{rd}] = {imm}",
-    Op.LD: f"{_ADDR}\n{{read}}\np = G(a, 0)\n{_SIGNED}",
-    Op.ST: f"{_ADDR}\n{{write}}\nC[a] = R[{{rd}}] & {_M}",
-    Op.LDX: f"{_ADDRX}\n{{read}}\np = G(a, 0)\n{_SIGNED}",
-    Op.STX: f"{_ADDRX}\n{{write}}\nC[a] = R[{{rd}}] & {_M}",
-    Op.FLD: f"{_ADDR}\n{{read}}\n{_LOADF}",
-    Op.FST: f"{_ADDR}\n{{write}}\n{_STOREF}",
-    Op.FLDX: f"{_ADDRX}\n{{read}}\n{_LOADF}",
-    Op.FSTX: f"{_ADDRX}\n{{write}}\n{_STOREF}",
+    Op.LD: f"{{addr}}\n{{check}}\np = G(a, 0)\n{_SIGNED}",
+    Op.ST: f"{{addr}}\n{{check}}\nC[a] = R[{{rd}}] & {_M}",
+    Op.LDX: f"{{addr}}\n{{check}}\np = G(a, 0)\n{_SIGNED}",
+    Op.STX: f"{{addr}}\n{{check}}\nC[a] = R[{{rd}}] & {_M}",
+    Op.FLD: f"{{addr}}\n{{check}}\n{_LOADF}",
+    Op.FST: f"{{addr}}\n{{check}}\n{_STOREF}",
+    Op.FLDX: f"{{addr}}\n{{check}}\n{_LOADF}",
+    Op.FSTX: f"{{addr}}\n{{check}}\n{_STOREF}",
     Op.PUSH: f"a = R[{SP}] - 8\n{{write}}\nC[a] = R[{{ra}}] & {_M}\nR[{SP}] = a",
     # sp first, value second: "pop sp" ends with the loaded value.
     Op.POP: f"a = R[{SP}]\n{{read}}\np = G(a, 0)\nR[{SP}] = a + 8\n{_SIGNED}",
@@ -246,18 +262,67 @@ def block_spans(instrs: list[Instr]) -> list[int]:
     """Length of the block entered at each pc.
 
     A block ends at a :data:`BLOCK_END_OPS` instruction, at the end of the
-    image, or just before an :data:`INTERPRETED` one (which is a block of
+    image, or just before a :data:`NETWORK_OPS` one (which is a block of
     its own).
     """
     n = len(instrs)
     spans = [1] * n
     for pc in range(n - 2, -1, -1):
         op = instrs[pc].op
-        if op not in BLOCK_END_OPS and op not in INTERPRETED and (
-            instrs[pc + 1].op not in INTERPRETED
+        if op not in BLOCK_END_OPS and op not in NETWORK_OPS and (
+            instrs[pc + 1].op not in NETWORK_OPS
         ):
             spans[pc] = spans[pc + 1] + 1
     return spans
+
+
+#: Accesses at ``R[ra] + imm`` and at ``R[ra] + R[rb] * 8 + imm``.
+_DIRECT = frozenset((Op.LD, Op.ST, Op.FLD, Op.FST))
+_INDEXED = frozenset((Op.LDX, Op.STX, Op.FLDX, Op.FSTX))
+#: Instructions that write ``sp`` besides any destination register.
+_STACK_OPS = frozenset((Op.PUSH, Op.POP, Op.FPUSH, Op.FPOP, Op.CALL, Op.RET))
+
+
+def _inside(ranges) -> str:
+    """The test that address ``a`` lies in one of *ranges*, in order."""
+    return " or ".join(
+        f"{index(lo)} <= a < {index(hi)}" for lo, hi in ranges
+    ) or "False"
+
+
+def _access(
+    ins: Instr, pc: int, imm_src: str, base: int | None, ranges: list
+) -> tuple[str, str]:
+    """``(address statement, check)`` of a :data:`_DIRECT` or
+    :data:`_INDEXED` access (*ranges* largest segment first).
+
+    *base* is the constant the block put in ``R[ra]``, or None.  With a
+    base the address, or for an indexed access its alignment, is known
+    here: a check whose outcome is known is left out, or becomes the
+    unconditional trap.  A zero offset adds no term.
+    """
+    mode = "read" if ins.op in LOAD_OPS else "write"
+    if base is None:
+        terms, const = [f"R[{index(ins.ra)}]"], imm_src
+    else:
+        offset = base + ins.imm
+        terms, const = [], repr(offset)
+    if ins.op in _INDEXED:
+        terms.append(f"R[{index(ins.rb)}] * 8")
+    if const != "0" or not terms:
+        terms.append(const)
+    addr = "a = " + " + ".join(terms)
+    trap = _RAISE.format(pc, mode)
+    if base is None:
+        return addr, _CHECK.format(_inside(ranges), pc, mode)
+    if offset & 7:
+        return addr, trap  # misaligned whatever the index
+    if ins.op in _DIRECT:
+        mapped = any(lo <= offset < hi for lo, hi in ranges)
+        return addr, "" if mapped else trap
+    # Aligned: only the segment compare, the base's segment first.
+    ranges = sorted(ranges, key=lambda r: not r[0] <= offset < r[1])
+    return addr, f"if not ({_inside(ranges)}):\n    {trap}"
 
 
 def block_source(
@@ -271,26 +336,39 @@ def block_source(
     """
     consts: list = []
     # Largest segment (the stack) first: most accesses fall in it.
-    inside = " or ".join(
-        f"{index(lo)} <= a < {index(hi)}"
-        for lo, hi in sorted(ranges, key=lambda r: r[0] - r[1])
-    ) or "False"
+    ranges = sorted(ranges, key=lambda r: r[0] - r[1])
+    inside = _inside(ranges)
+    # int register -> the constant this block put there, until rewritten
+    known: dict[int, int] = {}
     body = []
     for pc in range(entry, entry + length):
         ins = instrs[pc]
+        op = ins.op
         imm = ins.imm
         if type(imm) is int:
             imm_src = repr(imm)
         else:
             imm_src = f"K{len(consts)}"
             consts.append(imm)
+        addr = check = ""
+        if op in _DIRECT or op in _INDEXED:
+            base = known.get(ins.ra) if type(imm) is int else None
+            addr, check = _access(ins, pc, imm_src, base, ranges)
         # Only integers and names made here ever reach the source text.
-        body.append(_TEMPLATES[ins.op].format(
+        body.append(_TEMPLATES[op].format(
             rd=index(ins.rd), ra=index(ins.ra), rb=index(ins.rb),
-            imm=imm_src, pc=pc, nxt=pc + 1,
+            imm=imm_src, pc=pc, nxt=pc + 1, addr=addr, check=check,
             read=_CHECK.format(inside, pc, "read"),
             write=_CHECK.format(inside, pc, "write"),
         ))
+        if op is Op.MOVI and type(imm) is int:
+            known[ins.rd] = imm
+        elif op is Op.MOV and ins.ra in known:
+            known[ins.rd] = known[ins.ra]
+        elif (written := ins.written_reg()) and written[0] == "r":
+            known.pop(written[1], None)
+        if op in _STACK_OPS:
+            known.pop(SP, None)
     if instrs[entry + length - 1].op not in BLOCK_END_OPS:
         body.append(f"return {entry + length}")
     params = ", ".join([_PARAMS] + [f"K{i}" for i in range(len(consts))])
@@ -306,12 +384,17 @@ class _BlockImage:
 
     __slots__ = ("spans", "heat", "codes", "globals")
 
-    def __init__(self, instrs: list[Instr], ranges: tuple):
+    def __init__(self, program, ranges: tuple):
+        instrs = program.instrs
         n = len(instrs)
         self.spans = block_spans(instrs)
         self.heat = [0] * n
-        #: entry pc -> (code object, bound constants), or None
-        self.codes: list = [None] * n
+        #: entry pc -> (code object, bound constants); None until compiled;
+        #: False never (not a leader, or a network op)
+        self.codes: list = [False] * n
+        for pc in leaders(program):
+            if instrs[pc].op not in NETWORK_OPS:
+                self.codes[pc] = None
         self.globals = dict(_GLOBALS, I=instrs, RANGES=ranges)
 
 
@@ -320,7 +403,7 @@ def _block_image(program, cls: type, ranges: tuple) -> _BlockImage:
     images = program.__dict__.setdefault("_block_images", {})
     image = images.get((cls, ranges))
     if image is None:
-        image = images[cls, ranges] = _BlockImage(program.instrs, ranges)
+        image = images[cls, ranges] = _BlockImage(program, ranges)
     return image
 
 
@@ -332,8 +415,9 @@ class CompiledCPU(CPU):
     the public ``run`` contract, which this backend honours exactly.
     """
 
-    #: Entries of a block before it is compiled.  Compiling every block on
-    #: first entry would pay code generation for blocks that run once.
+    #: Entries of a leader's block before it is compiled.  Compiling every
+    #: leader on first entry would pay code generation for blocks that run
+    #: once; other entries are never compiled.
     HOT = 8
 
     __slots__ = ("_program", "_image", "_code", "_ranges", "_state")
@@ -365,10 +449,8 @@ class CompiledCPU(CPU):
     block_source = staticmethod(block_source)
 
     def _compile(self, pc: int):
-        """Compile the block entered at *pc* into the image (None: never)."""
+        """Compile the block entered at leader *pc* into the image."""
         image = self._image
-        if self.instrs[pc].op in INTERPRETED:
-            return None
         source, consts = self.block_source(
             self.instrs, pc, image.spans[pc], image.globals["RANGES"]
         )
@@ -414,13 +496,14 @@ class CompiledCPU(CPU):
                     start = pc
                     raise _fetch_trap(pc)
                 if fn is None:
-                    # Cold entry: bind the image's block, or count heat.
+                    # Cold entry: bind the image's block, or count a
+                    # leader's heat.
                     entry = codes[pc]
                     if entry is None:
                         heat[pc] += 1
                         if heat[pc] >= self.HOT:
                             entry = self._compile(pc)
-                    if entry is not None:
+                    if entry:
                         code[pc] = FunctionType(
                             entry[0], image.globals, None,
                             self._state + entry[1],

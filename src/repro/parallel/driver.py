@@ -33,13 +33,10 @@ from repro.core.modifier import Modifier
 from repro.core.monitor import Monitor
 from repro.errors import SimulationError
 from repro.faultinject.fault_model import flip_bit, select_target
-from repro.isa.instructions import Op
+from repro.isa.instructions import NETWORK_OPS
 from repro.machine.cluster import Cluster
 from repro.machine.debugger import DebugSession
 from repro.parallel.app import ParallelApp
-
-#: Instructions whose elision tears the message protocol.
-COMM_OPS = frozenset({Op.SEND, Op.FSEND, Op.RECV, Op.FRECV})
 
 
 class ClusterPolicy(Enum):
@@ -183,9 +180,10 @@ class CoordinatedRun:
 
             if event.kind == "trap":
                 assert event.trap is not None and event.rank is not None
+                # Eliding a network op tears the message protocol.
                 comm_fault = (
                     event.trap.instr is not None
-                    and event.trap.instr.op in COMM_OPS
+                    and event.trap.instr.op in NETWORK_OPS
                 )
                 handled = (
                     self.policy is ClusterPolicy.CR_LETGO

@@ -85,6 +85,11 @@ _TRIGGERS = {
         Instr(Op.NOP),
         Instr(Op.HALT),
     ]),
+    "fold-unchecked": _program([
+        Instr(Op.MOVI, rd=1, imm=8),
+        Instr(Op.ST, rd=1, ra=1),
+        Instr(Op.HALT),
+    ]),
 }
 
 
