@@ -52,7 +52,7 @@ class Snapshot:
     fregs: tuple[float, ...]
     pc: int
     instret: int
-    cells: dict[int, int] = field(hash=False)
+    cells: dict[int, int | float] = field(hash=False)  # Memory.raw_cells()
     output: tuple[tuple[str, int | float], ...] = ()
 
     @property
@@ -70,8 +70,10 @@ class Snapshot:
         registers, then float registers by IEEE bit pattern (``-0.0 ==
         0.0`` and ``NaN != NaN`` make ``==`` wrong both ways), the output
         stream (kind tags exact, floats by bit pattern), and last the
-        written memory cells as a dict.  A cell written with 0 is state
-        the snapshot does not hold, so it does not match.  Anything else
+        written memory cells by pattern
+        (:meth:`~repro.machine.memory.Memory.cells_equal`).  A cell
+        written with 0 is state the snapshot does not hold, so it does
+        not match.  Anything else
         the snapshot does not capture counts as a mismatch too: a pc
         outside the image (the compiled backend's parked wild jump) can
         never equal the in-image pc of a golden snapshot.
@@ -121,7 +123,7 @@ def snapshot(process: Process) -> Snapshot:
         fregs=tuple(cpu.fregs),
         pc=cpu.pc,
         instret=cpu.instret,
-        cells=process.memory.written_cells(),
+        cells=process.memory.raw_cells(),
         output=tuple(cpu.output),
     )
 

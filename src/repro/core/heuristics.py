@@ -179,7 +179,7 @@ def apply_heuristic1(
         bank, index = written
         report.h1_fired = True
         if bank == "f":
-            process.cpu.fregs[index] = fill_float
+            process.cpu.fregs[index] = float(fill_float)
             report.actions.append(
                 RepairAction(
                     kind="fill-load",

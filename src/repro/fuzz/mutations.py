@@ -3,8 +3,9 @@
 Each class is a copy of a backend with ONE semantic fault planted --
 deliberately re-creating the bug classes fixed by hand in the substrate
 (NaN min/max, HALT-pc advance, map-before-alignment), a sign-extension
-fault, an imprecise trap in a compiled basic block, and a compiled
-access that skips the trap its constant address calls for.  They are
+fault, an imprecise trap in a compiled basic block, a compiled access
+that skips the trap its constant address calls for, and a compiled
+cross-type load that converts the value instead of the bits.  They are
 strictly test scaffolding: running the fuzzer with ``--mutation NAME``
 swaps the mutant in as the "compiled" side of every differential
 oracle, which must then (a) flag a divergence and (b) shrink it to a
@@ -123,6 +124,21 @@ class FoldUnchecked(EagerCompiledCPU):
         return source, consts
 
 
+class TypedLoadNumeric(EagerCompiledCPU):
+    """A compiled cross-type load converts the cell's *value* (``float(p)``
+    of an int cell, ``int(v)`` of a float cell, NaN and infinities to 0)
+    instead of reinterpreting its bit pattern."""
+
+    @staticmethod
+    def block_source(instrs, entry, length, ranges):
+        source, consts = block_source(instrs, entry, length, ranges)
+        source = source.replace("_float_cell(C, a, p)", "float(p)")
+        source = source.replace(
+            "_int_cell(C, a, p)", "(int(p) if p - p == 0 else 0)"
+        )
+        return source, consts
+
+
 #: name -> mutant class, the ``--mutation`` CLI choices.
 MUTATIONS: dict[str, type[CPU]] = {
     "fmin-nan": FminNanPropagates,
@@ -131,6 +147,7 @@ MUTATIONS: dict[str, type[CPU]] = {
     "segv-order": AlignmentBeforeMap,
     "block-trap-pc": BlockTrapAtEnd,
     "fold-unchecked": FoldUnchecked,
+    "typed-load": TypedLoadNumeric,
 }
 
 

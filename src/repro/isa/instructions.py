@@ -249,6 +249,11 @@ class Instr:
     imm: int | float = 0
     sym: str | None = field(default=None, compare=False)
 
+    def __post_init__(self) -> None:
+        # Float registers hold floats (a float store writes a float cell).
+        if type(self.imm) is int and self.op in FLOAT_IMM_OPS:
+            object.__setattr__(self, "imm", float(self.imm))
+
     # -- classification helpers (used by LetGo and the injector) ----------
 
     def is_load(self) -> bool:

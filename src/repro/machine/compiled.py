@@ -9,9 +9,10 @@ a terminator or a network op) are compiled.  On its
 :attr:`CompiledCPU.HOT`-th entry such a block becomes one straight-line
 function: register indices, immediates and the memory's segment ranges
 are literals, loads and stores check the segment map inline and read or
-write the memory's cell dict directly, and the function returns the next
-pc.  The run loop is ``pc = block()`` once per block instead of one
-dispatch per instruction.
+write the memory's cell dict directly (a store puts the register's value
+in the cell as it is), and the function returns the next pc.  The run
+loop is ``pc = block()`` once per block instead of one dispatch per
+instruction.
 
 Checks whose result is known when the block is generated are decided
 then.  The generator tracks the integer registers the block itself set
@@ -46,7 +47,11 @@ The backend preserves the interpreter's contract exactly:
 * **Live state.**  Block functions bind the *identities* of the register
   files, the cell dict and the output stream, which
   :func:`~repro.checkpoint.snapshot.restore_into` and
-  :meth:`~repro.machine.memory.Memory.load_cells` refill in place.
+  :meth:`~repro.machine.memory.Memory.load_cells` refill in place.  A
+  cell holds the value its last store wrote (see
+  :mod:`repro.machine.memory`), so a store is one dict assignment and a
+  load one ``get`` and a type test; only a cross-type load converts the
+  bits, and it stores the converted value back, as ``Memory`` does.
 * **Out-of-image control flow.**  A block returns whatever target it
   computes; the loop's fetch check faults on the *next* fetch, exactly
   like the interpreter (a run whose budget expires right after a wild jump
@@ -72,7 +77,7 @@ from repro.isa.layout import INT64_MAX, INT64_MIN, MASK64
 from repro.isa.program import leaders
 from repro.isa.registers import SP
 from repro.machine.cpu import CPU, STOP_HALT, STOP_STEPS
-from repro.machine.memory import AccessError
+from repro.machine.memory import AccessError, float_as_int, int_as_float
 from repro.machine.signals import Blocked, Signal, Trap
 
 #: What a compiled HALT returns: never a valid pc, so the loop's fetch
@@ -97,6 +102,18 @@ def _mem_trap(ranges, instrs, pc: int, address: int, mode: str) -> Trap:
     )
 
 
+def _int_cell(cells, a: int, value: float) -> int:
+    """An int load of float cell *a*: its bits as an int, stored back."""
+    value = cells[a] = float_as_int(value)
+    return value
+
+
+def _float_cell(cells, a: int, value: int) -> float:
+    """A float load of int cell *a*: its bits as a double, stored back."""
+    value = cells[a] = int_as_float(value)
+    return value
+
+
 def _fetch_trap(pc: int) -> Trap:
     return Trap(
         Signal.SIGSEGV,
@@ -112,6 +129,8 @@ def _fetch_trap(pc: int) -> Trap:
 _GLOBALS = {
     "_trap": _trap,
     "_mem_trap": _mem_trap,
+    "_int_cell": _int_cell,
+    "_float_cell": _float_cell,
     "SIGFPE": Signal.SIGFPE,
     "SIGABRT": Signal.SIGABRT,
     "copysign": copysign,
@@ -124,14 +143,12 @@ _GLOBALS = {
 
 #: What every block function binds, in parameter order: the int and float
 #: register files, the cell dict and its ``get``, the output stream's
-#: ``append``, the CPU itself (HALT and the rank queries), and one 64-bit
-#: word seen as an unsigned pattern (``Q``) and as an IEEE-754 double
-#: (``D``).  Float loads and stores reinterpret through the word, bit for
-#: bit like :func:`~repro.machine.memory.pattern_to_float`, without a call.
-_PARAMS = "R, F, C, G, O, cpu, Q, D"
+#: ``append``, the CPU itself (HALT and the rank queries), and ``type``,
+#: ``int`` and ``float`` as locals for the loads' type test.  Stores put
+#: the register's value in the cell as it is.
+_PARAMS = "R, F, C, G, O, cpu, TY, IN, FL"
 
-_M, _S, _W = MASK64, 1 << 63, 1 << 64
-_SIGNED = f"R[{{rd}}] = p - {_W} if p >= {_S} else p"
+_M, _S = MASK64, 1 << 63
 
 
 def _wrap(expr: str) -> str:
@@ -147,37 +164,44 @@ def _wrap(expr: str) -> str:
 #: alignment check.
 _RAISE = "raise _mem_trap(RANGES, I, {}, a, {!r})"
 _CHECK = "if a & 7 or not ({}):\n    " + _RAISE
-_LOADF = "Q[0] = G(a, 0)\nF[{rd}] = D[0]"
-_STOREF = "D[0] = F[{rd}]\nC[a] = Q[0]"
+#: The value ``p`` of cell ``a`` as an int and as a float: as stored, or
+#: (cross-type) its bits converted and stored back.  Int loads read a
+#: missing cell as ``0`` and float loads as ``0.0``, inserting nothing.
+_INT = "p if TY(p) is IN else _int_cell(C, a, p)"
+_FLOAT = "p if TY(p) is FL else _float_cell(C, a, p)"
+_LOAD = f"p = G(a, 0)\nR[{{rd}}] = {_INT}"
+_LOADF = f"p = G(a, 0.0)\nF[{{rd}}] = {_FLOAT}"
 _FMINMAX = (
     "a = F[{ra}]\nb = F[{rb}]\nif isnan(a):\n    F[{rd}] = b\n"
     "elif isnan(b):\n    F[{rd}] = a\nelse:\n    F[{rd}] = a if a %s b else b"
 )
 
 #: Op -> statement template.  ``{addr}`` expands to the statement that
-#: computes address ``a`` of a ``LD``/``ST``-family access and ``{check}``
-#: to its check (:func:`_access`); ``{read}``/``{write}`` to the inline
-#: segment + alignment check of ``a``; every other field is a literal of
-#: the instruction (``{imm}`` may be a bound name ``K<i>``).
+#: computes address ``a`` of a ``LD``/``ST``-family access; ``{check}`` to
+#: the check of ``a`` of any memory access (:func:`_access`, or the inline
+#: segment + alignment check for the stack ops); every other field is a
+#: literal of the instruction (``{imm}`` may be a bound name ``K<i>``).
 _TEMPLATES: dict[Op, str] = {
     Op.NOP: "",
     Op.MOV: "R[{rd}] = R[{ra}]",
     Op.MOVI: "R[{rd}] = {imm}",
     Op.FMOV: "F[{rd}] = F[{ra}]",
     Op.FMOVI: "F[{rd}] = {imm}",
-    Op.LD: f"{{addr}}\n{{check}}\np = G(a, 0)\n{_SIGNED}",
-    Op.ST: f"{{addr}}\n{{check}}\nC[a] = R[{{rd}}] & {_M}",
-    Op.LDX: f"{{addr}}\n{{check}}\np = G(a, 0)\n{_SIGNED}",
-    Op.STX: f"{{addr}}\n{{check}}\nC[a] = R[{{rd}}] & {_M}",
+    Op.LD: f"{{addr}}\n{{check}}\n{_LOAD}",
+    Op.ST: "{addr}\n{check}\nC[a] = R[{rd}]",
+    Op.LDX: f"{{addr}}\n{{check}}\n{_LOAD}",
+    Op.STX: "{addr}\n{check}\nC[a] = R[{rd}]",
     Op.FLD: f"{{addr}}\n{{check}}\n{_LOADF}",
-    Op.FST: f"{{addr}}\n{{check}}\n{_STOREF}",
+    Op.FST: "{addr}\n{check}\nC[a] = F[{rd}]",
     Op.FLDX: f"{{addr}}\n{{check}}\n{_LOADF}",
-    Op.FSTX: f"{{addr}}\n{{check}}\n{_STOREF}",
-    Op.PUSH: f"a = R[{SP}] - 8\n{{write}}\nC[a] = R[{{ra}}] & {_M}\nR[{SP}] = a",
+    Op.FSTX: "{addr}\n{check}\nC[a] = F[{rd}]",
+    Op.PUSH: f"a = R[{SP}] - 8\n{{check}}\nC[a] = R[{{ra}}]\nR[{SP}] = a",
     # sp first, value second: "pop sp" ends with the loaded value.
-    Op.POP: f"a = R[{SP}]\n{{read}}\np = G(a, 0)\nR[{SP}] = a + 8\n{_SIGNED}",
-    Op.FPUSH: f"a = R[{SP}] - 8\n{{write}}\nD[0] = F[{{ra}}]\nC[a] = Q[0]\nR[{SP}] = a",
-    Op.FPOP: f"a = R[{SP}]\n{{read}}\n{_LOADF}\nR[{SP}] = a + 8",
+    Op.POP: (
+        f"a = R[{SP}]\n{{check}}\np = G(a, 0)\nR[{SP}] = a + 8\nR[{{rd}}] = {_INT}"
+    ),
+    Op.FPUSH: f"a = R[{SP}] - 8\n{{check}}\nC[a] = F[{{ra}}]\nR[{SP}] = a",
+    Op.FPOP: f"a = R[{SP}]\n{{check}}\n{_LOADF}\nR[{SP}] = a + 8",
     Op.ADD: _wrap("R[{ra}] + R[{rb}]"),
     Op.SUB: _wrap("R[{ra}] - R[{rb}]"),
     Op.MUL: _wrap("R[{ra}] * R[{rb}]"),
@@ -241,11 +265,10 @@ _TEMPLATES: dict[Op, str] = {
     Op.JMP: "return {imm}",
     Op.BEQZ: "return {imm} if R[{ra}] == 0 else {nxt}",
     Op.BNEZ: "return {imm} if R[{ra}] != 0 else {nxt}",
-    Op.CALL: f"a = R[{SP}] - 8\n{{write}}\nC[a] = {{nxt}}\nR[{SP}] = a\nreturn {{imm}}",
-    Op.RET: (
-        f"a = R[{SP}]\n{{read}}\np = G(a, 0)\nR[{SP}] = a + 8\n"
-        f"return p - {_W} if p >= {_S} else p"
+    Op.CALL: (
+        f"a = R[{SP}] - 8\n{{check}}\nC[a] = {{nxt}}\nR[{SP}] = a\nreturn {{imm}}"
     ),
+    Op.RET: f"a = R[{SP}]\n{{check}}\np = G(a, 0)\nR[{SP}] = a + 8\nreturn {_INT}",
     Op.HALT: (
         f"cpu.halted = True\ncpu.exit_code = R[0]\ncpu.pc = {{pc}}\n"
         f"return {_HALTED}"
@@ -290,6 +313,11 @@ def _inside(ranges) -> str:
     ) or "False"
 
 
+def _mode(op: Op) -> str:
+    """Whether a memory access of *op* reads or writes."""
+    return "read" if op in LOAD_OPS or op is Op.RET else "write"
+
+
 def _access(
     ins: Instr, pc: int, imm_src: str, base: int | None, ranges: list
 ) -> tuple[str, str]:
@@ -301,7 +329,7 @@ def _access(
     here: a check whose outcome is known is left out, or becomes the
     unconditional trap.  A zero offset adds no term.
     """
-    mode = "read" if ins.op in LOAD_OPS else "write"
+    mode = _mode(ins.op)
     if base is None:
         terms, const = [f"R[{index(ins.ra)}]"], imm_src
     else:
@@ -354,12 +382,12 @@ def block_source(
         if op in _DIRECT or op in _INDEXED:
             base = known.get(ins.ra) if type(imm) is int else None
             addr, check = _access(ins, pc, imm_src, base, ranges)
+        elif op in _STACK_OPS:
+            check = _CHECK.format(inside, pc, _mode(op))
         # Only integers and names made here ever reach the source text.
         body.append(_TEMPLATES[op].format(
             rd=index(ins.rd), ra=index(ins.ra), rb=index(ins.rb),
             imm=imm_src, pc=pc, nxt=pc + 1, addr=addr, check=check,
-            read=_CHECK.format(inside, pc, "read"),
-            write=_CHECK.format(inside, pc, "write"),
         ))
         if op is Op.MOVI and type(imm) is int:
             known[ins.rd] = imm
@@ -438,10 +466,9 @@ class CompiledCPU(CPU):
         )
         self._code = [None] * self._n_instrs
         cells = memory._cells
-        word = memoryview(bytearray(8))
         self._state = (
             self.iregs, self.fregs, cells, cells.get, self.output.append, self,
-            word.cast("Q"), word.cast("d"),
+            type, int, float,
         )
 
     #: The code generator; a class attribute so a test CPU can plant a

@@ -1,10 +1,22 @@
 """Protected, sparse, cell-granular memory.
 
-Memory holds raw 64-bit *patterns* (unsigned ints); typed views (signed
-integer / IEEE double) are applied at the load/store boundary by the CPU.
-That makes behaviour after corruption fully defined: a bit-flipped address
-register may load a cell that was written as a float into an integer
-register, and the result is exactly the reinterpretation x86 would give.
+A cell holds the value its last store wrote: a signed 64-bit ``int`` for
+integer stores (``ST``/``STX``/``PUSH``/``CALL``, :meth:`Memory.write_int`,
+:meth:`Memory.write_pattern`) or a ``float`` for float stores
+(``FST``/``FSTX``/``FPUSH``, :meth:`Memory.write_float`).  A load of the
+same type returns the value as it is.  The 64-bit pattern is the
+contract everywhere else:
+
+* a *cross-type* load (a float load of an int cell, or the reverse)
+  reinterprets the cell's bits, exactly as x86 would after a bit flip
+  sent an address register into the other type's data, and stores the
+  converted value back into the same cell (same pattern, so nothing
+  observable changes; the next such load needs no conversion);
+* :meth:`Memory.written_cells` and :meth:`Memory.read_pattern` report
+  unsigned patterns;
+* :meth:`Memory.cells_equal` compares patterns exactly: ``1`` and
+  ``1.0`` differ, as do ``0.0`` and ``-0.0``; two NaNs with one payload,
+  or an int and a float cell with one pattern, are equal.
 
 Protection is segment-based: accesses must fall inside a mapped segment
 (else the access *faults*, reported by the CPU as SIGSEGV) and be 8-byte
@@ -20,11 +32,41 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, count, islice
+from math import copysign
+from operator import ne
 
 from repro.isa.layout import CELL, MASK64
 
 _PACK_D = struct.Struct("<d")
 _PACK_Q = struct.Struct("<Q")
+_PACK_q = struct.Struct("<q")
+
+
+def int_as_float(value: int) -> float:
+    """The double whose bits are the signed 64-bit int *value*."""
+    return _PACK_D.unpack(_PACK_q.pack(value))[0]
+
+
+def float_as_int(value: float) -> int:
+    """The signed 64-bit int whose bits are the double *value*."""
+    return _PACK_q.unpack(_PACK_D.pack(value))[0]
+
+
+def _pattern(value) -> int:
+    """The unsigned 64-bit pattern of a cell value (-1 for no cell)."""
+    if value is None:
+        return -1
+    return float_to_pattern(value) if type(value) is float else value & MASK64
+
+
+def _same_pattern(a, b) -> bool:
+    return a is b or _pattern(a) == _pattern(b)
+
+
+#: The sign of a number as +-1.0: tells ``0.0`` from ``-0.0``.
+_sign = partial(copysign, 1.0)
 
 
 class AccessError(Exception):
@@ -60,7 +102,7 @@ class Memory:
     __slots__ = ("_cells", "_segments", "_ranges")
 
     def __init__(self) -> None:
-        self._cells: dict[int, int] = {}
+        self._cells: dict[int, int | float] = {}
         self._segments: list[Segment] = []
         self._ranges: list[tuple[int, int]] = []
 
@@ -99,66 +141,103 @@ class Memory:
                 return True
         return False
 
-    # -- raw pattern access --------------------------------------------------
+    # -- access ----------------------------------------------------------
+
+    def _check(self, address: int, mode: str) -> None:
+        """Raise the :class:`AccessError` of a *mode* access at *address*:
+        segment map first, then alignment."""
+        for lo, hi in self._ranges:
+            if lo <= address < hi:
+                if address % CELL:
+                    raise AccessError("bus", address, mode)
+                return
+        raise AccessError("segv", address, mode)
 
     def read_pattern(self, address: int) -> int:
-        """Read the 64-bit pattern at *address* (checked, mapping first)."""
-        for lo, hi in self._ranges:
-            if lo <= address < hi:
-                if address % CELL:
-                    raise AccessError("bus", address, "read")
-                return self._cells.get(address, 0)
-        raise AccessError("segv", address, "read")
+        """The unsigned 64-bit pattern at *address*."""
+        self._check(address, "read")
+        return _pattern(self._cells.get(address, 0))
 
     def write_pattern(self, address: int, pattern: int) -> None:
-        """Write a 64-bit pattern at *address* (checked, mapping first)."""
-        for lo, hi in self._ranges:
-            if lo <= address < hi:
-                if address % CELL:
-                    raise AccessError("bus", address, "write")
-                self._cells[address] = pattern & MASK64
-                return
-        raise AccessError("segv", address, "write")
-
-    # -- typed access (CPU load/store boundary) ---------------------------
+        """Write a 64-bit pattern at *address* (held as its signed int)."""
+        self._check(address, "write")
+        self._cells[address] = pattern_to_int(pattern)
 
     def read_int(self, address: int) -> int:
-        """Read a signed 64-bit integer."""
-        pattern = self.read_pattern(address)
-        return pattern - (1 << 64) if pattern >= (1 << 63) else pattern
+        """Read a signed 64-bit integer (a float cell's bits, converted
+        once and stored back)."""
+        self._check(address, "read")
+        value = self._cells.get(address, 0)
+        if type(value) is not int:
+            value = self._cells[address] = float_as_int(value)
+        return value
 
     def write_int(self, address: int, value: int) -> None:
-        """Write a signed 64-bit integer (wraps)."""
-        self.write_pattern(address, value & MASK64)
+        """Write a signed 64-bit integer (in range, as every register is)."""
+        self._check(address, "write")
+        self._cells[address] = value
 
     def read_float(self, address: int) -> float:
-        """Read an IEEE-754 double."""
-        pattern = self.read_pattern(address)
-        return _PACK_D.unpack(_PACK_Q.pack(pattern))[0]
+        """Read an IEEE-754 double (an int cell's bits, converted once and
+        stored back)."""
+        self._check(address, "read")
+        value = self._cells.get(address, 0.0)
+        if type(value) is not float:
+            value = self._cells[address] = int_as_float(value)
+        return value
 
     def write_float(self, address: int, value: float) -> None:
         """Write an IEEE-754 double."""
-        self.write_pattern(address, _PACK_Q.unpack(_PACK_D.pack(value))[0])
+        self._check(address, "write")
+        self._cells[address] = value
 
-    # -- debugging / inspection helpers ------------------------------------
+    # -- whole-memory views ------------------------------------------------
 
     def written_cells(self) -> dict[int, int]:
-        """Copy of all cells that have been explicitly written."""
+        """Unsigned patterns of all cells that have been explicitly written."""
+        return {address: _pattern(v) for address, v in self._cells.items()}
+
+    def raw_cells(self) -> dict[int, int | float]:
+        """Copy of the cells as held (ints and floats), for
+        :meth:`load_cells` and :meth:`cells_equal`."""
         return dict(self._cells)
 
-    def cells_equal(self, cells: dict[int, int]) -> bool:
-        """True if the written cells are exactly *cells* (no copy made)."""
-        return self._cells == cells
+    def cells_equal(self, cells: dict[int, int | float]) -> bool:
+        """True if the written cells are exactly *cells*, pattern for
+        pattern (*cells* as :meth:`raw_cells` returns them).
 
-    def load_cells(self, cells: dict[int, int]) -> None:
+        ``==`` on the values is wrong both ways (``1 == 1.0``, ``0.0 ==
+        -0.0``, ``nan != nan``).  So the cells that differ by ``==`` are
+        settled by pattern, stopping at the first real difference, and the
+        rest must also agree in type and sign; only a cross-type pair or
+        a signed zero sends the whole check to patterns.
+        """
+        live = self._cells
+        if len(live) != len(cells):
+            return False
+        unequal = map(ne, map(live.get, cells), cells.values())
+        for i in compress(count(), unequal):
+            address = next(islice(cells, i, None))
+            if not _same_pattern(live.get(address), cells[address]):
+                return False
+        mine = list(map(live.get, cells))
+        theirs = list(cells.values())
+        if (
+            list(map(type, mine)) == list(map(type, theirs))
+            and list(map(_sign, mine)) == list(map(_sign, theirs))
+        ):
+            return True
+        return all(map(_same_pattern, mine, theirs))
+
+    def load_cells(self, cells: dict[int, int | float]) -> None:
         """Wholesale-replace contents with *cells* (bulk restore path).
 
         Refills the cell dict in place, so code that bound it (the
         compiled backend's blocks) sees the restored contents.  Skips the
-        per-cell segment/alignment checks of :meth:`write_pattern`:
-        callers pass cells captured from a process with an identical
-        segment map (see ``repro.checkpoint.snapshot``), where every
-        address was validated when originally written.
+        per-cell segment/alignment checks of the write methods: callers
+        pass :meth:`raw_cells` of a process with an identical segment map
+        (see ``repro.checkpoint.snapshot``), where every address was
+        validated when originally written.
         """
         if cells is not self._cells:
             self._cells.clear()
@@ -170,7 +249,7 @@ class Memory:
 
     @property
     def n_written(self) -> int:
-        """Number of cells holding an explicitly written pattern."""
+        """Number of cells holding an explicitly written value."""
         return len(self._cells)
 
 
@@ -199,6 +278,8 @@ __all__ = [
     "Memory",
     "Segment",
     "AccessError",
+    "float_as_int",
+    "int_as_float",
     "float_to_pattern",
     "pattern_to_float",
     "int_to_pattern",

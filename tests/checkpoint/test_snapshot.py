@@ -136,7 +136,7 @@ def test_resume_from_halt_state_reports_clean_halt(program):
         fregs=tuple(cpu.fregs),
         pc=cpu.pc,
         instret=cpu.instret,
-        cells=process.memory.written_cells(),
+        cells=process.memory.raw_cells(),
         output=tuple(cpu.output),
     )
     resumed = restore(program, snap)

@@ -90,6 +90,15 @@ _TRIGGERS = {
         Instr(Op.ST, rd=1, ra=1),
         Instr(Op.HALT),
     ]),
+    # A float constant of the data segment starts as an int cell.
+    "typed-load": _program(
+        [
+            Instr(Op.MOVI, rd=1, imm=DATA_BASE),
+            Instr(Op.FLD, rd=2, ra=1),
+            Instr(Op.HALT),
+        ],
+        cells=1, data_init={DATA_BASE: 0x3FF8000000000000},  # 1.5
+    ),
 }
 
 
