@@ -19,9 +19,10 @@ unchanged, bit for bit.  Run from the repo root:
     PYTHONPATH=src python scripts/bench_compare.py            # check
     PYTHONPATH=src python scripts/bench_compare.py --write    # re-record
 
-The check reads the campaign size and seed from the record
-(``BENCH_signature.json``: n=100, seed 7, about 10 s), prints one line
-per campaign, and exits 1 on any difference.  Re-record only on a
+The campaign is fixed at :data:`N` plans per app and config drawn with
+seed :data:`SEED` (about 10 s).  The check compares it with the record
+(``BENCH_signature.json``), prints one line per campaign, and exits 1 on
+any difference.  Re-record only on a
 commit whose outcomes are known good, never to make a check pass.
 """
 
@@ -43,6 +44,7 @@ from repro.telemetry.report import LADDER_COUNTERS
 
 RECORD = Path(__file__).resolve().parent.parent / "BENCH_signature.json"
 CONFIGS = (None, LETGO_E)
+N, SEED = 100, 7
 
 
 def _plain(value):
@@ -100,22 +102,17 @@ def main(argv: list[str] | None = None) -> int:
         "--write", action="store_true",
         help="record the campaign instead of checking it",
     )
-    parser.add_argument(
-        "--n", type=int, default=100, help="plans per campaign (--write)"
-    )
-    parser.add_argument("--seed", type=int, default=7, help="plan seed (--write)")
     args = parser.parse_args(argv)
 
+    records = measure(N, SEED)
     if args.write:
-        records = measure(args.n, args.seed)
         RECORD.write_text(json.dumps(
-            {"n": args.n, "seed": args.seed, "campaigns": records}, indent=1
+            {"n": N, "seed": SEED, "campaigns": records}, indent=1
         ) + "\n")
-        print(f"recorded {len(records)} campaigns (n={args.n}, seed {args.seed})")
+        print(f"recorded {len(records)} campaigns (n={N}, seed {SEED})")
         return 0
 
     pinned = json.loads(RECORD.read_text())
-    records = measure(pinned["n"], pinned["seed"])
     differ = 0
     for key in sorted(pinned["campaigns"].keys() | records.keys()):
         want, got = pinned["campaigns"].get(key), records.get(key)
@@ -127,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"     now    {json.dumps(got, sort_keys=True)}")
     print(
         f"{len(records) - differ}/{len(records)} campaigns match "
-        f"(n={pinned['n']}, seed {pinned['seed']})"
+        f"(n={N}, seed {SEED})"
     )
     return 1 if differ else 0
 

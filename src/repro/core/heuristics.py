@@ -26,6 +26,7 @@ from repro.errors import AnalysisError
 from repro.isa.instructions import Instr, Op
 from repro.isa.layout import STACK_LIMIT, STACK_TOP
 from repro.isa.registers import BP, SP, fp_reg_name, int_reg_name
+from repro.machine.memory import pattern_to_int
 from repro.machine.process import Process
 from repro.machine.signals import Trap
 
@@ -199,11 +200,11 @@ def apply_heuristic1(
                 )
             )
         else:
-            process.cpu.iregs[index] = fill_int
+            fill = process.cpu.iregs[index] = pattern_to_int(int(fill_int))
             report.actions.append(
                 RepairAction(
                     kind="fill-load",
-                    description=f"{int_reg_name(index)} <- {fill_int} (faulted load)",
+                    description=f"{int_reg_name(index)} <- {fill} (faulted load)",
                 )
             )
     elif instr.is_store():

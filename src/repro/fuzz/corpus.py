@@ -34,7 +34,7 @@ import json
 from pathlib import Path
 
 from repro.fuzz.oracles import PROGRAM_ORACLES, Divergence, check_program
-from repro.isa.instructions import FLOAT_IMM_OPS, Instr, Op
+from repro.isa.instructions import Instr, Op
 from repro.isa.layout import DATA_BASE
 from repro.isa.program import DataSymbol, Program
 
@@ -62,8 +62,6 @@ def program_from_dict(payload: dict, name: str = "corpus") -> Program:
     for opname, rd, ra, rb, imm in payload["instrs"]:
         op = Op[opname.upper()]
         if isinstance(imm, str):
-            imm = float(imm)
-        elif op in FLOAT_IMM_OPS:
             imm = float(imm)
         instrs.append(Instr(op, rd=rd, ra=ra, rb=rb, imm=imm))
     cells = int(payload.get("data_cells", 0))

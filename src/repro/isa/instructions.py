@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 
+from repro.isa.layout import INT64_MAX, INT64_MIN, MASK64
 from repro.isa.registers import (
     BP,
     SP,
@@ -250,9 +251,15 @@ class Instr:
     sym: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        # Float registers hold floats (a float store writes a float cell).
-        if type(self.imm) is int and self.op in FLOAT_IMM_OPS:
-            object.__setattr__(self, "imm", float(self.imm))
+        # Float registers hold floats (a float store writes a float cell)
+        # and int registers signed 64-bit ints (an int store writes its
+        # register as is), so an int immediate is wrapped to that range.
+        imm = self.imm
+        if type(imm) is int:
+            if self.op in FLOAT_IMM_OPS:
+                object.__setattr__(self, "imm", float(imm))
+            elif not INT64_MIN <= imm <= INT64_MAX:
+                object.__setattr__(self, "imm", ((imm - INT64_MIN) & MASK64) + INT64_MIN)
 
     # -- classification helpers (used by LetGo and the injector) ----------
 

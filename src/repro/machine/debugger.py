@@ -24,6 +24,7 @@ from repro.isa.registers import (
     is_int_reg,
 )
 from repro.machine.cpu import STOP_HALT
+from repro.machine.memory import pattern_to_int
 from repro.machine.process import Process, ProcessStatus
 from repro.machine.signals import Trap
 
@@ -145,11 +146,12 @@ class DebugSession:
         raise KeyError(name)
 
     def write_reg(self, name: str, value: int | float) -> None:
-        """Write a register by name (``pc`` included)."""
+        """Write a register by name (``pc`` included); an int register
+        takes *value* wrapped to signed 64 bits."""
         if name == "pc":
             self.process.cpu.pc = int(value)
         elif is_int_reg(name):
-            self.process.cpu.iregs[int_reg_index(name)] = int(value)
+            self.process.cpu.iregs[int_reg_index(name)] = pattern_to_int(int(value))
         elif is_fp_reg(name):
             self.process.cpu.fregs[fp_reg_index(name)] = float(value)
         else:

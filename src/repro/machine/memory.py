@@ -33,7 +33,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, count, islice
+from itertools import compress
 from math import copysign
 from operator import ne
 
@@ -173,7 +173,9 @@ class Memory:
         return value
 
     def write_int(self, address: int, value: int) -> None:
-        """Write a signed 64-bit integer (in range, as every register is)."""
+        """Write a signed 64-bit integer.  Stored as is: every int register
+        holds one (ALU results wrap, immediates, debugger writes and
+        Heuristic I's fill value are wrapped where they enter)."""
         self._check(address, "write")
         self._cells[address] = value
 
@@ -216,9 +218,8 @@ class Memory:
         if len(live) != len(cells):
             return False
         unequal = map(ne, map(live.get, cells), cells.values())
-        for i in compress(count(), unequal):
-            address = next(islice(cells, i, None))
-            if not _same_pattern(live.get(address), cells[address]):
+        for address, value in compress(cells.items(), unequal):
+            if not _same_pattern(live.get(address), value):
                 return False
         mine = list(map(live.get, cells))
         theirs = list(cells.values())

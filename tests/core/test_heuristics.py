@@ -66,6 +66,13 @@ def test_h1_fill_value_configurable(env):
     assert process.cpu.iregs[1] == -7
 
 
+def test_h1_int_fill_wraps_to_64_bits(env):
+    process, _ = env
+    report = HeuristicReport()
+    apply_heuristic1(process, _trap_at(process, 3), (1 << 64) - 1, 0.0, report)
+    assert process.cpu.iregs[1] == -1
+
+
 def test_h1_fills_float_load(env):
     process, _ = env
     process.cpu.fregs[1] = 9.9

@@ -131,6 +131,14 @@ def test_read_write_regs():
         s.write_reg("nope", 0)
 
 
+def test_write_reg_wraps_ints_to_64_bits():
+    s = make_session(COUNTER_LOOP)
+    s.write_reg("r7", (1 << 64) - 1)
+    assert s.read_reg("r7") == -1
+    s.write_reg("r7", 1 << 63)
+    assert s.read_reg("r7") == -(1 << 63)
+
+
 def test_read_write_mem(demo_program):
     s = DebugSession(Process.load(demo_program))
     addr = demo_program.data_symbols["cnt"].addr

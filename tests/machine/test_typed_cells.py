@@ -10,7 +10,8 @@ from repro.checkpoint.snapshot import snapshot
 from repro.fuzz.generator import gen_segments
 from repro.fuzz.oracles import EagerCompiledCPU, check_backends
 from repro.isa.instructions import Instr, Op
-from repro.isa.layout import DATA_BASE, INT64_MIN
+from repro.isa.assembler import assemble
+from repro.isa.layout import DATA_BASE, INT64_MAX, INT64_MIN, MASK64
 from repro.isa.program import DataSymbol, Program
 from repro.machine.memory import (
     Memory,
@@ -160,6 +161,41 @@ def test_write_pattern_holds_the_signed_value(mem):
     assert mem.raw_cells() == {0x1000: -1}
     assert mem.read_pattern(0x1000) == (1 << 64) - 1
     assert mem.read_int(0x1000) == -1
+
+
+# -- int registers stay in range ----------------------------------------------
+
+
+@pytest.mark.parametrize("imm", [(1 << 64) - 1, -(1 << 64) - 1, 1 << 63])
+def test_out_of_range_int_immediates_wrap(imm):
+    wrapped = Instr(Op.MOVI, rd=1, imm=imm).imm
+    assert INT64_MIN <= wrapped <= INT64_MAX
+    assert wrapped & MASK64 == imm & MASK64
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_all_ones_immediate_stores_and_loads_as_minus_one(backend):
+    # A store writes its register as is, so the immediate must already be
+    # the signed value, or the float load could not pack the cell.
+    source = f"""
+.data
+g: .space 8
+.text
+.entry main
+.func main
+main:
+    movi r1, @g
+    movi r2, #{MASK64:#x}
+    st [r1 + 0], r2
+    ld r3, [r1 + 0]
+    fld f1, [r1 + 0]
+    halt
+"""
+    process = _run(assemble(source), backend)
+    assert process.cpu.halted
+    assert process.cpu.iregs[2:4] == [-1, -1]
+    assert float_to_pattern(process.cpu.fregs[1]) == MASK64
+    assert process.memory.written_cells() == {DATA_BASE: MASK64}
 
 
 # -- exact comparison ---------------------------------------------------------
