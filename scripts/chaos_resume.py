@@ -84,7 +84,6 @@ def main() -> int:
             jobs=2,
             shard_size=1,
             keep_results=True,
-            retry_backoff=0.0,
             max_pool_rebuilds=0,
             serial_fallback=False,
             journal=str(journal_path),

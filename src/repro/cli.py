@@ -451,7 +451,7 @@ def _add_backend_arg(p: argparse.ArgumentParser) -> None:
         "--backend",
         choices=sorted(BACKENDS),
         default=None,
-        help="execution engine (default: compiled, or $REPRO_BACKEND); "
+        help="execution engine (default: compiled); "
              "outcomes are backend-invariant",
     )
 

@@ -233,7 +233,7 @@ class CampaignConfig:
     )
     backend: str | None = _knob(
         None,
-        "execution engine (default: compiled, or $REPRO_BACKEND); "
+        "execution engine (default: compiled); "
         "outcomes are backend-invariant",
         choices="backends",
     )
@@ -244,26 +244,6 @@ class CampaignConfig:
         kind="bool",
     )
     # -- resilience -------------------------------------------------------
-    max_retries: int = _knob(
-        2,
-        "re-executions of a failing shard before it is bisected down "
-        "to the poison plan (default: 2)",
-        kind="int",
-        metavar="R",
-    )
-    retry_backoff: float = _knob(
-        0.1,
-        "exponential backoff seconds between shard retries "
-        "(0 disables sleeping)",
-        kind="float",
-        metavar="SECONDS",
-    )
-    retry_backoff_cap: float = _knob(
-        2.0,
-        "upper bound on the retry backoff (seconds)",
-        kind="float",
-        metavar="SECONDS",
-    )
     max_pool_rebuilds: int = _knob(
         2,
         "broken process pools replaced before degrading to in-process "
@@ -319,28 +299,19 @@ class CampaignConfig:
         "(implies telemetry)",
         metavar="PATH",
     )
-    probe_interval: int = _knob(
-        0,
-        "emit a progress probe every N retired instructions of golden-"
-        "prefix replay (0: off; implies telemetry)",
-        kind="probe",
-        metavar="N",
-    )
 
     def __post_init__(self) -> None:
         if self.jobs is not None and self.jobs < 1:
             raise ValueError("jobs must be >= 1 (or None for all cores)")
         if self.shard_size is not None and self.shard_size < 1:
             raise ValueError("shard_size must be >= 1")
-        for name in (
-            "max_retries",
-            "retry_backoff",
-            "retry_backoff_cap",
-            "max_pool_rebuilds",
-            "probe_interval",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.ladder_interval is not None and self.ladder_interval < 0:
+            raise ValueError("ladder_interval must be >= 0")
+        if self.max_pool_rebuilds < 0:
+            raise ValueError("max_pool_rebuilds must be >= 0")
+        # Zero or less would classify every run as HANG; NaN never expires.
+        if self.wall_clock_limit is not None and not self.wall_clock_limit > 0:
+            raise ValueError("wall_clock_limit must be > 0 (or None for off)")
         if self.journal is not None and self.resume is not None:
             raise ValueError(
                 "pass either journal= (fresh) or resume= (existing), not both"
@@ -353,7 +324,6 @@ class CampaignConfig:
             self.telemetry
             or self.trace is not None
             or self.chrome_trace is not None
-            or self.probe_interval > 0
         )
 
 
@@ -363,7 +333,6 @@ _FLAG_TYPES = {
     "float": float,
     "str": str,
     "ladder": _nonnegative_int,
-    "probe": _nonnegative_int,
 }
 
 

@@ -89,6 +89,13 @@ from repro.telemetry.export import write_chrome_trace, write_jsonl
 #: ``ladder_interval`` value that disables the ladder entirely.
 NO_LADDER = 0
 
+#: Re-executions of a failing shard before it is bisected.
+MAX_RETRIES = 2
+#: Seconds slept before the first retry of a shard; doubles per retry.
+RETRY_BACKOFF = 0.1
+#: Upper bound on one retry's sleep, in seconds.
+RETRY_BACKOFF_CAP = 2.0
+
 
 @dataclass(frozen=True)
 class EngineStats:
@@ -207,7 +214,6 @@ def _run_shard(
     tracer = Tracer(
         capacity=_capacity(campaign),
         tid=f"shard-{min(idx for idx, _ in batch):05d}",
-        probe_interval=campaign.probe_interval,
     )
     tracer.instant("worker-start", pid=os.getpid(), plans=len(batch))
     out: dict[int, InjectionResult] = {}
@@ -367,13 +373,15 @@ def _split(items: list, k: int) -> list[list]:
 class _Supervisor:
     """Drives shards to completion through failures.
 
-    Policy ladder, applied per shard: retry with bounded exponential
-    backoff -> bisect a still-failing shard to isolate the poison plan ->
-    quarantine the single plan that keeps failing.  Pool breakage
-    (SIGKILLed/OOM-killed workers) rebuilds the executor up to
-    ``max_pool_rebuilds`` times, then either degrades to in-process serial
-    execution or -- with ``serial_fallback`` off -- aborts with
-    :class:`~repro.errors.CampaignAbortedError` naming the journal.
+    Policy ladder, applied per shard: retry up to :data:`MAX_RETRIES`
+    times with exponential backoff (:data:`RETRY_BACKOFF` seconds,
+    doubling up to :data:`RETRY_BACKOFF_CAP`) -> bisect a still-failing
+    shard to isolate the poison plan -> quarantine the single plan that
+    keeps failing.  Pool breakage (SIGKILLed/OOM-killed workers) rebuilds
+    the executor up to ``max_pool_rebuilds`` times, then either degrades
+    to in-process serial execution or -- with ``serial_fallback`` off --
+    aborts with :class:`~repro.errors.CampaignAbortedError` naming the
+    journal.
     Every completed shard is journaled *before* its results are merged.
     """
 
@@ -522,20 +530,13 @@ class _Supervisor:
         key = tuple(idx for idx, _ in shard)
         count = self.attempts.get(key, 0) + 1
         self.attempts[key] = count
-        if count <= self.campaign.max_retries:
+        if count <= MAX_RETRIES:
             self.tracer.count("retry")
             self.tracer.instant(
                 "retry", plans=len(shard), attempt=count,
                 error=type(exc).__name__,
             )
-            backoff = self.campaign.retry_backoff
-            if backoff > 0:
-                sleep(
-                    min(
-                        self.campaign.retry_backoff_cap,
-                        backoff * 2 ** (count - 1),
-                    )
-                )
+            sleep(min(RETRY_BACKOFF_CAP, RETRY_BACKOFF * 2 ** (count - 1)))
             self.queue.append(shard)
         elif len(shard) > 1:
             # Bisect: isolate the poison plan instead of discarding the
@@ -563,11 +564,11 @@ class CampaignEngine:
     """Runs injection campaigns with prefix reuse, fan-out, and supervision.
 
     Every knob -- execution (``jobs``, ``ladder_interval``, ``shard_size``,
-    ``backend``, ``keep_results``), resilience (retries, backoff, pool
-    rebuilds, serial fallback, the ``wall_clock_limit`` watchdog),
-    durability (``journal`` / ``resume``) and observability -- is a field
-    of the frozen :class:`~repro.faultinject.campaign.CampaignConfig`
-    passed as ``config=`` (None: the defaults).  The engine reads it as
+    ``backend``, ``keep_results``), resilience (pool rebuilds, serial
+    fallback, the ``wall_clock_limit`` watchdog), durability (``journal``
+    / ``resume``) and observability -- is a field of the frozen
+    :class:`~repro.faultinject.campaign.CampaignConfig` passed as
+    ``config=`` (None: the defaults).  The engine reads it as
     :attr:`config` and hands the same object to every worker.
 
     For the same (app, n, seed, LetGo config, plans) every (jobs,
@@ -614,10 +615,7 @@ class CampaignEngine:
         an uninterrupted run with the same seed.
         """
         cfg = self.config
-        tracer = Tracer(
-            capacity=_capacity(cfg), tid="engine",
-            probe_interval=cfg.probe_interval,
-        )
+        tracer = Tracer(capacity=_capacity(cfg), tid="engine")
         self.telemetry = None
         t0 = perf_counter()
         if plans is None:

@@ -56,7 +56,6 @@ from repro.machine.debugger import (
     STOP_STEPS_DONE,
     STOP_TRAP,
     DebugSession,
-    StopEvent,
 )
 from repro.machine.signals import Signal
 from repro.telemetry.tracer import NULL_TRACER
@@ -76,29 +75,8 @@ class InjectionResult:
     timed_out: bool = False             # wall-clock watchdog expired
 
 
-def _probed_steps(
-    session: DebugSession, steps: int, tracer
-) -> StopEvent:
-    """``session.run_steps(steps)`` in instret buckets, emitting progress.
-
-    One ``progress`` instant per :attr:`Tracer.probe_interval` retired
-    instructions -- the golden-prefix heartbeat a stalled worker shows in
-    its trace.  Chunking through the exact-budget ``run_steps`` contract
-    leaves the architectural outcome identical on both backends.
-    """
-    cpu = session.process.cpu
-    interval = tracer.probe_interval
-    remaining = steps
-    while True:
-        event = session.run_steps(min(interval, remaining))
-        tracer.instant("progress", instret=cpu.instret)
-        remaining -= event.steps
-        if event.kind != STOP_STEPS_DONE or remaining <= 0:
-            return event
-
-
 def _advance_and_flip(
-    session: DebugSession, plan: InjectionPlan, tracer=NULL_TRACER
+    session: DebugSession, plan: InjectionPlan
 ) -> tuple[int, tuple[str, int]] | None:
     """Run to the injection point and apply the flip.
 
@@ -117,10 +95,7 @@ def _advance_and_flip(
             f"(instret={cpu.instret}, dyn_index={plan.dyn_index})"
         )
     if remaining > 0:
-        if tracer.probe_interval > 0:
-            event = _probed_steps(session, remaining, tracer)
-        else:
-            event = session.run_steps(remaining)
+        event = session.run_steps(remaining)
         if event.kind == STOP_EXITED:
             return None
         if event.kind != STOP_STEPS_DONE:
@@ -209,7 +184,7 @@ def run_injection(
         session = DebugSession(app.load(backend))
     process = session.process
     with tracer.span("advance-to-site"):
-        placed = _advance_and_flip(session, plan, tracer)
+        placed = _advance_and_flip(session, plan)
     if placed is None:
         result = InjectionResult(
             outcome=Outcome.NOT_INJECTED,

@@ -4,12 +4,7 @@ Replaces the hardware + Linux + gdb layer of the original LetGo prototype.
 """
 
 from repro.machine.cluster import Cluster, ClusterEvent, Network
-from repro.machine.compiled import (
-    BACKENDS,
-    CompiledCPU,
-    cpu_class,
-    default_backend,
-)
+from repro.machine.compiled import BACKENDS, CompiledCPU, cpu_class
 from repro.machine.cpu import CPU, STOP_HALT, STOP_STEPS
 from repro.machine.debugger import (
     STOP_BREAKPOINT,
@@ -41,7 +36,6 @@ __all__ = [
     "CompiledCPU",
     "BACKENDS",
     "cpu_class",
-    "default_backend",
     "STOP_HALT",
     "STOP_STEPS",
     "DebugSession",

@@ -67,7 +67,6 @@ when it first enters a block, which costs one function object.
 
 from __future__ import annotations
 
-import os
 from math import copysign, inf, isinf, isnan, nan, sqrt
 from operator import index
 from types import FunctionType
@@ -436,12 +435,7 @@ def _block_image(program, cls: type, ranges: tuple) -> _BlockImage:
 
 
 class CompiledCPU(CPU):
-    """Drop-in :class:`CPU` that runs hot basic blocks as generated code.
-
-    ``run_probed`` (instret-bucketed telemetry progress probes) is
-    inherited from :class:`CPU` unchanged: it slices the budget through
-    the public ``run`` contract, which this backend honours exactly.
-    """
+    """Drop-in :class:`CPU` that runs hot basic blocks as generated code."""
 
     #: Entries of a leader's block before it is compiled.  Compiling every
     #: leader on first entry would pay code generation for blocks that run
@@ -567,18 +561,12 @@ BACKENDS: dict[str, type[CPU]] = {
     "compiled": CompiledCPU,
 }
 
-#: Package default; override per call with ``backend=`` or process-wide
-#: with the ``REPRO_BACKEND`` environment variable.
+#: Package default; override per call with ``backend=``.
 DEFAULT_BACKEND = "compiled"
 
 
-def default_backend() -> str:
-    """The backend used when no ``backend=`` is given."""
-    return os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND)
-
-
 def cpu_class(backend: "str | type[CPU] | None") -> type[CPU]:
-    """Resolve a backend name (``None`` = :func:`default_backend`).
+    """Resolve a backend name (``None`` = :data:`DEFAULT_BACKEND`).
 
     A :class:`CPU` subclass passes through unchanged, so callers (the
     fuzz harness's eager and mutant CPUs, experiments) can plug a custom
@@ -587,7 +575,7 @@ def cpu_class(backend: "str | type[CPU] | None") -> type[CPU]:
     """
     if isinstance(backend, type) and issubclass(backend, CPU):
         return backend
-    name = default_backend() if backend is None else backend
+    name = DEFAULT_BACKEND if backend is None else backend
     try:
         return BACKENDS[name]
     except KeyError:
@@ -602,6 +590,5 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
     "block_source",
-    "default_backend",
     "cpu_class",
 ]

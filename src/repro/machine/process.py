@@ -63,7 +63,7 @@ class Process:
         ``data_init`` patterns), the stack, sets ``sp = bp = STACK_TOP``
         and the PC to the entry function.  *backend* picks the execution
         engine ("interpreter" or "compiled"); ``None`` uses the package
-        default (see :func:`repro.machine.compiled.default_backend`).
+        default, :data:`repro.machine.compiled.DEFAULT_BACKEND`.
         """
         from repro.machine.compiled import cpu_class
 

@@ -11,8 +11,8 @@ the serial campaign's totals exactly.
 
 Its **timeline** is a ring buffer of ``capacity`` raw events, for the
 trace files only: ``span`` (a named duration with nesting depth),
-``instant`` (a point event with optional arguments: ``flip``, ``retry``,
-``progress`` probes) and ``gauge`` (a sampled value: ``queue-depth``).
+``instant`` (a point event with optional arguments: ``flip``, ``retry``)
+and ``gauge`` (a sampled value: ``queue-depth``).
 When the ring is full the oldest event is dropped and ``dropped``
 incremented.  ``capacity=0`` keeps no timeline: :meth:`Tracer.instant`
 and :meth:`Tracer.gauge` return before building a record.
@@ -85,7 +85,6 @@ class NullTracer:
     __slots__ = ()
 
     enabled = False
-    probe_interval = 0
 
     def span(self, name: str) -> _NullSpan:
         return _NULL_SPAN
@@ -146,14 +145,11 @@ class Tracer:
     """Enabled recorder for one execution stream.
 
     ``tid`` labels the stream (``"engine"``, ``"shard-0042"``);
-    ``capacity`` bounds the timeline ring (0: no timeline);
-    ``probe_interval`` > 0 asks instrumented run loops to emit
-    ``progress`` instants every that many retired instructions.
+    ``capacity`` bounds the timeline ring (0: no timeline).
     """
 
     __slots__ = (
         "tid",
-        "probe_interval",
         "capacity",
         "counters",
         "phases",
@@ -169,14 +165,10 @@ class Tracer:
         self,
         capacity: int = DEFAULT_CAPACITY,
         tid: str = "main",
-        probe_interval: int = 0,
     ):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
-        if probe_interval < 0:
-            raise ValueError("probe_interval must be >= 0")
         self.tid = tid
-        self.probe_interval = probe_interval
         self.capacity = capacity
         self.counters: dict[str, int] = {}
         self.phases: dict[str, PhaseStat] = {}

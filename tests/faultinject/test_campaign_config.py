@@ -22,6 +22,24 @@ from repro.faultinject import (
 
 FIELD_NAMES = {spec.name for spec in dataclasses.fields(CampaignConfig)}
 
+#: The campaign's whole configuration surface.  Adding a knob means
+#: adding it here on purpose.
+EXPECTED_FIELDS = {
+    "jobs",
+    "ladder_interval",
+    "shard_size",
+    "backend",
+    "keep_results",
+    "max_pool_rebuilds",
+    "serial_fallback",
+    "wall_clock_limit",
+    "journal",
+    "resume",
+    "telemetry",
+    "trace",
+    "chrome_trace",
+}
+
 
 def _campaign_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="test")
@@ -30,6 +48,19 @@ def _campaign_parser() -> argparse.ArgumentParser:
 
 
 # -- CLI parity --------------------------------------------------------------
+
+
+def test_configuration_surface_is_pinned():
+    assert FIELD_NAMES == EXPECTED_FIELDS
+    parser = _campaign_parser()
+    for flag in (
+        "--probe-interval",
+        "--max-retries",
+        "--retry-backoff",
+        "--retry-backoff-cap",
+    ):
+        with pytest.raises(SystemExit):
+            parser.parse_args([flag, "1"])
 
 
 def test_every_config_field_has_a_flag_and_vice_versa():
@@ -69,7 +100,6 @@ def test_flags_parse_types_and_groups():
             "--no-serial-fallback",
             "--telemetry",
             "--trace", "t.jsonl",
-            "--probe-interval", "100",
             "--journal", "j.path",
         ]
     )
@@ -80,7 +110,6 @@ def test_flags_parse_types_and_groups():
     assert cfg.keep_results is True
     assert cfg.serial_fallback is False
     assert cfg.telemetry is True and cfg.trace == "t.jsonl"
-    assert cfg.probe_interval == 100
     assert cfg.journal == "j.path" and cfg.resume is None
 
 
@@ -115,23 +144,30 @@ def test_config_validation():
         CampaignConfig(jobs=0)
     with pytest.raises(ValueError, match="shard_size"):
         CampaignConfig(shard_size=0)
-    with pytest.raises(ValueError, match="probe_interval"):
-        CampaignConfig(probe_interval=-1)
-    for name in (
-        "max_retries",
-        "retry_backoff",
-        "retry_backoff_cap",
-        "max_pool_rebuilds",
-    ):
-        with pytest.raises(ValueError, match=name):
-            CampaignConfig(**{name: -1})
+    with pytest.raises(ValueError, match="max_pool_rebuilds"):
+        CampaignConfig(max_pool_rebuilds=-1)
+    with pytest.raises(ValueError, match="ladder_interval"):
+        CampaignConfig(ladder_interval=-1)
+    # A limit of zero or less would report every run as a hang.
+    for limit in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="wall_clock_limit"):
+            CampaignConfig(wall_clock_limit=limit)
     # The bounds themselves are valid.
     CampaignConfig(
-        jobs=None, max_retries=0, retry_backoff=0.0, retry_backoff_cap=0.0,
-        max_pool_rebuilds=0,
+        jobs=None, ladder_interval=0, max_pool_rebuilds=0,
+        wall_clock_limit=1e-9,
     )
     with pytest.raises(ValueError, match="journal"):
         CampaignConfig(journal="a", resume="b")
+
+
+def test_negative_ladder_interval_fails_before_the_journal_exists(tmp_path):
+    # Rejected when the config is built, not in the ladder build after the
+    # engine has created the journal (a rerun would then find it in place).
+    journal = tmp_path / "c.journal"
+    with pytest.raises(ValueError, match="ladder_interval"):
+        CampaignConfig(ladder_interval=-1, journal=str(journal))
+    assert not journal.exists()
 
 
 def test_telemetry_enabled_implied_by_outputs():
@@ -139,7 +175,6 @@ def test_telemetry_enabled_implied_by_outputs():
     assert CampaignConfig(telemetry=True).telemetry_enabled
     assert CampaignConfig(trace="t.jsonl").telemetry_enabled
     assert CampaignConfig(chrome_trace="c.json").telemetry_enabled
-    assert CampaignConfig(probe_interval=10).telemetry_enabled
 
 
 # -- the engine ---------------------------------------------------------------
@@ -148,7 +183,7 @@ def test_telemetry_enabled_implied_by_outputs():
 def test_engine_accepts_config_object_silently():
     import warnings
 
-    cfg = CampaignConfig(jobs=2, max_retries=0)
+    cfg = CampaignConfig(jobs=2, max_pool_rebuilds=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         engine = CampaignEngine(config=cfg)

@@ -15,7 +15,6 @@ from repro.faultinject import (
 )
 from repro.faultinject import engine as engine_mod
 from repro.faultinject.engine import _app_spec, _split
-from repro.telemetry import read_jsonl
 
 N = 12
 SEED = 23
@@ -181,39 +180,35 @@ def test_plans_length_mismatch_engine(pennant_app):
         CampaignEngine().run(pennant_app, 5, 0, None, plans=plans)
 
 
-def test_workers_receive_the_whole_config(pennant_app, tmp_path, monkeypatch):
+def test_workers_receive_the_whole_config(pennant_app, monkeypatch):
     """Pooled workers run with the same CampaignConfig as an in-process
-    campaign: non-default backend and probe interval included.
+    campaign: non-default backend and wall-clock limit included.
 
     The fork pool inherits the patched ``run_injection``; a worker that
     lost a field fails its plans, which are then quarantined.
     """
 
-    def checked(app, plan, config=None, *, session, tracer, **kwargs):
-        if session.process.backend != "interpreter" or tracer.probe_interval != 40:
+    def checked(app, plan, config=None, *, session, wall_clock_limit, **kwargs):
+        if session.process.backend != "interpreter" or wall_clock_limit != 3600.0:
             raise AssertionError("CampaignConfig field lost on the way here")
         return run_injection(
-            app, plan, config, session=session, tracer=tracer, **kwargs
+            app, plan, config, session=session,
+            wall_clock_limit=wall_clock_limit, **kwargs,
         )
 
     monkeypatch.setattr(engine_mod, "run_injection", checked)
+    monkeypatch.setattr(engine_mod, "RETRY_BACKOFF", 0.0)
     runs = []
     for jobs in (1, 2):
-        trace = tmp_path / f"jobs{jobs}.jsonl"
         engine = _engine(
             jobs=jobs,
             backend="interpreter",
-            probe_interval=40,
-            trace=str(trace),
+            wall_clock_limit=3600.0,
+            telemetry=True,
             keep_results=True,
-            max_retries=0,
-            retry_backoff=0.0,
         )
         result = engine.run(pennant_app, 6, SEED, LETGO_E)
         assert engine.stats.jobs == jobs
         assert engine.stats.quarantined == ()
-        _, records = read_jsonl(trace)
-        progress = sum(r["name"] == "progress" for r in records)
-        runs.append((_fingerprint(result), engine.telemetry.signature(), progress))
+        runs.append((_fingerprint(result), engine.telemetry.signature()))
     assert runs[0] == runs[1]
-    assert runs[0][2] > 0

@@ -60,8 +60,14 @@ def _reference(app, config=None, n=N, seed=SEED):
 
 def _engine(**knobs):
     knobs.setdefault("keep_results", True)
-    knobs.setdefault("retry_backoff", 0.0)
     return CampaignEngine(config=CampaignConfig(**knobs))
+
+
+@pytest.fixture(autouse=True)
+def _instant_retries(monkeypatch):
+    # The supervisor sleeps in the parent, so this holds for pooled
+    # campaigns too.
+    monkeypatch.setattr(engine_mod, "RETRY_BACKOFF", 0.0)
 
 
 def test_shard_size_determinism(pennant_app):
@@ -87,7 +93,7 @@ def test_poison_plan_quarantined(pennant_app, tmp_path, monkeypatch, jobs):
 
     monkeypatch.setattr(engine_mod, "run_injection", poisoned)
     journal_path = tmp_path / "c.journal"
-    engine = _engine(jobs=jobs, max_retries=1, journal=str(journal_path))
+    engine = _engine(jobs=jobs, journal=str(journal_path))
     result = engine.run(pennant_app, N, SEED, None)
 
     assert engine.stats.quarantined == (7,)
@@ -102,7 +108,7 @@ def test_poison_plan_quarantined(pennant_app, tmp_path, monkeypatch, jobs):
     (record,) = journal.quarantined
     assert record.index == 7 and record.plan == poison
     assert "poison plan" in record.error
-    assert record.attempts == 2  # first run + one retry
+    assert record.attempts == engine_mod.MAX_RETRIES + 1  # first run + retries
     assert journal.completed_indices == set(range(N)) - {7}
 
 
@@ -120,7 +126,7 @@ def test_transient_failure_is_retried(pennant_app, tmp_path, monkeypatch):
         return run_injection(app, plan, config, **kwargs)
 
     monkeypatch.setattr(engine_mod, "run_injection", transient)
-    engine = _engine(jobs=1, max_retries=2)
+    engine = _engine(jobs=1)
     result = engine.run(pennant_app, N, SEED, None)
     assert engine.stats.retries >= 1
     assert engine.stats.quarantined == ()
@@ -316,7 +322,8 @@ def test_engine_counts_watchdog_timeouts(pennant_app):
         InjectionPlan(dyn_index=1000 + i, bit=45, reg_choice=0.5)
         for i in range(4)
     ]
-    engine = _engine(jobs=1, wall_clock_limit=0.0)
+    # A config rejects 0; a nanosecond is over before a post-fault run starts.
+    engine = _engine(jobs=1, wall_clock_limit=1e-9)
     result = engine.run(pennant_app, 4, SEED, None, plans=plans)
     assert engine.stats.timeouts == 4
     assert result.counts == {Outcome.HANG: 4}

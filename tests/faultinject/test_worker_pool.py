@@ -21,8 +21,7 @@ SEED = 23
 def _pooled(app, trace, **knobs):
     """One jobs=2 campaign of two-plan shards: (result, engine, pids)."""
     engine = CampaignEngine(config=CampaignConfig(
-        jobs=2, shard_size=2, keep_results=True, retry_backoff=0.0,
-        trace=str(trace), **knobs,
+        jobs=2, shard_size=2, keep_results=True, trace=str(trace), **knobs,
     ))
     result = engine.run(app, N, SEED, None)
     _, records = read_jsonl(trace)

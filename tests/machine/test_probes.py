@@ -1,9 +1,11 @@
-"""``CPU.run_probed``: instret-bucketed progress probes on both backends.
+"""Sliced budgets: a run cut into buckets equals one run, on both backends.
 
-The telemetry progress probe slices a budget through the public ``run``
-contract, so trap sites, retirement counts and stop reasons must be
-bit-identical to one unprobed ``run`` call -- on the interpreter and the
-compiled backend alike.
+Post-fault runs are driven in slices -- the wall-clock watchdog checks
+its deadline between them and the ladder stops at every rung -- so
+``CPU.run`` must honour exact budgets: a run cut into *interval*-sized
+buckets, with a probe reading ``instret`` between them, must leave trap
+sites, retirement counts and stop reasons bit-identical to one ``run``
+call, on the interpreter and the compiled backend alike.
 """
 
 from __future__ import annotations
@@ -34,6 +36,21 @@ loop:
 """
 
 
+def _run_probed(cpu, max_steps: int, probe, interval: int) -> str:
+    """``cpu.run(max_steps)`` in *interval*-sized buckets, calling
+    ``probe(instret)`` after each bucket that completes."""
+    remaining = max_steps
+    stop = STOP_HALT if cpu.halted else STOP_STEPS
+    while remaining > 0:
+        before = cpu.instret
+        stop = cpu.run(min(interval, remaining))
+        remaining -= cpu.instret - before
+        probe(cpu.instret)
+        if stop == STOP_HALT:
+            break
+    return stop
+
+
 def _state(process):
     cpu = process.cpu
     return (cpu.pc, cpu.instret, cpu.halted, list(cpu.iregs), list(cpu.fregs))
@@ -52,7 +69,7 @@ def test_probed_run_matches_plain_run(demo, backend, interval):
 
     probed = Process.load(demo, backend=backend)
     seen: list[int] = []
-    stop_probed = probed.cpu.run_probed(10_000, seen.append, interval)
+    stop_probed = _run_probed(probed.cpu, 10_000, seen.append, interval)
 
     assert stop_probed == stop_plain == STOP_HALT
     assert _state(probed) == _state(plain)
@@ -70,7 +87,7 @@ def test_probed_budget_exhaustion_is_exact(demo, backend):
 
     probed = Process.load(demo, backend=backend)
     seen: list[int] = []
-    assert probed.cpu.run_probed(budget, seen.append, 10) == STOP_STEPS
+    assert _run_probed(probed.cpu, budget, seen.append, 10) == STOP_STEPS
     assert _state(probed) == _state(plain)
     assert probed.cpu.instret == budget
     assert seen == [10, 20, 30, 37]
@@ -86,16 +103,9 @@ def test_probed_trap_propagates_at_same_site(backend):
     probed = Process.load(program, backend=backend)
     seen: list[int] = []
     with pytest.raises(Trap) as probed_trap:
-        probed.cpu.run_probed(10_000, seen.append, 16)
+        _run_probed(probed.cpu, 10_000, seen.append, 16)
 
     assert probed_trap.value.signal == plain_trap.value.signal
     assert _state(probed) == _state(plain)
     # The bucket the trap interrupted never completed, so no trailing probe.
     assert all(i <= probed.cpu.instret for i in seen)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_probe_interval_must_be_positive(demo, backend):
-    process = Process.load(demo, backend=backend)
-    with pytest.raises(ValueError, match="interval"):
-        process.cpu.run_probed(10, lambda _: None, 0)

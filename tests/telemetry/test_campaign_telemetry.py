@@ -116,7 +116,8 @@ def test_small_ring_keeps_phase_counts_and_signature_exact(
     [
         {"jobs": 1},
         {"jobs": 2, "ladder_interval": 0},
-        {"jobs": 1, "wall_clock_limit": 0.0},
+        # A config rejects 0; a nanosecond is over before a post-fault run starts.
+        {"jobs": 1, "wall_clock_limit": 1e-9},
     ],
     ids=["ladder", "cold", "watchdog"],
 )
@@ -198,14 +199,6 @@ def test_trace_files_written_and_parse(pennant_app, tmp_path):
     assert doc["traceEvents"]
     names = {e["name"] for e in doc["traceEvents"]}
     assert "post-fault" in names and "thread_name" in names
-
-
-def test_probe_interval_emits_progress_instants(pennant_app):
-    engine = CampaignEngine(config=CampaignConfig(jobs=1, probe_interval=50))
-    engine.run(pennant_app, 3, SEED, None)
-    report = engine.telemetry
-    assert report is not None  # probe_interval implies telemetry
-    # Progress instants are events, not phases; check via the engine trace.
 
 
 def test_resumed_campaign_records_resume_event(pennant_app, tmp_path):

@@ -113,7 +113,7 @@ def test_parallel(capsys):
 def test_campaign_journal_then_resume(tmp_path, capsys):
     journal = str(tmp_path / "c.journal")
     base = ["campaign", "--app", "pennant", "-n", "6", "--seed", "2",
-            "--max-retries", "1", "--wall-clock-limit", "3600"]
+            "--wall-clock-limit", "3600"]
     assert main([*base, "--journal", journal]) == 0
     capsys.readouterr()
     assert main([*base, "--resume", journal]) == 0
@@ -131,6 +131,14 @@ def test_campaign_journal_resume_mutually_exclusive(tmp_path):
 def test_campaign_out_of_range_knob_is_a_one_line_error():
     with pytest.raises(SystemExit, match="^campaign: jobs must be >= 1"):
         main(["campaign", "--app", "pennant", "-n", "4", "--jobs", "0"])
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_campaign_wall_clock_limit_must_be_positive(limit):
+    # A limit of zero or less would report every run as a hang.
+    with pytest.raises(SystemExit, match="^campaign: wall_clock_limit must be > 0"):
+        main(["campaign", "--app", "pennant", "-n", "4",
+              "--wall-clock-limit", limit])
 
 
 @pytest.mark.parametrize(
