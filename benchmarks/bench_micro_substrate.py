@@ -6,18 +6,16 @@ simulation.  These are the numbers that determine how large a campaign a
 given time budget can afford.
 
 Also runnable standalone -- ``python benchmarks/bench_micro_substrate.py``
-times both execution backends on two loops without pytest-benchmark and
-records ``results/BENCH_micro.json`` (loop -> backend -> instructions/sec),
-the first point of the perf trajectory CI tracks.  ``TIGHT_LOOP`` is
-register-only; ``MINIC_LOOP`` has the instruction mix compiled MiniC
-actually runs: ``bp``-relative ``ld``/``st`` and ``fld``/``fst`` around
-``fmul``/``fadd``.
+times both execution backends on two loops without pytest-benchmark,
+prints instructions/sec per loop and backend, and exits non-zero when
+the compiled backend is less than 1.5x the interpreter on either loop.
+It records nothing: perfbench's ``substrate_*_mips`` metrics measure the
+apps' real golden runs.  ``TIGHT_LOOP`` is register-only; ``MINIC_LOOP``
+has the instruction mix compiled MiniC actually runs: ``bp``-relative
+``ld``/``st`` and ``fld``/``fst`` around ``fmul``/``fadd``.
 """
 
-import json
-import platform
 import sys
-from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -183,46 +181,15 @@ def _throughput(backend: str, loop: str, repeats: int = 3) -> float:
     return best
 
 
-def record_backend_throughput(path: Path | None = None) -> dict:
-    """Time both backends on both loops and write ``BENCH_micro.json``."""
-    if path is None:
-        path = Path(__file__).parent / "results" / "BENCH_micro.json"
-    loops = {}
-    for loop, (_, instret) in LOOPS.items():
-        backends = {
-            backend: {"instructions_per_sec": round(_throughput(backend, loop))}
-            for backend in BACKENDS
-        }
-        loops[loop] = {
-            "workload_instret": instret,
-            "backends": backends,
-            "compiled_speedup": round(
-                backends["compiled"]["instructions_per_sec"]
-                / backends["interpreter"]["instructions_per_sec"],
-                2,
-            ),
-        }
-    payload = {
-        "benchmark": "substrate throughput: register-only and MiniC-mix loops",
-        "python": platform.python_version(),
-        "loops": loops,
-    }
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
 if __name__ == "__main__":
-    report = record_backend_throughput()
     failed = False
-    for loop, row in report["loops"].items():
-        for backend, rate in row["backends"].items():
-            print(
-                f"{loop:6s} {backend:12s} "
-                f"{rate['instructions_per_sec'] / 1e6:6.2f} M instr/s"
-            )
-        print(f"{loop:6s} compiled speedup: {row['compiled_speedup']:.2f}x")
-        if row["compiled_speedup"] < 1.5:
+    for loop in LOOPS:
+        rates = {backend: _throughput(backend, loop) for backend in BACKENDS}
+        for backend, rate in rates.items():
+            print(f"{loop:6s} {backend:12s} {rate / 1e6:6.2f} M instr/s")
+        speedup = rates["compiled"] / rates["interpreter"]
+        print(f"{loop:6s} compiled speedup: {speedup:.2f}x")
+        if speedup < 1.5:
             print(
                 f"FAIL: compiled backend below the 1.5x floor on {loop}",
                 file=sys.stderr,

@@ -47,13 +47,6 @@ from repro.faultinject.outcomes import (
     Outcome,
     classify_finished,
 )
-from repro.faultinject.persistence import (
-    atomic_write_text,
-    campaign_from_json,
-    campaign_to_json,
-    load_campaign,
-    save_campaign,
-)
 from repro.faultinject.sites import (
     INSTR_CLASSES,
     SiteReport,
@@ -93,11 +86,6 @@ __all__ = [
     "analyze_sites",
     "classify_op",
     "INSTR_CLASSES",
-    "campaign_to_json",
-    "campaign_from_json",
-    "save_campaign",
-    "load_campaign",
-    "atomic_write_text",
     "CampaignJournal",
     "JournalHeader",
     "QuarantineRecord",

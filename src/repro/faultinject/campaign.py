@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Sequence
 
 from repro.apps.base import MiniApp
 from repro.core.config import LetGoConfig
@@ -39,47 +38,6 @@ class CampaignResult:
     n: int
     counts: dict[Outcome, int]
     results: list[InjectionResult] = field(default_factory=list, repr=False)
-
-    # -- combination -------------------------------------------------------
-
-    @classmethod
-    def merge(cls, shards: Sequence["CampaignResult"]) -> "CampaignResult":
-        """Pool shards of one (app, config) campaign into a single result.
-
-        Sums ``counts`` and ``n`` and concatenates ``results`` in shard
-        order: merging contiguous shards in plan order reassembles the
-        serial campaign bit-for-bit.  Merging knows nothing about plan
-        identity, so it cannot detect a shard counted twice -- resume
-        deduplication is the journal's job
-        (:class:`~repro.faultinject.journal.CampaignJournal` refuses
-        duplicate plan indices).
-        """
-        if not shards:
-            raise ValueError("nothing to merge")
-        first = shards[0]
-        for other in shards[1:]:
-            if (other.app_name, other.config_name) != (
-                first.app_name,
-                first.config_name,
-            ):
-                raise ValueError(
-                    "cannot merge campaigns of different apps or configs"
-                )
-        counts: dict[Outcome, int] = {}
-        results: list[InjectionResult] = []
-        total = 0
-        for shard in shards:
-            total += shard.n
-            results.extend(shard.results)
-            for outcome, count in shard.counts.items():
-                counts[outcome] = counts.get(outcome, 0) + count
-        return cls(
-            app_name=first.app_name,
-            config_name=first.config_name,
-            n=total,
-            counts=counts,
-            results=results,
-        )
 
     # -- basic accessors ---------------------------------------------------
 
@@ -404,6 +362,10 @@ def run_campaign(
     return CampaignEngine(config=campaign).run(app, n, seed, config, plans=plans)
 
 
+#: CampaignConfig fields that name one campaign's output or input file.
+_PER_CAMPAIGN_PATHS = ("journal", "resume", "trace", "chrome_trace")
+
+
 def run_paired_campaigns(
     app: MiniApp,
     n: int,
@@ -415,8 +377,19 @@ def run_paired_campaigns(
     """Run the same fault population under several configurations.
 
     Returns config-name -> result ("baseline" for None).  ``campaign``
-    passes through to :func:`run_campaign`.
+    passes through to :func:`run_campaign`, so it may not name a file:
+    every configuration would write (or resume) the same one.
     """
+    if campaign is not None:
+        paths = [
+            name for name in _PER_CAMPAIGN_PATHS
+            if getattr(campaign, name) is not None
+        ]
+        if paths:
+            raise ValueError(
+                f"{', '.join(paths)} names one campaign's file; run each "
+                f"configuration with run_campaign to give each its own"
+            )
     plans = seeded_plans(app.golden.instret, n, seed)
     out: dict[str, CampaignResult] = {}
     for config in configs:

@@ -34,18 +34,20 @@ boundary: each shard carries its app spec (registry name or import
 path), LetGo config and campaign config, and workers re-derive the app
 and ladder from (source, interval) through module caches -- on
 fork-based platforms those the parent held when the pool started are
-inherited, so this is free.  Shard results are merged in plan order,
-which makes the parallel output *identical* to the serial output for the
-same seed -- counts, per-plan outcomes, and result ordering -- preserving
-the paired-campaign property every Figure-5/Table-3 comparison relies
-on.
+inherited, so this is free.  Each shard is folded into the campaign's
+outcome counts as it commits; its per-plan results are kept, and
+reassembled in plan order, only with ``keep_results``.  The parallel
+output is therefore *identical* to the serial output for the same seed
+-- counts, per-plan outcomes, and result ordering -- preserving the
+paired-campaign property every Figure-5/Table-3 comparison relies on,
+and without ``keep_results`` only the shards in flight hold results.
 
 On top of both sits the **resilience layer**, applying the paper's own
 checkpoint/restart discipline to the campaign runner itself:
 
 * a write-ahead **campaign journal**
   (:class:`~repro.faultinject.journal.CampaignJournal`) durably records
-  each completed shard, and ``resume=`` skips journaled plans and merges
+  each completed shard, and ``resume=`` skips journaled plans and folds
   old + new shards into a result bit-identical to an uninterrupted run;
 * a **supervisor** retries failed shards with bounded exponential
   backoff, rebuilds a broken process pool, bisects a persistently
@@ -82,6 +84,7 @@ from repro.faultinject.campaign import CampaignConfig, CampaignResult
 from repro.faultinject.fault_model import InjectionPlan, seeded_plans
 from repro.faultinject.injector import InjectionResult, run_injection
 from repro.faultinject.journal import CampaignJournal, JournalHeader
+from repro.faultinject.outcomes import Outcome
 from repro.machine.debugger import DebugSession
 from repro.telemetry import DEFAULT_CAPACITY, TelemetryReport, Tracer
 from repro.telemetry.export import write_chrome_trace, write_jsonl
@@ -382,7 +385,7 @@ class _Supervisor:
     to in-process serial execution or -- with ``serial_fallback`` off --
     aborts with :class:`~repro.errors.CampaignAbortedError` naming the
     journal.
-    Every completed shard is journaled *before* its results are merged.
+    Every completed shard is journaled *before* :meth:`fold` counts it.
     """
 
     campaign: CampaignConfig
@@ -394,14 +397,15 @@ class _Supervisor:
     journal: CampaignJournal | None
     tracer: Tracer                    # parent-side merged accounting
 
-    pairs: dict[int, InjectionResult] = field(default_factory=dict)
+    counts: Counter = field(default_factory=Counter)
+    kept: list[tuple[int, InjectionResult]] = field(default_factory=list)
     shard_sizes: list[int] = field(default_factory=list)
     shard_seconds: list[float] = field(default_factory=list)
     attempts: dict[tuple[int, ...], int] = field(default_factory=dict)
     quarantined: list[int] = field(default_factory=list)
     on_progress: Callable[[int, int], None] | None = None
     total: int = 0                    # campaign n, for progress reporting
-    done_base: int = 0                # plans settled before this invocation
+    done: int = 0                     # plans settled so far
 
     def run(self, shards: list[list[tuple[int, InjectionPlan]]]) -> None:
         self.queue: deque = deque(shard for shard in shards if shard)
@@ -520,11 +524,19 @@ class _Supervisor:
             self.journal.record_shard(
                 [idx for idx, _ in pairs], [result for _, result in pairs]
             )
-        self.pairs.update(pairs)
+        self.fold(pairs)
         self.shard_sizes.append(len(pairs))
         self.shard_seconds.append(seconds)
         if self.on_progress is not None:
-            self.on_progress(self.done_base + len(self.pairs), self.total)
+            self.on_progress(self.done, self.total)
+
+    def fold(self, pairs: list[tuple[int, InjectionResult]]) -> None:
+        """Count *pairs*' outcomes; keep the pairs only with keep_results."""
+        for _, result in pairs:
+            self.counts[result.outcome] += 1
+        if self.campaign.keep_results:
+            self.kept.extend(pairs)
+        self.done += len(pairs)
 
     def _failure(self, shard: list[tuple[int, InjectionPlan]], exc: Exception) -> None:
         key = tuple(idx for idx, _ in shard)
@@ -645,7 +657,6 @@ class CampaignEngine:
         indexed = [
             (idx, plan) for idx, plan in enumerate(plans) if idx not in settled
         ]
-        resumed_pairs = journal_obj.pairs() if journal_obj is not None else []
         prior_quarantine = (
             [record.index for record in journal_obj.quarantined]
             if journal_obj is not None
@@ -678,8 +689,11 @@ class CampaignEngine:
             tracer=tracer,
             on_progress=self.on_progress,
             total=n,
-            done_base=len(settled),
+            done=len(prior_quarantine),
         )
+        if journal_obj is not None:
+            supervisor.fold(journal_obj.pairs())
+        resumed = supervisor.done - len(prior_quarantine)
         if indexed:
             shards = _split(
                 indexed,
@@ -689,18 +703,14 @@ class CampaignEngine:
                 supervisor.run(shards)
 
         with tracer.span("merge"):
-            all_pairs = dict(resumed_pairs)
-            all_pairs.update(supervisor.pairs)
-            ordered = [all_pairs[idx] for idx in sorted(all_pairs)]
-            counts: Counter = Counter()
-            for result in ordered:
-                counts[result.outcome] += 1
+            counts = supervisor.counts
+            supervisor.kept.sort(key=lambda pair: pair[0])
             merged = CampaignResult(
                 app_name=app.name,
                 config_name=config_name,
-                n=len(ordered),
-                counts=dict(counts),
-                results=list(ordered) if cfg.keep_results else [],
+                n=sum(counts.values()),
+                counts={o: counts[o] for o in Outcome if o in counts},
+                results=[result for _, result in supervisor.kept],
             )
 
         elapsed = perf_counter() - t0
@@ -719,7 +729,7 @@ class CampaignEngine:
             retries=tally("retry", 0),
             pool_rebuilds=tally("pool-rebuild", 0),
             degraded_serial="serial-degrade" in tracer.counters,
-            resumed=len(resumed_pairs),
+            resumed=resumed,
             timeouts=tally("timeout", 0),
             quarantined=tuple(sorted(prior_quarantine + supervisor.quarantined)),
         )

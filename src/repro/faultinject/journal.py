@@ -3,8 +3,8 @@
 The paper's thesis -- long-running work should survive failures instead of
 restarting from zero -- applies to the campaign runner itself.  A
 :class:`CampaignJournal` applies the checkpoint/restart discipline to the
-engine: every completed shard is recorded durably *before* its results are
-merged, so a campaign killed at 90% (worker OOM, wall-clock, Ctrl-C)
+engine: every completed shard is recorded durably *before* its outcomes are
+counted, so a campaign killed at 90% (worker OOM, wall-clock, Ctrl-C)
 resumes from its journal and re-runs only the missing 10%.
 
 Durability contract
@@ -51,16 +51,62 @@ from typing import Iterable, Sequence
 from repro.errors import JournalError
 from repro.faultinject.fault_model import InjectionPlan
 from repro.faultinject.injector import InjectionResult
-from repro.faultinject.persistence import (
-    plan_from_dict,
-    plan_to_dict,
-    result_from_dict,
-    result_to_dict,
-)
+from repro.faultinject.outcomes import Outcome
+from repro.machine.signals import Signal
 from repro.telemetry.tracer import NULL_TRACER
 
 #: Format version written into every journal.
 JOURNAL_FORMAT = 2
+
+
+def plan_to_dict(plan: InjectionPlan) -> dict:
+    """JSON-safe dict for one :class:`InjectionPlan`."""
+    return {
+        "dyn_index": plan.dyn_index,
+        "bit": plan.bit,
+        "reg_choice": plan.reg_choice,
+        "extra_bits": list(plan.extra_bits),
+    }
+
+
+def plan_from_dict(data: dict) -> InjectionPlan:
+    """Inverse of :func:`plan_to_dict`."""
+    return InjectionPlan(
+        dyn_index=data["dyn_index"],
+        bit=data["bit"],
+        reg_choice=data["reg_choice"],
+        extra_bits=tuple(data.get("extra_bits", ())),
+    )
+
+
+def result_to_dict(result: InjectionResult) -> dict:
+    """JSON-safe dict for one :class:`InjectionResult`."""
+    return {
+        "outcome": result.outcome.value,
+        "plan": plan_to_dict(result.plan),
+        "target_pc": result.target_pc,
+        "target_reg": list(result.target_reg) if result.target_reg else None,
+        "first_signal": result.first_signal.name if result.first_signal else None,
+        "interventions": result.interventions,
+        "steps": result.steps,
+        "timed_out": result.timed_out,
+    }
+
+
+def result_from_dict(data: dict) -> InjectionResult:
+    """Inverse of :func:`result_to_dict`."""
+    target = data.get("target_reg")
+    signal = data.get("first_signal")
+    return InjectionResult(
+        outcome=Outcome(data["outcome"]),
+        plan=plan_from_dict(data["plan"]),
+        target_pc=data.get("target_pc"),
+        target_reg=(target[0], target[1]) if target else None,
+        first_signal=Signal[signal] if signal else None,
+        interventions=data.get("interventions", 0),
+        steps=data.get("steps", 0),
+        timed_out=data.get("timed_out", False),
+    )
 
 
 def plans_digest(plans: Sequence[InjectionPlan]) -> str:
@@ -127,7 +173,9 @@ class CampaignJournal:
 
     Use :meth:`create` for a fresh campaign and :meth:`load` +
     :meth:`verify` to resume one; :meth:`record_shard` /
-    :meth:`record_quarantine` persist durably before returning.
+    :meth:`record_quarantine` persist durably before returning.  A
+    journal being written keeps only the plan indices it claimed: the
+    results it read back are what :meth:`load` holds, in :meth:`pairs`.
     """
 
     def __init__(self, path: str | Path, header: JournalHeader):
@@ -136,7 +184,7 @@ class CampaignJournal:
         #: Telemetry sink for append events; the engine swaps in its own
         #: tracer so durable-write latency shows up in the phase table.
         self.tracer = NULL_TRACER
-        self._shards: list[tuple[tuple[int, ...], list[InjectionResult]]] = []
+        self._pairs: list[tuple[int, InjectionResult]] = []
         self._quarantined: list[QuarantineRecord] = []
         self._seen: set[int] = set()
         #: File length without the torn final line :meth:`load` found,
@@ -146,15 +194,13 @@ class CampaignJournal:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def create(
-        cls, path: str | Path, header: JournalHeader, overwrite: bool = False
-    ) -> "CampaignJournal":
-        """Start a fresh journal at *path* (its header written durably)."""
+    def create(cls, path: str | Path, header: JournalHeader) -> "CampaignJournal":
+        """Start a fresh journal at *path* (its header written durably); a
+        file already there is refused, never overwritten."""
         journal = cls(path, header)
         try:
             journal._append(
-                {"format": JOURNAL_FORMAT, "header": header.to_dict()},
-                mode="wb" if overwrite else "xb",
+                {"format": JOURNAL_FORMAT, "header": header.to_dict()}, mode="xb"
             )
         except FileExistsError:
             raise JournalError(
@@ -234,9 +280,9 @@ class CampaignJournal:
     def record_shard(
         self, indices: Iterable[int], results: Sequence[InjectionResult]
     ) -> None:
-        """Durably journal one completed shard."""
+        """Durably journal one completed shard (its results are not kept)."""
         indices, results = list(indices), list(results)
-        self._admit_shard(indices, results)
+        self._claim_shard(indices, results)
         with self.tracer.span("journal-append"):
             self._append({
                 "kind": "shard",
@@ -275,10 +321,10 @@ class CampaignJournal:
         """Take in one shard or quarantine line read back by :meth:`load`."""
         kind = record["kind"]
         if kind == "shard":
-            self._admit_shard(
-                [int(i) for i in record["indices"]],
-                [result_from_dict(r) for r in record["results"]],
-            )
+            indices = [int(i) for i in record["indices"]]
+            results = [result_from_dict(r) for r in record["results"]]
+            self._claim_shard(indices, results)
+            self._pairs.extend(zip(indices, results))
         elif kind == "quarantine":
             self._admit_quarantine(
                 QuarantineRecord(
@@ -304,7 +350,7 @@ class CampaignJournal:
                 )
             self._seen.add(index)
 
-    def _admit_shard(
+    def _claim_shard(
         self, indices: list[int], results: list[InjectionResult]
     ) -> None:
         if len(indices) != len(results):
@@ -312,7 +358,6 @@ class CampaignJournal:
                 f"shard with {len(indices)} indices but {len(results)} results"
             )
         self._claim(indices)
-        self._shards.append((tuple(indices), results))
 
     def _admit_quarantine(self, record: QuarantineRecord) -> None:
         self._claim((record.index,))
@@ -323,7 +368,7 @@ class CampaignJournal:
     @property
     def completed_indices(self) -> frozenset[int]:
         """Plan indices with a journaled result."""
-        return frozenset(i for indices, _ in self._shards for i in indices)
+        return frozenset(self._seen).difference(r.index for r in self._quarantined)
 
     @property
     def quarantined(self) -> tuple[QuarantineRecord, ...]:
@@ -336,14 +381,8 @@ class CampaignJournal:
         return frozenset(self._seen)
 
     def pairs(self) -> list[tuple[int, InjectionResult]]:
-        """All journaled (index, result) pairs, sorted by index."""
-        out = [
-            (index, result)
-            for indices, results in self._shards
-            for index, result in zip(indices, results)
-        ]
-        out.sort(key=lambda pair: pair[0])
-        return out
+        """The (index, result) pairs :meth:`load` read, sorted by index."""
+        return sorted(self._pairs, key=lambda pair: pair[0])
 
 
 __all__ = [
@@ -351,5 +390,9 @@ __all__ = [
     "JournalHeader",
     "QuarantineRecord",
     "plans_digest",
+    "plan_to_dict",
+    "plan_from_dict",
+    "result_to_dict",
+    "result_from_dict",
     "JOURNAL_FORMAT",
 ]

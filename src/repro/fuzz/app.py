@@ -3,7 +3,7 @@
 Two flavours:
 
 * :class:`LangApp` wraps an arbitrary generated source string.  It is
-  perfect for the *serial* campaign oracles (merge associativity,
+  perfect for the *serial* campaign oracles (split-and-concatenate merge,
   journal resume), but it is **not** picklable through the engine's
   worker-spec protocol, so it cannot ride a ``jobs > 1`` pool.
 * :class:`FuzzAppA` / :class:`FuzzAppB` / :class:`FuzzAppC` are fixed,

@@ -16,9 +16,9 @@ default hot threshold and compiling every block on first entry.
   the same process after it finished.
 
 Five *metamorphic* oracles check campaign-engine invariants on
-generated apps: ``merge`` (shard + ``CampaignResult.merge`` equals the
-unsharded run; associative and counts-commutative; telemetry counters
-sum), ``resume`` (a journal pre-seeded with a prefix of results resumes
+generated apps: ``merge`` (campaigns over a split of the plans,
+concatenated, equal the unsharded run; telemetry counters sum),
+``resume`` (a journal pre-seeded with a prefix of results resumes
 to the bit-identical campaign), ``jobs`` (jobs=1 equals jobs=N,
 telemetry counters included), ``converge`` (stopping post-fault runs
 at the ladder rung where they reach the golden state changes no per-plan
@@ -35,6 +35,7 @@ means the property held.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -329,62 +330,41 @@ def check_merge(
     split: int,
     coverage=None,
 ) -> list[Divergence]:
-    """Sharded runs + ``merge`` == unsharded run; merge laws; telemetry."""
+    """Campaigns over a split of the plans, results concatenated and
+    counts and telemetry counters summed, == the unsharded campaign."""
     cc = CampaignConfig(keep_results=True, telemetry=True)
     plans = seeded_plans(app.golden.instret, n, seed)
     split = max(1, min(split, n - 1))
     full, full_tel = _run_with_engine(app, n, seed, config, plans, cc)
     _tally(coverage, full, full_tel)
 
-    parts = [plans[:split], plans[split:]]
-    shard_runs = [
-        _run_with_engine(app, len(p), seed, config, p, cc) for p in parts
+    parts = [
+        _run_with_engine(app, len(p), seed, config, p, cc)
+        for p in (plans[:split], plans[split:])
     ]
-    shards = [r for r, _ in shard_runs]
-    merged = CampaignResult.merge(shards)
+    counts: Counter = Counter()
+    for part, _ in parts:
+        counts.update(part.counts)
+    joined = CampaignResult(
+        app_name=full.app_name,
+        config_name=full.config_name,
+        n=sum(part.n for part, _ in parts),
+        counts=dict(counts),
+        results=[r for part, _ in parts for r in part.results],
+    )
 
     found: list[Divergence] = []
-    if _campaign_key(merged) != _campaign_key(full):
+    if _campaign_key(joined) != _campaign_key(full):
         found.append(Divergence(
             "merge", at=f"shard@{split}",
-            detail=f"{_campaign_key(merged)!r} != {_campaign_key(full)!r}",
+            detail=f"{_campaign_key(joined)!r} != {_campaign_key(full)!r}",
         ))
-
-    # Associativity on a 3-way split; commutativity of the counts.
-    third = max(1, split // 2)
-    trio = [plans[:third], plans[third:split], plans[split:]]
-    trio_results = [
-        _run_with_engine(app, len(p), seed, config, p, cc)[0]
-        for p in trio if p
-    ]
-    if len(trio_results) >= 2:
-        left = CampaignResult.merge(
-            [CampaignResult.merge(trio_results[:-1]), trio_results[-1]]
-        )
-        right = CampaignResult.merge(
-            [trio_results[0], CampaignResult.merge(trio_results[1:])]
-        )
-        if _campaign_key(left) != _campaign_key(right):
-            found.append(Divergence(
-                "merge", at="associativity",
-                detail=f"{_campaign_key(left)!r} != {_campaign_key(right)!r}",
-            ))
-        forward = CampaignResult.merge(trio_results).counts
-        backward = CampaignResult.merge(trio_results[::-1]).counts
-        if forward != backward:
-            found.append(Divergence(
-                "merge", at="counts-commutativity",
-                detail=f"{forward!r} != {backward!r}",
-            ))
-
-    shard_counters = _counter_sum(
-        _filtered_counters(tel) for _, tel in shard_runs
-    )
+    part_counters = _counter_sum(_filtered_counters(tel) for _, tel in parts)
     full_counters = _filtered_counters(full_tel)
-    if shard_counters != full_counters:
+    if part_counters != full_counters:
         found.append(Divergence(
             "merge", at="telemetry-counters",
-            detail=f"{shard_counters!r} != {full_counters!r}",
+            detail=f"{part_counters!r} != {full_counters!r}",
         ))
     return found
 

@@ -13,7 +13,7 @@ double.  A full image is::
 
 The encoding exists so static analysis can operate on an image with no
 in-memory objects around (the PIN-on-a-binary scenario); it is also the
-canonical persistence format for compiled apps.
+canonical on-disk format for compiled apps.
 """
 
 from __future__ import annotations

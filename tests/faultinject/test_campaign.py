@@ -122,29 +122,6 @@ def test_fraction_and_rates(paired):
     assert result.crash_rate().denominator == N
 
 
-# -- CampaignResult.merge edge cases ----------------------------------------
-
-
-def test_merge_empty_shard_list_raises():
-    from repro.faultinject import CampaignResult
-
-    with pytest.raises(ValueError, match="nothing to merge"):
-        CampaignResult.merge([])
-
-
-def test_merge_shard_with_zero_results():
-    """An empty shard (n=0) is a no-op contribution, not an error."""
-    from repro.faultinject import CampaignResult
-
-    empty = CampaignResult("app", "cfg", 0, {})
-    full = CampaignResult("app", "cfg", 2, {Outcome.BENIGN: 2})
-    merged = CampaignResult.merge([empty, full, empty])
-    assert merged.n == 2
-    assert merged.counts == {Outcome.BENIGN: 2}
-    assert merged.results == []
-    assert CampaignResult.merge([empty]).n == 0
-
-
 def test_duplicate_plans_on_bad_resume_raise(pennant_app, tmp_path):
     """A doctored journal that repeats a shard must raise at resume time,
     not silently double-count the duplicated plans."""
@@ -162,3 +139,23 @@ def test_duplicate_plans_on_bad_resume_raise(pennant_app, tmp_path):
         CampaignEngine(config=CampaignConfig(resume=str(path))).run(
             pennant_app, 4, seed=SEED
         )
+
+
+@pytest.mark.parametrize("field", ["journal", "resume", "trace", "chrome_trace"])
+def test_paired_campaigns_refuse_a_per_campaign_path(
+    pennant_app, tmp_path, monkeypatch, field
+):
+    """Every configuration would share the one file: refused before the
+    first campaign runs."""
+    from repro.faultinject import engine as engine_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("a campaign ran")
+
+    monkeypatch.setattr(engine_mod.CampaignEngine, "run", never)
+    campaign = CampaignConfig(**{field: str(tmp_path / "out")})
+    with pytest.raises(ValueError, match=field):
+        run_paired_campaigns(
+            pennant_app, 4, SEED, [None, LETGO_E], campaign=campaign
+        )
+    assert list(tmp_path.iterdir()) == []

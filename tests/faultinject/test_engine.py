@@ -1,5 +1,8 @@
 """Campaign engine: ladder/parallel determinism, merge, stats, sharding."""
 
+import gc
+from collections import Counter
+
 import pytest
 
 from repro.apps.base import TRAP_FREE_MEMO, MiniApp
@@ -8,8 +11,7 @@ from repro.faultinject import (
     NO_LADDER,
     CampaignConfig,
     CampaignEngine,
-    CampaignResult,
-    Outcome,
+    InjectionResult,
     run_campaign,
     run_injection,
 )
@@ -83,37 +85,49 @@ def test_engine_stats_accounting(pennant_app):
     assert "injections" in stats.describe()
 
 
-def test_merge_shards_equal_unsharded(pennant_app):
+def test_split_campaigns_concatenate_to_unsharded(pennant_app):
+    """Campaigns over consecutive slices of the plan list, results
+    concatenated and counts summed, equal the unsharded campaign."""
     keep = CampaignConfig(keep_results=True)
     whole = run_campaign(pennant_app, 10, seed=SEED, config=LETGO_E, campaign=keep)
-    import numpy as np
-
-    from repro.faultinject import plan_injections
-
-    plans = plan_injections(
-        np.random.default_rng(SEED), pennant_app.golden.instret, 10
-    )
-    shards = [
+    plans = [result.plan for result in whole.results]
+    parts = [
         run_campaign(
             pennant_app, len(chunk), seed=SEED, config=LETGO_E,
             plans=chunk, campaign=keep,
         )
         for chunk in (plans[:4], plans[4:7], plans[7:])
     ]
-    merged = CampaignResult.merge(shards)
-    assert _fingerprint(merged) == _fingerprint(whole)
+    counts = Counter()
+    for part in parts:
+        counts.update(part.counts)
+    assert sum(part.n for part in parts) == whole.n
+    assert counts == whole.counts
+    assert [r for part in parts for r in part.results] == whole.results
 
 
-def test_merge_validates_input():
-    a = CampaignResult("app", "cfg", 1, {Outcome.BENIGN: 1})
-    b = CampaignResult("other", "cfg", 1, {Outcome.SDC: 1})
-    with pytest.raises(ValueError):
-        CampaignResult.merge([])
-    with pytest.raises(ValueError):
-        CampaignResult.merge([a, b])
-    merged = CampaignResult.merge([a, a])
-    assert merged.n == 2
-    assert merged.counts == {Outcome.BENIGN: 2}
+@pytest.mark.parametrize("journaled", [False, True], ids=["plain", "journaled"])
+def test_committed_shards_results_are_not_kept(pennant_app, tmp_path, journaled):
+    """Without keep_results a campaign holds the results of the shard in
+    flight only: at every commit no more than one shard's are alive."""
+    size, n = 3, 18
+    journal = str(tmp_path / "c.journal") if journaled else None
+    engine = _engine(jobs=1, shard_size=size, journal=journal)
+    gc.collect()
+    before = sum(isinstance(o, InjectionResult) for o in gc.get_objects())
+    live = []
+
+    def on_progress(done, total):
+        gc.collect()
+        live.append(
+            sum(isinstance(o, InjectionResult) for o in gc.get_objects()) - before
+        )
+
+    engine.on_progress = on_progress
+    result = engine.run(pennant_app, n, SEED, LETGO_E)
+    assert sum(result.counts.values()) == n and result.results == []
+    assert len(live) == n // size
+    assert max(live) <= size
 
 
 def test_split_contiguous_and_even():

@@ -18,7 +18,10 @@ from repro.faultinject.journal import (
     CampaignJournal,
     JournalHeader,
     plans_digest,
+    result_from_dict,
+    result_to_dict,
 )
+from repro.machine.signals import Signal
 
 SEED = 5
 
@@ -55,6 +58,34 @@ def test_roundtrip(tmp_path, plans, header):
     assert record.attempts == 3 and "poison" in record.error
 
 
+def test_result_codec_round_trip(plans):
+    """Every field of a result survives the journal's line encoding."""
+    result = InjectionResult(
+        outcome=Outcome.C_SDC,
+        plan=plans[3],
+        target_pc=17,
+        target_reg=("f", 2),
+        first_signal=Signal.SIGSEGV,
+        interventions=2,
+        steps=4321,
+        timed_out=True,
+    )
+    encoded = json.loads(json.dumps(result_to_dict(result)))
+    assert result_from_dict(encoded) == result
+    assert result_from_dict(result_to_dict(_result(plans[0]))) == _result(plans[0])
+
+
+def test_writer_keeps_indices_not_results(tmp_path, plans, header):
+    """A journal being written claims indices; only load reads results."""
+    journal = CampaignJournal.create(tmp_path / "c.journal", header)
+    journal.record_shard([0, 1], [_result(plans[0]), _result(plans[1])])
+    journal.record_quarantine(2, plans[2], "boom", attempts=1)
+    assert journal.completed_indices == {0, 1}
+    assert journal.settled_indices == {0, 1, 2}
+    assert journal.pairs() == []
+    assert [i for i, _ in CampaignJournal.load(journal.path).pairs()] == [0, 1]
+
+
 def test_every_append_is_durable_and_atomic(tmp_path, plans, header):
     """The on-disk file parses after every append, which adds one line to
     the same file: no rewrite, no temp litter."""
@@ -75,7 +106,6 @@ def test_create_refuses_existing(tmp_path, header):
     CampaignJournal.create(path, header)
     with pytest.raises(JournalError, match="already exists"):
         CampaignJournal.create(path, header)
-    CampaignJournal.create(path, header, overwrite=True)
 
 
 def test_duplicate_plan_rejected_on_append(tmp_path, plans, header):
