@@ -1,7 +1,7 @@
 """In-vivo Figure 1: the three failure policies executed for real.
 
-Runs the PENNANT proxy end-to-end on the machine under Poisson fault
-arrivals with (a) no fault tolerance, (b) checkpoint/restart, and
+Runs the PENNANT proxy end-to-end on the machine, as a one-rank job of the
+coordinated C/R driver, under Poisson fault arrivals with (a) no fault tolerance, (b) checkpoint/restart, and
 (c) C/R + LetGo -- the scenario Figure 1 illustrates -- and measures
 delivered efficiency directly instead of modelling it.  Expected shape,
 matching both the figure and the Section-7 model: unprotected runs die;
@@ -14,23 +14,25 @@ import os
 import numpy as np
 
 from repro.apps import make_app
-from repro.checkpoint import CRParams, Policy, drive
 from repro.core import LETGO_E
+from repro.parallel import ClusterCRParams, ClusterPolicy, OneRankApp, drive_cluster
 from repro.reporting import ascii_table
 
 from conftest import write_artifact
 
 SEEDS = range(int(os.environ.get("REPRO_INVIVO_SEEDS", "10")))
-PARAMS = CRParams(interval=15_000, t_chk=3_000, t_letgo=100, mtbf_faults=12_000.0)
+PARAMS = ClusterCRParams(
+    interval=15_000, t_chk=3_000, t_letgo=100, mtbf_faults=12_000.0
+)
 
 
 def build_study():
-    app = make_app("pennant")
+    app = OneRankApp(make_app("pennant"))
     rows = []
     stats = {}
-    for policy in (Policy.NONE, Policy.CR, Policy.CR_LETGO):
-        kwargs = {"letgo": LETGO_E} if policy is Policy.CR_LETGO else {}
-        runs = [drive(app, PARAMS, policy, seed=s, **kwargs) for s in SEEDS]
+    for policy in (ClusterPolicy.NONE, ClusterPolicy.CR, ClusterPolicy.CR_LETGO):
+        kwargs = {"letgo": LETGO_E} if policy is ClusterPolicy.CR_LETGO else {}
+        runs = [drive_cluster(app, PARAMS, policy, seed=s, **kwargs) for s in SEEDS]
         completed = sum(r.completed for r in runs)
         eff = float(np.mean([r.efficiency for r in runs]))
         rollbacks = sum(r.rollbacks for r in runs)
@@ -67,7 +69,9 @@ def test_invivo_figure1(benchmark):
     print("\n" + text)
     write_artifact("invivo_figure1.txt", text)
 
-    none, cr, lg = stats[Policy.NONE], stats[Policy.CR], stats[Policy.CR_LETGO]
+    none, cr, lg = (
+        stats[ClusterPolicy.NONE], stats[ClusterPolicy.CR], stats[ClusterPolicy.CR_LETGO]
+    )
     n = len(list(SEEDS))
     # unprotected runs die at this fault rate
     assert none["completed"] < n

@@ -27,7 +27,7 @@ from repro.isa.program import Program
 from repro.lang.compiler import CompiledUnit, compile_unit
 from repro.machine.process import Process
 
-if TYPE_CHECKING:  # checkpoint.driver imports apps.base; break the cycle
+if TYPE_CHECKING:  # annotations only: repro.faultinject imports apps.base
     from repro.checkpoint.snapshot import SnapshotLadder
     from repro.faultinject.fault_model import InjectionPlan
     from repro.faultinject.injector import InjectionResult

@@ -1,18 +1,12 @@
-"""In-vivo checkpoint/restart: snapshots + a driven C/R runtime.
+"""Bit-exact process snapshots and the golden run's snapshot ladder.
 
-Executes the paper's Figure-1 scenario for real on the substrate --
-periodic checkpoints, Poisson fault arrivals, rollback vs LetGo repair --
-so the analytical Figure-6 model (``repro.crsim``) can be cross-validated
-against measured behaviour.
+A :class:`Snapshot` captures a whole process and restores it exactly;
+the campaign engine restores ladder rungs to skip golden prefixes and
+compares rungs to detect post-fault convergence.  The in-vivo
+checkpoint/restart runs (Figure 1 and its multi-rank extension) take
+their checkpoints with these snapshots in :mod:`repro.parallel.driver`.
 """
 
-from repro.checkpoint.driver import (
-    CheckpointedRun,
-    CRParams,
-    CRRunResult,
-    Policy,
-    drive,
-)
 from repro.checkpoint.snapshot import (
     Snapshot,
     SnapshotLadder,
@@ -29,9 +23,4 @@ __all__ = [
     "restore_into",
     "SnapshotLadder",
     "build_ladder",
-    "Policy",
-    "CRParams",
-    "CRRunResult",
-    "CheckpointedRun",
-    "drive",
 ]

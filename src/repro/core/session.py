@@ -9,6 +9,10 @@ debug session, implementing the full Figure-3 interaction loop:
 3. repair state, advance the PC;
 4. resume; a *second* crash (or an unhandled signal) terminates the run.
 
+Steps 2-3 on one trap are :meth:`LetGoSession.intervene`, the one place
+LetGo decides to repair; the in-vivo C/R driver
+(:mod:`repro.parallel.driver`) and the debugger REPL call it too.
+
 Both post-fault loops -- this one and the fault injector's baseline run --
 continue through :func:`cont_sliced`, which owns the one slicing rule:
 stop at the budget, at a wall-clock watchdog slice, or at the next
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.functions import FunctionTable
 from repro.core.config import LetGoConfig
@@ -33,7 +37,7 @@ from repro.machine.debugger import (
     StopEvent,
 )
 from repro.machine.process import Process
-from repro.machine.signals import Signal
+from repro.machine.signals import Signal, Trap
 from repro.telemetry.tracer import NULL_TRACER
 
 if TYPE_CHECKING:
@@ -140,7 +144,8 @@ class LetGoSession:
     """Supervise processes of one program image under a LetGo config.
 
     The function table is computed once (the paper's one-time PIN pass)
-    and shared across runs.
+    and shared across runs.  :meth:`run` drives a whole post-fault run;
+    :meth:`intervene` decides one trap for a caller that drives its own.
     """
 
     def __init__(self, config: LetGoConfig, functions: FunctionTable):
@@ -220,17 +225,12 @@ class LetGoSession:
                 )
             assert event.kind == STOP_TRAP and event.trap is not None
             trap = event.trap
-            intercepted = self.monitor.intercepts(trap.signal)
-            tracer.count(
-                f"signal:{trap.signal.name}:"
-                + ("intercept" if intercepted else "default")
+            # A repair is worth making only with budget left to resume.
+            left = self.config.max_interventions - len(interventions)
+            record = self.intervene(
+                session, trap, left if remaining > 0 else 0, tracer=tracer
             )
-            can_repair = (
-                intercepted
-                and len(interventions) < self.config.max_interventions
-                and remaining > 0
-            )
-            if not can_repair:
+            if record is None:
                 session.deliver_default(trap)
                 return LetGoRunReport(
                     status=TERMINATED,
@@ -239,14 +239,44 @@ class LetGoSession:
                     final_signal=trap.signal,
                     output=list(process.output),
                 )
-            with tracer.span("repair"):
-                record = self.modifier.repair(session, trap)
             interventions.append(record)
-            tracer.count("intervention")
-            if record.h1_fired:
-                tracer.count("heuristic:H1")
-            if record.h2_fired:
-                tracer.count("heuristic:H2")
+
+    def intervene(
+        self,
+        session: DebugSession,
+        trap: Trap,
+        repairs_left: int,
+        *,
+        tracer=NULL_TRACER,
+        elidable: Callable[[Trap], bool] | None = None,
+    ) -> InterventionRecord | None:
+        """LetGo's decision on one trap (Figure 3): repair it, or let it kill.
+
+        The trap is repaired when the monitor intercepts its signal,
+        *repairs_left* is positive and *elidable* (a caller's extra rule,
+        such as the cluster's comm-safe one) accepts it.  Returns the
+        repair's record with the process ready to resume, or ``None``: the
+        caller then delivers the default action, or rolls back under C/R.
+        """
+        intercepted = self.monitor.intercepts(trap.signal)
+        tracer.count(
+            f"signal:{trap.signal.name}:"
+            + ("intercept" if intercepted else "default")
+        )
+        if not (
+            intercepted
+            and repairs_left > 0
+            and (elidable is None or elidable(trap))
+        ):
+            return None
+        with tracer.span("repair"):
+            record = self.modifier.repair(session, trap)
+        tracer.count("intervention")
+        if record.h1_fired:
+            tracer.count("heuristic:H1")
+        if record.h2_fired:
+            tracer.count("heuristic:H2")
+        return record
 
 
 __all__ = [

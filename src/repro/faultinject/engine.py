@@ -692,7 +692,7 @@ class CampaignEngine:
             done=len(prior_quarantine),
         )
         if journal_obj is not None:
-            supervisor.fold(journal_obj.pairs())
+            supervisor.fold(journal_obj.take_pairs())
         resumed = supervisor.done - len(prior_quarantine)
         if indexed:
             shards = _split(

@@ -58,6 +58,9 @@ from repro.telemetry.tracer import NULL_TRACER
 #: Format version written into every journal.
 JOURNAL_FORMAT = 2
 
+#: The encoding :func:`plans_digest` hashes.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def plan_to_dict(plan: InjectionPlan) -> dict:
     """JSON-safe dict for one :class:`InjectionPlan`."""
@@ -113,12 +116,18 @@ def plans_digest(plans: Sequence[InjectionPlan]) -> str:
     """SHA-256 over the canonical JSON encoding of *plans*.
 
     Pins the exact fault population a journal belongs to; (n, seed) alone
-    would miss externally supplied plan lists.
+    would miss externally supplied plan lists.  The encoding is a JSON
+    list of :func:`plan_to_dict` objects with sorted keys and no spaces,
+    hashed one plan at a time rather than built as one string.
     """
-    payload = json.dumps(
-        [plan_to_dict(p) for p in plans], sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    encode = _CANONICAL.encode
+    digest = hashlib.sha256(b"[")
+    for i, plan in enumerate(plans):
+        if i:
+            digest.update(b",")
+        digest.update(encode(plan_to_dict(plan)).encode())
+    digest.update(b"]")
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -174,8 +183,9 @@ class CampaignJournal:
     Use :meth:`create` for a fresh campaign and :meth:`load` +
     :meth:`verify` to resume one; :meth:`record_shard` /
     :meth:`record_quarantine` persist durably before returning.  A
-    journal being written keeps only the plan indices it claimed: the
-    results it read back are what :meth:`load` holds, in :meth:`pairs`.
+    journal being written keeps only the plan indices it claimed; the
+    results :meth:`load` reads back are held until :meth:`take_pairs`
+    hands them over.
     """
 
     def __init__(self, path: str | Path, header: JournalHeader):
@@ -380,9 +390,12 @@ class CampaignJournal:
         """Every index that must not be re-run: completed or quarantined."""
         return frozenset(self._seen)
 
-    def pairs(self) -> list[tuple[int, InjectionResult]]:
-        """The (index, result) pairs :meth:`load` read, sorted by index."""
-        return sorted(self._pairs, key=lambda pair: pair[0])
+    def take_pairs(self) -> list[tuple[int, InjectionResult]]:
+        """Hand over the (index, result) pairs :meth:`load` read, sorted by
+        index; the journal keeps none of them (a second call returns [])."""
+        pairs, self._pairs = self._pairs, []
+        pairs.sort(key=lambda pair: pair[0])
+        return pairs
 
 
 __all__ = [

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from repro.analysis.functions import FunctionTable
 from repro.core.config import LETGO_B, LETGO_E
-from repro.core.modifier import Modifier
+from repro.core.session import LetGoSession
 from repro.errors import AnalysisError, ReproError
 from repro.isa.program import Program
 from repro.isa.registers import FP_REG_NAMES, INT_REG_NAMES
@@ -205,9 +205,13 @@ class DebuggerRepl:
         if pending is None or pending.trap is None:
             raise ReplError("no pending trap to repair")
         config = LETGO_B if len(args) > 1 and args[1].upper() == "B" else LETGO_E
-        record = Modifier(config, self._functions).repair(
-            self.session, pending.trap
+        record = LetGoSession(config, self._functions).intervene(
+            self.session, pending.trap, 1
         )
+        if record is None:
+            raise ReplError(
+                f"{config.name} does not intercept {pending.trap.signal.name}"
+            )
         self._state.pending_trap = None
         actions = "; ".join(str(a) for a in record.actions) or "pc advance only"
         return f"repaired ({config.name}): {actions}"

@@ -3,11 +3,12 @@
 The paper's "towards large-scale application" extension, built for real:
 multi-rank jobs with message passing, synchronous coordinated
 checkpointing, global rollback on failure, and per-rank LetGo repair that
-saves every rank's work at once.
+saves every rank's work at once.  A single-process MiniApp runs on the
+same driver as a one-rank job (:class:`OneRankApp`, the Figure-1 runs).
 """
 
 from repro.machine.cluster import Cluster, ClusterEvent, Network
-from repro.parallel.app import HeatApp, ParallelApp, RankOutputs
+from repro.parallel.app import HeatApp, OneRankApp, ParallelApp, RankOutputs
 from repro.parallel.cg import CgApp
 from repro.parallel.driver import (
     ClusterCRParams,
@@ -25,6 +26,7 @@ __all__ = [
     "ClusterEvent",
     "Network",
     "ParallelApp",
+    "OneRankApp",
     "HeatApp",
     "CgApp",
     "RankOutputs",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import isfinite
 
-from repro.apps.base import pack_output
+from repro.apps.base import MiniApp, pack_output
 from repro.errors import SimulationError
 from repro.isa.program import Program
 from repro.lang.compiler import CompiledUnit, compile_unit
@@ -113,6 +113,33 @@ class ParallelApp:
         return pack_output(candidate, self.sdc_digits) == pack_output(
             reference, self.sdc_digits
         )
+
+
+class OneRankApp:
+    """A single-process :class:`MiniApp` as a one-rank cluster job.
+
+    Lets the coordinated C/R driver run the paper's Figure-1 scenario on
+    any MiniApp.  Golden facts come from the MiniApp's own golden run;
+    checks see rank 0's output stream.
+    """
+
+    size = 1
+
+    def __init__(self, app: MiniApp):
+        self.app = app
+        self.program = app.program
+        self.functions = app.functions
+        self.golden_steps = app.golden.instret
+        self.max_steps = app.max_steps
+
+    def make_cluster(self) -> Cluster:
+        return Cluster(self.program, 1)
+
+    def acceptance_check(self, outputs: RankOutputs) -> bool:
+        return self.app.acceptance_check(outputs[0])
+
+    def matches_golden(self, outputs: RankOutputs) -> bool:
+        return self.app.matches_golden(outputs[0])
 
 
 #: Cells owned by each rank and time steps for the heat proxy.
@@ -256,4 +283,6 @@ class HeatApp(ParallelApp):
         return tuple(values)
 
 
-__all__ = ["ParallelApp", "HeatApp", "RankOutputs", "N_LOCAL", "N_STEPS"]
+__all__ = [
+    "ParallelApp", "OneRankApp", "HeatApp", "RankOutputs", "N_LOCAL", "N_STEPS",
+]

@@ -18,6 +18,10 @@ skipping a message does not perturb a number, it tears the synchronisation
 structure, and measurements show the resulting deadlocks cost more than
 the rollback LetGo avoided.  ``repair_comm=True`` restores the naive
 behaviour for ablation.
+
+A single-process application runs here as a one-rank job
+(:class:`~repro.parallel.app.OneRankApp`): that is the paper's Figure-1
+scenario -- no fault tolerance, C/R, and C/R + LetGo -- executed for real.
 """
 
 from __future__ import annotations
@@ -29,14 +33,14 @@ import numpy as np
 
 from repro.checkpoint.snapshot import Snapshot, restore, snapshot
 from repro.core.config import LetGoConfig
-from repro.core.modifier import Modifier
-from repro.core.monitor import Monitor
+from repro.core.session import LetGoSession
 from repro.errors import SimulationError
 from repro.faultinject.fault_model import flip_bit, select_target
 from repro.isa.instructions import NETWORK_OPS
 from repro.machine.cluster import Cluster
 from repro.machine.debugger import DebugSession
-from repro.parallel.app import ParallelApp
+from repro.machine.signals import Trap
+from repro.parallel.app import OneRankApp, ParallelApp
 
 
 class ClusterPolicy(Enum):
@@ -61,6 +65,13 @@ class ClusterCRParams:
     def __post_init__(self) -> None:
         if self.interval <= 0 or self.mtbf_faults <= 0:
             raise SimulationError("invalid ClusterCRParams")
+        # A negative charge would let efficiency exceed 1.
+        for name in ("t_chk", "t_r", "t_sync", "t_letgo"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise SimulationError(
+                    f"ClusterCRParams.{name} must be >= 0, got {value}"
+                )
 
     @property
     def recovery(self) -> int:
@@ -119,7 +130,7 @@ class CoordinatedRun:
 
     def __init__(
         self,
-        app: ParallelApp,
+        app: ParallelApp | OneRankApp,
         params: ClusterCRParams,
         policy: ClusterPolicy,
         seed: int,
@@ -131,13 +142,13 @@ class CoordinatedRun:
         self.app = app
         self.params = params
         self.policy = policy
-        self.letgo = letgo
-        self.repair_comm = repair_comm
         self.rng = np.random.default_rng(seed)
-        self._monitor = Monitor(letgo) if letgo is not None else None
-        self._modifier = (
-            Modifier(letgo, app.functions) if letgo is not None else None
+        self._letgo = (
+            LetGoSession(letgo, app.functions)
+            if policy is ClusterPolicy.CR_LETGO
+            else None
         )
+        self._elidable = None if repair_comm else _not_comm
 
     def run(self) -> ClusterRunResult:
         app, params = self.app, self.params
@@ -158,15 +169,17 @@ class CoordinatedRun:
         budget = app.max_steps * 4
         repairs_since_rollback = 0
         # Repeated failures from one checkpoint mean the checkpoint itself
-        # captured corrupted (e.g. deadlock-bound) state; after a few tries
-        # the job restarts from scratch, as an operator would.
+        # captured corrupted state (silently flipped data, or a
+        # deadlock-bound network); after a few tries the job restarts from
+        # scratch, as an operator would.
         failures_since_ckpt = 0
-        self._restart_pending = False
 
         while result.cost < budget:
-            stride = min(params.interval - since_ckpt, to_fault)
-            if not can_checkpoint:
-                stride = to_fault
+            stride = to_fault
+            # A checkpoint that came due while a rank had already exited
+            # was skipped; run on to the next fault or the end instead.
+            if can_checkpoint and since_ckpt < params.interval:
+                stride = min(params.interval - since_ckpt, to_fault)
             event = cluster.run(stride)
             result.cost += event.steps
             since_ckpt += event.steps
@@ -180,27 +193,20 @@ class CoordinatedRun:
 
             if event.kind == "trap":
                 assert event.trap is not None and event.rank is not None
-                # Eliding a network op tears the message protocol.
-                comm_fault = (
-                    event.trap.instr is not None
-                    and event.trap.instr.op in NETWORK_OPS
-                )
-                handled = (
-                    self.policy is ClusterPolicy.CR_LETGO
-                    and self._monitor is not None
-                    and self._monitor.intercepts(event.trap.signal)
-                    and (self.repair_comm or not comm_fault)
-                    and repairs_since_rollback
-                    < self.letgo.max_interventions * self.app.size  # type: ignore[union-attr]
-                )
-                if handled:
-                    assert self._modifier is not None
+                if self._letgo is not None:
+                    left = (
+                        self._letgo.config.max_interventions * app.size
+                        - repairs_since_rollback
+                    )
                     session = DebugSession(cluster.process(event.rank))
-                    self._modifier.repair(session, event.trap)
-                    result.cost += params.t_letgo
-                    result.letgo_repairs += 1
-                    repairs_since_rollback += 1
-                    continue
+                    record = self._letgo.intervene(
+                        session, event.trap, left, elidable=self._elidable
+                    )
+                    if record is not None:
+                        result.cost += params.t_letgo
+                        result.letgo_repairs += 1
+                        repairs_since_rollback += 1
+                        continue
                 if self.policy is ClusterPolicy.NONE:
                     result.outcome = "dead"
                     return result
@@ -293,8 +299,13 @@ class CoordinatedRun:
         return "sdc"
 
 
+def _not_comm(trap: Trap) -> bool:
+    """Comm-safe rule: eliding a network op tears the message protocol."""
+    return trap.instr is None or trap.instr.op not in NETWORK_OPS
+
+
 def drive_cluster(
-    app: ParallelApp,
+    app: ParallelApp | OneRankApp,
     params: ClusterCRParams,
     policy: ClusterPolicy,
     seed: int = 0,

@@ -1,56 +1,74 @@
-"""In-vivo C/R driver: policies, accounting, and the Figure-1 story."""
+"""Figure 1 on the one C/R driver: pennant as a one-rank coordinated run.
+
+The same driver on a multi-rank heat cluster is tested in
+``tests/parallel/test_coordinated_cr.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.checkpoint import CRParams, CheckpointedRun, Policy, drive
 from repro.core import LETGO_E
 from repro.errors import SimulationError
+from repro.parallel import (
+    ClusterCRParams,
+    ClusterPolicy,
+    CoordinatedRun,
+    OneRankApp,
+    drive_cluster,
+)
 
-PARAMS = CRParams(interval=15_000, t_chk=3_000, t_letgo=100, mtbf_faults=12_000.0)
-CALM = CRParams(interval=30_000, t_chk=1_000, t_letgo=100, mtbf_faults=10**9)
+PARAMS = ClusterCRParams(
+    interval=15_000, t_chk=3_000, t_letgo=100, mtbf_faults=12_000.0
+)
+CALM = ClusterCRParams(
+    interval=30_000, t_chk=1_000, t_letgo=100, mtbf_faults=10**9
+)
+
+
+@pytest.fixture(scope="module")
+def pennant(pennant_app):
+    return OneRankApp(pennant_app)
 
 
 def test_params_validation():
     with pytest.raises(SimulationError):
-        CRParams(interval=0, t_chk=1)
-    with pytest.raises(SimulationError):
-        CRParams(interval=10, t_chk=1, mtbf_faults=0)
+        ClusterCRParams(interval=10, t_chk=1, mtbf_faults=0)
 
 
 def test_recovery_defaults_to_t_chk():
-    assert CRParams(interval=10, t_chk=7).recovery == 7
-    assert CRParams(interval=10, t_chk=7, t_r=3).recovery == 3
+    assert ClusterCRParams(interval=10, t_chk=7).recovery == 7
+    assert ClusterCRParams(interval=10, t_chk=7, t_r=3).recovery == 3
+    assert ClusterCRParams(interval=10, t_chk=7, t_r=3, t_sync=2).recovery == 5
 
 
-def test_letgo_policy_needs_config(pennant_app):
+def test_letgo_policy_needs_config(pennant):
     with pytest.raises(SimulationError):
-        CheckpointedRun(pennant_app, PARAMS, Policy.CR_LETGO, seed=0)
+        CoordinatedRun(pennant, PARAMS, ClusterPolicy.CR_LETGO, seed=0)
 
 
-def test_fault_free_run_overheads(pennant_app):
+def test_fault_free_run_overheads(pennant):
     """With ~no faults, cost = work + checkpoints * t_chk."""
-    result = drive(pennant_app, CALM, Policy.CR, seed=1)
+    result = drive_cluster(pennant, CALM, ClusterPolicy.CR, seed=1)
     assert result.completed and result.outcome == "benign"
     assert result.faults_injected == 0
     assert result.rollbacks == 0
-    expected_ckpts = pennant_app.golden.instret // CALM.interval
+    expected_ckpts = pennant.golden_steps // CALM.interval
     assert abs(result.checkpoints - expected_ckpts) <= 1
-    assert result.cost == pennant_app.golden.instret + result.checkpoints * CALM.t_chk
+    assert result.cost == pennant.golden_steps + result.checkpoints * CALM.t_chk
 
 
-def test_policy_none_takes_no_checkpoints(pennant_app):
-    result = drive(pennant_app, CALM, Policy.NONE, seed=1)
+def test_policy_none_takes_no_checkpoints(pennant):
+    result = drive_cluster(pennant, CALM, ClusterPolicy.NONE, seed=1)
     assert result.completed
     assert result.checkpoints == 0
-    assert result.cost == pennant_app.golden.instret
+    assert result.cost == pennant.golden_steps
 
 
-def test_efficiency_zero_for_dead_runs(pennant_app):
+def test_efficiency_zero_for_dead_runs(pennant):
     # guaranteed crashes: very high fault rate without protection
-    params = CRParams(interval=10_000, t_chk=100, mtbf_faults=2_000.0)
+    params = ClusterCRParams(interval=10_000, t_chk=100, mtbf_faults=2_000.0)
     dead = [
-        drive(pennant_app, params, Policy.NONE, seed=s)
+        drive_cluster(pennant, params, ClusterPolicy.NONE, seed=s)
         for s in range(8)
     ]
     killed = [r for r in dead if not r.completed]
@@ -59,23 +77,24 @@ def test_efficiency_zero_for_dead_runs(pennant_app):
     assert all(r.outcome == "dead" for r in killed)
 
 
-def test_cr_survives_where_none_dies(pennant_app):
-    params = PARAMS
+def test_cr_survives_where_none_dies(pennant):
     completed_cr = 0
     for seed in range(6):
-        result = drive(pennant_app, params, Policy.CR, seed=seed)
+        result = drive_cluster(pennant, PARAMS, ClusterPolicy.CR, seed=seed)
         if result.completed:
             completed_cr += 1
-            assert result.cost >= pennant_app.golden.instret
+            assert result.cost >= pennant.golden_steps
     assert completed_cr >= 4  # C/R completes almost always
 
 
-def test_letgo_reduces_rollbacks_paired(pennant_app):
+def test_letgo_reduces_rollbacks_paired(pennant):
     """Same seeds: CR+LetGo rolls back less than CR (repairs instead)."""
     cr_rollbacks = letgo_rollbacks = repairs = 0
     for seed in range(6):
-        cr = drive(pennant_app, PARAMS, Policy.CR, seed=seed)
-        lg = drive(pennant_app, PARAMS, Policy.CR_LETGO, seed=seed, letgo=LETGO_E)
+        cr = drive_cluster(pennant, PARAMS, ClusterPolicy.CR, seed=seed)
+        lg = drive_cluster(
+            pennant, PARAMS, ClusterPolicy.CR_LETGO, seed=seed, letgo=LETGO_E
+        )
         cr_rollbacks += cr.rollbacks
         letgo_rollbacks += lg.rollbacks
         repairs += lg.letgo_repairs
@@ -83,22 +102,29 @@ def test_letgo_reduces_rollbacks_paired(pennant_app):
     assert letgo_rollbacks < cr_rollbacks
 
 
-def test_letgo_efficiency_at_least_cr(pennant_app):
+def test_letgo_efficiency_at_least_cr(pennant):
     """Averaged over seeds, CR+LetGo does not lose to CR."""
     cr = np.mean(
-        [drive(pennant_app, PARAMS, Policy.CR, seed=s).efficiency for s in range(8)]
+        [
+            drive_cluster(pennant, PARAMS, ClusterPolicy.CR, seed=s).efficiency
+            for s in range(8)
+        ]
     )
     lg = np.mean(
         [
-            drive(pennant_app, PARAMS, Policy.CR_LETGO, seed=s, letgo=LETGO_E).efficiency
+            drive_cluster(
+                pennant, PARAMS, ClusterPolicy.CR_LETGO, seed=s, letgo=LETGO_E
+            ).efficiency
             for s in range(8)
         ]
     )
     assert lg >= cr - 0.03
 
 
-def test_accounting_consistency(pennant_app):
-    result = drive(pennant_app, PARAMS, Policy.CR_LETGO, seed=3, letgo=LETGO_E)
+def test_accounting_consistency(pennant):
+    result = drive_cluster(
+        pennant, PARAMS, ClusterPolicy.CR_LETGO, seed=3, letgo=LETGO_E
+    )
     if result.completed:
         overhead = (
             result.checkpoints * PARAMS.t_chk
@@ -110,10 +136,21 @@ def test_accounting_consistency(pennant_app):
         assert 0.0 < result.efficiency <= 1.0
 
 
-def test_deterministic_per_seed(pennant_app):
-    a = drive(pennant_app, PARAMS, Policy.CR_LETGO, seed=9, letgo=LETGO_E)
-    b = drive(pennant_app, PARAMS, Policy.CR_LETGO, seed=9, letgo=LETGO_E)
-    assert a.cost == b.cost
-    assert a.outcome == b.outcome
-    assert a.rollbacks == b.rollbacks
-    assert a.letgo_repairs == b.letgo_repairs
+def test_deterministic_per_seed(pennant):
+    a, b = (
+        drive_cluster(
+            pennant, PARAMS, ClusterPolicy.CR_LETGO, seed=9, letgo=LETGO_E
+        )
+        for _ in range(2)
+    )
+    assert a == b
+
+
+def test_poisoned_checkpoint_restarts_instead_of_hanging(pennant):
+    """Seed 4 keeps failing from one checkpoint.  Rolling back to it
+    forever used to exhaust the budget (918 rollbacks, 'hung'); after the
+    fourth failure the job restarts from the initial state and completes."""
+    result = drive_cluster(pennant, PARAMS, ClusterPolicy.CR, seed=4)
+    assert result.completed
+    assert result.restarts == 1
+    assert result.rollbacks == 5

@@ -16,6 +16,8 @@ from repro.isa import assemble
 from repro.isa.registers import SP
 from repro.lang import compile_source
 from repro.machine import Process, Signal
+from repro.machine.debugger import DebugSession
+from repro.telemetry import Tracer
 
 #: A program whose single crash site is skippable: after the bad load the
 #: program carries on and prints a value.
@@ -201,3 +203,34 @@ def test_intervention_summary():
     report, _ = _run(SKIPPABLE, LETGO_E)
     text = report.interventions[0].summary()
     assert "SIGSEGV" in text and "H1" in text
+
+
+def test_intervene_is_the_one_decision():
+    """Repair only an intercepted signal, with budget left, that the
+    caller's rule accepts; count the signal's disposition either way."""
+    program = assemble(SKIPPABLE)
+    letgo = LetGoSession(LETGO_E, FunctionTable(program))
+
+    def trapped():
+        session = DebugSession(Process.load(program))
+        event = session.cont(10**6)
+        assert event.trap is not None and event.trap.signal is Signal.SIGSEGV
+        return session, event.trap
+
+    tracer = Tracer()
+    for left, elidable in ((0, None), (1, lambda trap: False)):
+        session, trap = trapped()
+        assert letgo.intervene(
+            session, trap, left, tracer=tracer, elidable=elidable
+        ) is None
+        assert session.process.cpu.pc == trap.pc  # untouched
+    assert tracer.counters == {"signal:SIGSEGV:intercept": 2}
+
+    session, trap = trapped()
+    record = letgo.intervene(
+        session, trap, 1, tracer=tracer, elidable=lambda t: t is trap
+    )
+    assert record is not None and record.pc == trap.pc
+    assert session.process.cpu.pc == trap.pc + 1
+    assert tracer.counters["intervention"] == 1
+    assert tracer.counters["signal:SIGSEGV:intercept"] == 3

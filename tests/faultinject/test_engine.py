@@ -106,13 +106,29 @@ def test_split_campaigns_concatenate_to_unsharded(pennant_app):
     assert [r for part in parts for r in part.results] == whole.results
 
 
-@pytest.mark.parametrize("journaled", [False, True], ids=["plain", "journaled"])
-def test_committed_shards_results_are_not_kept(pennant_app, tmp_path, journaled):
+@pytest.mark.parametrize("mode", ["plain", "journaled", "resumed"])
+def test_committed_shards_results_are_not_kept(pennant_app, tmp_path, mode):
     """Without keep_results a campaign holds the results of the shard in
-    flight only: at every commit no more than one shard's are alive."""
+    flight only: at every commit no more than one shard's are alive.  A
+    resumed campaign releases the results it read back once it has
+    counted them."""
     size, n = 3, 18
-    journal = str(tmp_path / "c.journal") if journaled else None
-    engine = _engine(jobs=1, shard_size=size, journal=journal)
+    journal = str(tmp_path / "c.journal")
+    resumed = 0
+    if mode == "resumed":
+        _engine(jobs=1, shard_size=size, journal=journal).run(
+            pennant_app, n, SEED, LETGO_E
+        )
+        with open(journal, "rb") as handle:
+            lines = handle.readlines()
+        resumed = 4 * size  # header plus the first four shards survive
+        with open(journal, "wb") as handle:
+            handle.writelines(lines[: 1 + resumed // size])
+        engine = _engine(jobs=1, shard_size=size, resume=journal)
+    else:
+        engine = _engine(
+            jobs=1, shard_size=size, journal=journal if mode == "journaled" else None
+        )
     gc.collect()
     before = sum(isinstance(o, InjectionResult) for o in gc.get_objects())
     live = []
@@ -126,7 +142,8 @@ def test_committed_shards_results_are_not_kept(pennant_app, tmp_path, journaled)
     engine.on_progress = on_progress
     result = engine.run(pennant_app, n, SEED, LETGO_E)
     assert sum(result.counts.values()) == n and result.results == []
-    assert len(live) == n // size
+    assert engine.stats.resumed == resumed
+    assert len(live) == (n - resumed) // size
     assert max(live) <= size
 
 

@@ -9,6 +9,7 @@ from repro.errors import JournalError
 from repro.faultinject import (
     CampaignConfig,
     CampaignEngine,
+    InjectionPlan,
     InjectionResult,
     Outcome,
     plan_injections,
@@ -51,8 +52,10 @@ def test_roundtrip(tmp_path, plans, header):
     assert loaded.header == header
     assert loaded.completed_indices == {0, 1, 4}
     assert loaded.settled_indices == {0, 1, 2, 4}
-    assert [idx for idx, _ in loaded.pairs()] == [0, 1, 4]
-    assert loaded.pairs()[2][1].outcome is Outcome.SDC
+    pairs = loaded.take_pairs()
+    assert [idx for idx, _ in pairs] == [0, 1, 4]
+    assert pairs[2][1].outcome is Outcome.SDC
+    assert loaded.take_pairs() == []  # handed over, not kept
     (record,) = loaded.quarantined
     assert record.index == 2 and record.plan == plans[2]
     assert record.attempts == 3 and "poison" in record.error
@@ -82,8 +85,8 @@ def test_writer_keeps_indices_not_results(tmp_path, plans, header):
     journal.record_quarantine(2, plans[2], "boom", attempts=1)
     assert journal.completed_indices == {0, 1}
     assert journal.settled_indices == {0, 1, 2}
-    assert journal.pairs() == []
-    assert [i for i, _ in CampaignJournal.load(journal.path).pairs()] == [0, 1]
+    assert journal.take_pairs() == []
+    assert [i for i, _ in CampaignJournal.load(journal.path).take_pairs()] == [0, 1]
 
 
 def test_every_append_is_durable_and_atomic(tmp_path, plans, header):
@@ -175,6 +178,26 @@ def test_plans_digest_pins_population(plans):
     assert plans_digest(plans) != plans_digest(reordered)
 
 
+def test_plans_digest_matches_journals_already_written():
+    """The digest is streamed plan by plan; it must still equal the one in
+    the header of a journal written when it hashed one JSON string."""
+    plans = [
+        InjectionPlan(
+            dyn_index=1 + 997 * i,
+            bit=(7 * i) % 64,
+            reg_choice=i / 41,
+            extra_bits=tuple(range(i % 3)),
+        )
+        for i in range(40)
+    ]
+    assert plans_digest(plans) == (
+        "f375ac4950204e746a9e98db08dfc1dbf8e2e4bcfef3be844939f354b542f1d3"
+    )
+    assert plans_digest([]) == (
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+    )
+
+
 def _fingerprint(result):
     return result.n, result.counts, result.results
 
@@ -199,7 +222,7 @@ def test_torn_final_line_is_cut_before_the_resumed_appends(
     assert engine.stats.resumed == 6
     assert _fingerprint(resumed) == _fingerprint(reference)
     assert path.read_bytes() == data
-    assert CampaignJournal.load(path).pairs() == list(
+    assert CampaignJournal.load(path).take_pairs() == list(
         enumerate(reference.results)
     )
 

@@ -138,3 +138,14 @@ def test_bad_arguments(repl):
     assert "error" in repl.execute("print *zzz")
     assert "error" in repl.execute("info nonsense")
     assert "error" in repl.execute("handle gdb")
+
+
+def test_handle_letgo_refuses_a_signal_letgo_does_not_intercept():
+    """SIGFPE is not in LetGo's signal table: the default action stands."""
+    repl = DebuggerRepl(assemble(
+        ".text\n.entry main\n.func main\nmain:\n"
+        "    movi r1, #7\n    movi r2, #0\n    div r3, r1, r2\n    halt\n"
+    ))
+    assert "SIGFPE" in repl.execute("run")
+    assert "does not intercept SIGFPE" in repl.execute("handle letgo")
+    assert "SIGFPE" in repl.execute("info trap")

@@ -1,10 +1,16 @@
-"""Coordinated cluster C/R driver."""
+"""The one coordinated C/R driver on a multi-rank heat cluster.
+
+The same driver running pennant as a one-rank job (the Figure-1 runs)
+is tested in ``tests/checkpoint/test_driver.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core import LETGO_E
 from repro.errors import SimulationError
+from repro.isa.instructions import NETWORK_OPS, Instr, Op
+from repro.machine.signals import Signal, Trap
 from repro.parallel import (
     ClusterCRParams,
     ClusterPolicy,
@@ -14,6 +20,7 @@ from repro.parallel import (
     restore_cluster,
     take_cluster_snapshot,
 )
+from repro.parallel.driver import _not_comm
 
 PARAMS = ClusterCRParams(
     interval=20_000, t_chk=4_000, t_sync=400, t_letgo=100, mtbf_faults=15_000.0
@@ -31,6 +38,14 @@ def heat():
 def test_params_validation():
     with pytest.raises(SimulationError):
         ClusterCRParams(interval=0, t_chk=1)
+
+
+@pytest.mark.parametrize("cost", ["t_chk", "t_r", "t_sync", "t_letgo"])
+def test_negative_costs_rejected(cost):
+    """A negative charge could push efficiency above 1."""
+    costs = {"t_chk": 5, cost: -1}
+    with pytest.raises(SimulationError, match=cost):
+        ClusterCRParams(interval=10, **costs)
 
 
 def test_letgo_policy_needs_config(heat):
@@ -68,9 +83,11 @@ def test_none_policy_no_checkpoints(heat):
 
 
 def test_deterministic(heat):
-    a = drive_cluster(heat, PARAMS, ClusterPolicy.CR_LETGO, seed=7, letgo=LETGO_E)
-    b = drive_cluster(heat, PARAMS, ClusterPolicy.CR_LETGO, seed=7, letgo=LETGO_E)
-    assert a.cost == b.cost and a.outcome == b.outcome
+    a, b = (
+        drive_cluster(heat, PARAMS, ClusterPolicy.CR_LETGO, seed=7, letgo=LETGO_E)
+        for _ in range(2)
+    )
+    assert a == b
 
 
 def test_cr_completes_under_faults(heat):
@@ -115,3 +132,24 @@ def test_poisoned_checkpoint_restart_bounded(heat):
         result = drive_cluster(heat, hot, ClusterPolicy.CR, seed=seed)
         # either completes, or gives up within the budget with few rollbacks
         assert result.rollbacks < 200
+
+
+def test_comm_safe_rule_refuses_only_network_ops():
+    for op in NETWORK_OPS:
+        assert not _not_comm(Trap(Signal.SIGSEGV, pc=0, instr=Instr(op)))
+    assert _not_comm(Trap(Signal.SIGSEGV, pc=0, instr=Instr(Op.LD)))
+    assert _not_comm(Trap(Signal.SIGSEGV, pc=0))  # fetch fault
+
+
+def test_checkpoint_due_after_a_rank_exited_does_not_stall():
+    """A checkpoint falls due after rank 1 has exited and before rank 0
+    has: it cannot be taken, and the run used to spin on zero-length
+    strides forever.  It now runs on to the end without it."""
+    app = HeatApp(size=2)
+    params = ClusterCRParams(
+        interval=app.golden_steps - 100, t_chk=1_000, mtbf_faults=10**9
+    )
+    result = drive_cluster(app, params, ClusterPolicy.CR, seed=1)
+    assert result.completed and result.outcome == "benign"
+    assert result.checkpoints == 0
+    assert result.cost == app.golden_steps

@@ -2,9 +2,9 @@
 module needs scipy or networkx.
 
 numpy, the one runtime dependency, is needed only to draw seeded plans
-(and by the C/R driver, ``parallel`` and ``crsim``).  Each case runs in a
-fresh interpreter, since the test process itself may have imported any of
-them.
+(and by ``parallel``, whose coordinated driver runs every in-vivo C/R job,
+and ``crsim``).  Each case runs in a fresh interpreter, since the test
+process itself may have imported any of them.
 """
 
 from __future__ import annotations
