@@ -1,15 +1,18 @@
-"""Telemetry overhead: the timeline ring must stay cheap.
+"""Telemetry overhead: a traced campaign must stay cheap.
 
 Times the identical (app, n, seed, config) campaign with telemetry off
-and on.  The engine accounts phases and counters either way (its one
-tracer feeds ``EngineStats``); telemetry adds the timeline ring and the
-report, and is allowed a modest, bounded cost.  The per-phase numbers
+and with a JSONL trace written.  The engine accounts phases and counters
+either way (its one tracer feeds ``EngineStats``); a trace file adds the
+timeline, streamed to disk as shards commit, and the report, and is
+allowed a modest, bounded cost.  The per-phase numbers
 themselves are perfbench's job (``perfbench/run.py --trace 1``).
 
 Also runnable standalone: ``python benchmarks/bench_campaign_telemetry.py``.
 """
 
 import os
+import tempfile
+from pathlib import Path
 from time import perf_counter
 
 from repro.apps.base import TRAP_FREE_MEMO
@@ -25,23 +28,24 @@ APP = "pennant"
 MAX_ENABLED_OVERHEAD = 1.25
 
 
-def _measure(app, telemetry: bool):
+def _measure(app, trace: str | None):
     TRAP_FREE_MEMO.clear()  # both timings execute every plan
-    engine = CampaignEngine(
-        config=CampaignConfig(jobs=1, telemetry=telemetry)
-    )
+    engine = CampaignEngine(config=CampaignConfig(jobs=1, trace=trace))
     t0 = perf_counter()
     result = engine.run(app, TELEMETRY_N, SEED, LETGO_E)
     return perf_counter() - t0, result, engine.telemetry
 
 
 def run_bench(app):
-    """(enabled / disabled wall-clock ratio, the enabled run's report)."""
+    """(traced / untraced wall-clock ratio, the traced run's report)."""
     app.golden  # keep compile/profile out of both timings
-    _measure(app, False)  # warm caches (ladder, compiled blocks)
+    _measure(app, None)  # warm caches (ladder, compiled blocks)
 
-    t_off, result_off, report_off = _measure(app, False)
-    t_on, result_on, report_on = _measure(app, True)
+    t_off, result_off, report_off = _measure(app, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        t_on, result_on, report_on = _measure(
+            app, str(Path(tmp) / "campaign.jsonl")
+        )
 
     assert report_off is None
     assert report_on is not None
@@ -56,8 +60,8 @@ def run_bench(app):
 def test_telemetry_overhead_and_phase_counts(apps):
     overhead, report = run_bench(apps[APP])
     assert overhead <= MAX_ENABLED_OVERHEAD, (
-        f"telemetry-enabled campaign {overhead:.2f}x slower "
-        f"than disabled (ceiling {MAX_ENABLED_OVERHEAD}x)"
+        f"traced campaign {overhead:.2f}x slower "
+        f"than untraced (ceiling {MAX_ENABLED_OVERHEAD}x)"
     )
     # The report must cover the paper loop's phases.
     for phase in ("restore", "advance-to-site", "post-fault"):

@@ -6,13 +6,16 @@ then asserts the observability contract end to end from the *files*
 alone:
 
 * the JSONL trace parses and every record carries the canonical fields;
-* the header's per-injection phase counts match the campaign size, and
-  its ``outcome:*`` counters sum to n and equal the CampaignResult
+* the trace is complete: for every span name, the file's span lines
+  equal the count on its ``totals`` line;
+* the totals' per-injection phase counts match the campaign size, and
+  their ``outcome:*`` counters sum to n and equal the CampaignResult
   tallies;
 * within each worker stream, per-injection phase time sums to no more
   than that stream's span of the campaign wall-clock (spans nest, they
   never double-book a worker's time);
-* the Chrome trace is valid ``trace_event`` JSON with labelled tracks.
+* the Chrome trace is a valid ``trace_event`` JSON array with labelled
+  tracks.
 
 Run from the repo root:
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 from repro.apps import make_app
@@ -69,6 +72,12 @@ def main() -> int:
         if "ts" not in record or "tid" not in record or "name" not in record:
             fail(f"record missing canonical fields: {record}")
 
+    # -- one span line per counted span ------------------------------------
+    lines = Counter(r["name"] for r in records if r["kind"] == "span")
+    counts = {name: stat["count"] for name, stat in meta["phases"].items()}
+    if lines != counts:
+        fail(f"span lines {dict(lines)} != totals counts {counts}")
+
     # -- counters equal the campaign's own tallies -------------------------
     outcomes = {
         name.split(":", 1)[1]: value
@@ -103,10 +112,9 @@ def main() -> int:
         fail(f"phase total {total_phase:.3f}s exceeds {JOBS}x{wall:.3f}s wall")
 
     # -- Chrome trace ------------------------------------------------------
-    doc = json.loads(chrome_path.read_text())
-    events = doc.get("traceEvents")
-    if not events:
-        fail("chrome trace has no traceEvents")
+    events = json.loads(chrome_path.read_text())
+    if not isinstance(events, list) or not events:
+        fail("chrome trace is not a non-empty trace_event array")
     tracks = {
         e["args"]["name"] for e in events if e.get("name") == "thread_name"
     }

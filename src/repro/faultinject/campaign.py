@@ -185,7 +185,7 @@ class CampaignConfig:
     shard_size: int | None = _knob(
         None,
         "plans per shard (default: one shard per worker, finer when "
-        "journaling)",
+        "journaling, and at most 1,000 plans each)",
         kind="int",
         metavar="P",
     )
@@ -278,11 +278,12 @@ class CampaignConfig:
     @property
     def telemetry_enabled(self) -> bool:
         """True when any observability output was requested."""
-        return (
-            self.telemetry
-            or self.trace is not None
-            or self.chrome_trace is not None
-        )
+        return self.telemetry or self.writes_trace
+
+    @property
+    def writes_trace(self) -> bool:
+        """True when a trace file was requested: only then is a timeline kept."""
+        return self.trace is not None or self.chrome_trace is not None
 
 
 #: argparse flag types, keyed by field-metadata ``kind``.

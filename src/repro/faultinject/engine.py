@@ -86,8 +86,7 @@ from repro.faultinject.injector import InjectionResult, run_injection
 from repro.faultinject.journal import CampaignJournal, JournalHeader
 from repro.faultinject.outcomes import Outcome
 from repro.machine.debugger import DebugSession
-from repro.telemetry import DEFAULT_CAPACITY, TelemetryReport, Tracer
-from repro.telemetry.export import write_chrome_trace, write_jsonl
+from repro.telemetry import TelemetryReport, Tracer, TraceWriter
 
 #: ``ladder_interval`` value that disables the ladder entirely.
 NO_LADDER = 0
@@ -98,6 +97,9 @@ MAX_RETRIES = 2
 RETRY_BACKOFF = 0.1
 #: Upper bound on one retry's sleep, in seconds.
 RETRY_BACKOFF_CAP = 2.0
+#: Most plans in a default shard: a shard holds its results (and, traced,
+#: its events) until it commits.
+MAX_DEFAULT_SHARD = 1000
 
 
 @dataclass(frozen=True)
@@ -215,8 +217,8 @@ def _run_shard(
     the shard ran.
     """
     tracer = Tracer(
-        capacity=_capacity(campaign),
         tid=f"shard-{min(idx for idx, _ in batch):05d}",
+        timeline=campaign.writes_trace,
     )
     tracer.instant("worker-start", pid=os.getpid(), plans=len(batch))
     out: dict[int, InjectionResult] = {}
@@ -245,11 +247,6 @@ def _run_shard(
                 memo=TRAP_FREE_MEMO,
             )
     return [(idx, out[idx]) for idx in sorted(out)], tracer.export()
-
-
-def _capacity(campaign: CampaignConfig) -> int:
-    """Timeline ring size: the default with telemetry on, else none."""
-    return DEFAULT_CAPACITY if campaign.telemetry_enabled else 0
 
 
 # -- worker protocol --------------------------------------------------------
@@ -396,6 +393,7 @@ class _Supervisor:
     jobs: int
     journal: CampaignJournal | None
     tracer: Tracer                    # parent-side merged accounting
+    writer: TraceWriter | None = None  # trace files, when requested
 
     counts: Counter = field(default_factory=Counter)
     kept: list[tuple[int, InjectionResult]] = field(default_factory=list)
@@ -518,7 +516,8 @@ class _Supervisor:
         # Re-base the shard's events to where it ran on the parent
         # timeline: it finished "now" and lasted its one ``shard`` span.
         seconds = payload["phases"]["shard"].total_seconds
-        self.tracer.absorb(payload, offset=max(0.0, self.tracer.now() - seconds))
+        offset = max(0.0, self.tracer.now() - seconds)
+        self.tracer.absorb(payload)
         # Journal first: the shard is durable before its results count.
         if self.journal is not None:
             self.journal.record_shard(
@@ -527,6 +526,9 @@ class _Supervisor:
         self.fold(pairs)
         self.shard_sizes.append(len(pairs))
         self.shard_seconds.append(seconds)
+        if self.writer is not None:
+            self.writer.write(payload, offset)
+            self.writer.write(self.tracer.export())
         if self.on_progress is not None:
             self.on_progress(self.done, self.total)
 
@@ -603,11 +605,10 @@ class CampaignEngine:
         shard_size = self.config.shard_size
         if shard_size is not None:
             return max(1, math.ceil(pending / shard_size))
-        if journaling:
-            # Finer grain: each journaled shard is resume credit, and
-            # bisection isolates poison plans in fewer halvings.
-            return min(pending, 8 * jobs)
-        return jobs
+        # Finer grain when journaling: each journaled shard is resume
+        # credit, and bisection isolates poison plans in fewer halvings.
+        count = min(pending, 8 * jobs) if journaling else jobs
+        return max(count, math.ceil(pending / MAX_DEFAULT_SHARD))
 
     def run(
         self,
@@ -627,7 +628,7 @@ class CampaignEngine:
         an uninterrupted run with the same seed.
         """
         cfg = self.config
-        tracer = Tracer(capacity=_capacity(cfg), tid="engine")
+        tracer = Tracer(tid="engine", timeline=cfg.writes_trace)
         self.telemetry = None
         t0 = perf_counter()
         if plans is None:
@@ -678,6 +679,22 @@ class CampaignEngine:
         if jobs > 1 and spec is None:
             jobs = 1  # un-rederivable app (e.g. a local class): stay in-process
 
+        writer = (
+            TraceWriter(
+                cfg.trace,
+                cfg.chrome_trace,
+                meta={
+                    "app": app.name,
+                    "config": config_name,
+                    "n": n,
+                    "seed": seed,
+                    "jobs": jobs,
+                },
+                process_name=f"{app.name} under {config_name}",
+            )
+            if cfg.writes_trace
+            else None
+        )
         supervisor = _Supervisor(
             campaign=cfg,
             app=app,
@@ -687,33 +704,41 @@ class CampaignEngine:
             jobs=jobs,
             journal=journal_obj,
             tracer=tracer,
+            writer=writer,
             on_progress=self.on_progress,
             total=n,
             done=len(prior_quarantine),
         )
-        if journal_obj is not None:
-            supervisor.fold(journal_obj.take_pairs())
-        resumed = supervisor.done - len(prior_quarantine)
-        if indexed:
-            shards = _split(
-                indexed,
-                self._shard_count(len(indexed), jobs, journal_obj is not None),
-            )
-            with tracer.span("execute"):
-                supervisor.run(shards)
+        try:
+            if journal_obj is not None:
+                supervisor.fold(journal_obj.take_pairs())
+            resumed = supervisor.done - len(prior_quarantine)
+            if indexed:
+                shards = _split(
+                    indexed,
+                    self._shard_count(len(indexed), jobs, journal_obj is not None),
+                )
+                with tracer.span("execute"):
+                    supervisor.run(shards)
 
-        with tracer.span("merge"):
-            counts = supervisor.counts
-            supervisor.kept.sort(key=lambda pair: pair[0])
-            merged = CampaignResult(
-                app_name=app.name,
-                config_name=config_name,
-                n=sum(counts.values()),
-                counts={o: counts[o] for o in Outcome if o in counts},
-                results=[result for _, result in supervisor.kept],
-            )
+            with tracer.span("merge"):
+                counts = supervisor.counts
+                supervisor.kept.sort(key=lambda pair: pair[0])
+                merged = CampaignResult(
+                    app_name=app.name,
+                    config_name=config_name,
+                    n=sum(counts.values()),
+                    counts={o: counts[o] for o in Outcome if o in counts},
+                    results=[result for _, result in supervisor.kept],
+                )
 
-        elapsed = perf_counter() - t0
+            elapsed = perf_counter() - t0
+            if writer is not None:
+                # Only a finished campaign's trace gets its totals line.
+                writer.close(tracer.export(), wall_seconds=elapsed)
+        finally:
+            if writer is not None:
+                writer.close()
         tally = tracer.counters.get
         self.stats = EngineStats(
             n=n,
@@ -737,24 +762,6 @@ class CampaignEngine:
             self.telemetry = TelemetryReport.from_tracer(
                 tracer, wall_seconds=elapsed
             )
-            meta = {
-                "app": app.name,
-                "config": config_name,
-                "n": n,
-                "seed": seed,
-                "jobs": jobs,
-                "wall_seconds": elapsed,
-            }
-            if cfg.trace is not None:
-                write_jsonl(
-                    cfg.trace, tracer.records(), counters=tracer.counters,
-                    phases=tracer.phases, meta=meta,
-                )
-            if cfg.chrome_trace is not None:
-                write_chrome_trace(
-                    cfg.chrome_trace, tracer.records(),
-                    process_name=f"{app.name} under {config_name}",
-                )
         return merged
 
 

@@ -60,6 +60,8 @@ JOURNAL_FORMAT = 2
 
 #: The encoding :func:`plans_digest` hashes.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: Plans encoded per :func:`plans_digest` update.
+_DIGEST_CHUNK = 1000
 
 
 def plan_to_dict(plan: InjectionPlan) -> dict:
@@ -117,15 +119,18 @@ def plans_digest(plans: Sequence[InjectionPlan]) -> str:
 
     Pins the exact fault population a journal belongs to; (n, seed) alone
     would miss externally supplied plan lists.  The encoding is a JSON
-    list of :func:`plan_to_dict` objects with sorted keys and no spaces,
-    hashed one plan at a time rather than built as one string.
+    list of :func:`plan_to_dict` objects with sorted keys and no spaces.
+    It is hashed :data:`_DIGEST_CHUNK` plans at a time, each chunk encoded
+    as one list with its brackets cut off, so the bytes are those of the
+    whole list but no string for the whole list is ever built.
     """
     encode = _CANONICAL.encode
     digest = hashlib.sha256(b"[")
-    for i, plan in enumerate(plans):
-        if i:
+    for start in range(0, len(plans), _DIGEST_CHUNK):
+        if start:
             digest.update(b",")
-        digest.update(encode(plan_to_dict(plan)).encode())
+        chunk = plans[start:start + _DIGEST_CHUNK]
+        digest.update(encode([plan_to_dict(plan) for plan in chunk])[1:-1].encode())
     digest.update(b"]")
     return digest.hexdigest()
 

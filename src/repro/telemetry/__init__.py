@@ -4,37 +4,32 @@ The paper's evaluation is an exercise in measuring what happens inside
 thousands of injection runs; this package gives the reproduction the same
 fine-grained accounting for itself.  A :class:`Tracer` keeps exact
 totals -- counters (outcome / heuristic / signal tallies) and streaming
-per-phase :class:`PhaseStat` timings -- plus a bounded timeline ring of
-typed spans, instants and gauges with monotonic timestamps; a
-:class:`TelemetryReport` snapshots a merged tracer's totals;
-:mod:`repro.telemetry.export` renders the timeline as a JSON-lines trace
-file (totals in its header) or a Chrome ``trace_event`` view.
+per-phase :class:`PhaseStat` timings -- and, only when a trace file will
+be written, a timeline of typed spans, instants and gauges with
+monotonic timestamps; a :class:`TelemetryReport` snapshots a merged
+tracer's totals; a :class:`~repro.telemetry.export.TraceWriter` streams
+the timeline to a JSON-lines trace (totals on its last line) and a
+Chrome ``trace_event`` array as the campaign commits.
 
 Design contract (see docs/ARCHITECTURE.md, "Observability"):
 
 * **One accounting source.**  The campaign engine always accounts through
   a tracer, and derives both its ``EngineStats`` and the report from it;
-  telemetry only turns the timeline on.  Code that is not traced passes
-  :data:`NULL_TRACER`, whose methods are allocation-free no-ops; the CPU
-  hot loops are never touched.
+  a trace file only turns the timeline on.  Code that is not traced
+  passes :data:`NULL_TRACER`, whose methods are allocation-free no-ops;
+  the CPU hot loops are never touched.
 * **Picklable flushes.**  Worker processes drain their tracer per shard
-  through :meth:`Tracer.export` (plain dicts, lists and
-  :class:`PhaseStat` values), and the parent
-  merges the payloads with :meth:`Tracer.absorb`.
+  through :meth:`Tracer.export` (plain dicts, lists, tuples and
+  :class:`PhaseStat` values); the parent merges the totals with
+  :meth:`Tracer.absorb` and hands the events to the trace writer.
 * **Deterministic aggregation.**  Counter sums (less the ladder-geometry
   counters) and injection-phase counts depend only on the campaign's
-  plans, never on sharding, ladder interval, ring size or wall-clock, so
-  the same seed yields the same :meth:`TelemetryReport.signature`
-  whether a campaign ran on 1 worker or 8, with or without a snapshot
-  ladder.
+  plans, never on sharding, ladder interval or wall-clock, so the same
+  seed yields the same :meth:`TelemetryReport.signature` whether a
+  campaign ran on 1 worker or 8, with or without a snapshot ladder.
 """
 
-from repro.telemetry.export import (
-    chrome_trace,
-    read_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro.telemetry.export import TraceWriter, read_jsonl
 from repro.telemetry.report import (
     INJECTION_PHASES,
     LADDER_COUNTERS,
@@ -42,7 +37,6 @@ from repro.telemetry.report import (
     TelemetryReport,
 )
 from repro.telemetry.tracer import (
-    DEFAULT_CAPACITY,
     NULL_TRACER,
     NullTracer,
     PhaseStat,
@@ -53,14 +47,11 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "DEFAULT_CAPACITY",
     "TelemetryReport",
     "PhaseStat",
     "INJECTION_PHASES",
     "LADDER_COUNTERS",
     "MEMO_COUNTERS",
-    "write_jsonl",
+    "TraceWriter",
     "read_jsonl",
-    "chrome_trace",
-    "write_chrome_trace",
 ]

@@ -3,9 +3,8 @@
 A :class:`TelemetryReport` snapshots a merged tracer's exact totals --
 per-phase statistics (count / total / mean / max seconds) and the counter
 tallies -- and renders them as the end-of-campaign breakdown table the
-CLI prints.  Neither comes from the timeline ring, so a report is exact
-whatever the ring's capacity; ``events`` and ``dropped`` only describe
-the timeline.
+CLI prints.  Neither comes from the timeline, so a report is the same
+whether or not a trace file was written.
 
 Determinism contract
 --------------------
@@ -25,7 +24,7 @@ whether a run was served from the memo or executed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.reporting.tables import ascii_table
 from repro.telemetry.tracer import PhaseStat
@@ -73,21 +72,16 @@ class TelemetryReport:
 
     phases: dict[str, PhaseStat] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
-    events: int = 0
-    dropped: int = 0
     wall_seconds: float = 0.0
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_tracer(cls, tracer, wall_seconds: float = 0.0) -> "TelemetryReport":
-        """Snapshot a (merged) tracer's exact totals and its timeline size."""
-        payload = tracer.export()  # copies, so the report stays fixed
+        """Snapshot a (merged) tracer's exact totals; its events stay put."""
         return cls(
-            phases=payload["phases"],
-            counters=payload["counters"],
-            events=len(payload["records"]),
-            dropped=payload["dropped"],
+            phases={name: replace(stat) for name, stat in tracer.phases.items()},
+            counters=dict(tracer.counters),
             wall_seconds=wall_seconds,
         )
 
@@ -168,13 +162,9 @@ class TelemetryReport:
         if counter_rows:
             parts.append("")
             parts.append(ascii_table(["counter", "n"], counter_rows))
-        tail = f"{self.events} events"
-        if self.dropped:
-            tail += f" ({self.dropped} dropped by the ring buffer)"
         if wall > 0:
-            tail += f", {wall:.2f}s wall-clock"
-        parts.append("")
-        parts.append(tail)
+            parts.append("")
+            parts.append(f"{wall:.2f}s wall-clock")
         return "\n".join(parts)
 
 

@@ -1,4 +1,4 @@
-"""The tracer: exact running totals plus a ring-buffered event timeline.
+"""The tracer: exact running totals plus an optional event timeline.
 
 A :class:`Tracer` is the one accounting source of an execution stream
 (the campaign parent, or one worker shard).  Its **totals** are exact at
@@ -9,20 +9,21 @@ shards still account their time.  Both merge by sum (and max), which is
 order-independent: absorbing shards in any completion order reproduces
 the serial campaign's totals exactly.
 
-Its **timeline** is a ring buffer of ``capacity`` raw events, for the
-trace files only: ``span`` (a named duration with nesting depth),
-``instant`` (a point event with optional arguments: ``flip``, ``retry``)
-and ``gauge`` (a sampled value: ``queue-depth``).
-When the ring is full the oldest event is dropped and ``dropped``
-incremented.  ``capacity=0`` keeps no timeline: :meth:`Tracer.instant`
-and :meth:`Tracer.gauge` return before building a record.
+Its **timeline** exists only when a trace file will be written
+(``timeline=True``).  ``events`` is then a list of compact tuples, one
+per event, held until :meth:`export` hands them to a trace writer:
 
-Timestamps come from :func:`time.perf_counter` and are stored relative to
-the tracer's birth; :meth:`export` produces a picklable payload and
-:meth:`absorb` merges one into a parent tracer, shifting times by a
-caller-supplied offset so worker streams land on the parent's timeline,
-and through the parent's own ring, so its bound holds for the merged
-stream.
+* ``("span", name, ts, dur, depth)``: a named duration with nesting depth;
+* ``("instant", name, ts, args)``: a point event with optional arguments
+  (``flip``, ``retry``);
+* ``("gauge", name, ts, value)``: a sampled value (``queue-depth``).
+
+Without a timeline ``events`` is ``None`` and spans, instants and gauges
+record nothing beyond the totals.
+
+Timestamps come from :func:`time.perf_counter` and are relative to the
+tracer's birth; the writer shifts a stream's events onto the campaign
+timeline.
 
 Code that is not traced passes the module-level :data:`NULL_TRACER`
 singleton: every method is a no-op and :meth:`NullTracer.span` returns
@@ -31,12 +32,8 @@ one shared, reusable null context manager.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from time import perf_counter
-
-#: Default ring-buffer capacity (timeline events, not totals).
-DEFAULT_CAPACITY = 100_000
 
 
 @dataclass
@@ -127,16 +124,9 @@ class _Span:
         if stat is None:
             stat = tracer.phases[self.name] = PhaseStat()
         stat.add(dur)
-        if tracer.capacity:
-            tracer._append(
-                {
-                    "kind": "span",
-                    "name": self.name,
-                    "ts": self.t0 - tracer._t0,
-                    "dur": dur,
-                    "depth": tracer._depth,
-                    "tid": tracer.tid,
-                }
+        if tracer.events is not None:
+            tracer.events.append(
+                ("span", self.name, self.t0 - tracer._t0, dur, tracer._depth)
             )
         return False
 
@@ -144,83 +134,46 @@ class _Span:
 class Tracer:
     """Enabled recorder for one execution stream.
 
-    ``tid`` labels the stream (``"engine"``, ``"shard-0042"``);
-    ``capacity`` bounds the timeline ring (0: no timeline).
+    ``tid`` labels the stream (``"engine"``, ``"shard-00042"``);
+    ``timeline`` keeps its events for a trace file.
     """
 
-    __slots__ = (
-        "tid",
-        "capacity",
-        "counters",
-        "phases",
-        "dropped",
-        "_events",
-        "_depth",
-        "_t0",
-    )
+    __slots__ = ("tid", "counters", "phases", "events", "_depth", "_t0")
 
     enabled = True
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        tid: str = "main",
-    ):
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
+    def __init__(self, tid: str = "main", timeline: bool = False):
         self.tid = tid
-        self.capacity = capacity
         self.counters: dict[str, int] = {}
         self.phases: dict[str, PhaseStat] = {}
-        self.dropped = 0
-        self._events: deque[dict] = deque(maxlen=capacity)
+        self.events: list[tuple] | None = [] if timeline else None
         self._depth = 0
         self._t0 = perf_counter()
 
     # -- recording ---------------------------------------------------------
-
-    def _append(self, record: dict) -> None:
-        events = self._events
-        if len(events) == self.capacity:
-            self.dropped += 1  # deque(maxlen) evicts the oldest on append
-        events.append(record)
 
     def span(self, name: str) -> _Span:
         """Open a timed span; use as ``with tracer.span("restore"):``."""
         return _Span(self, name)
 
     def count(self, name: str, n: int = 1) -> None:
-        """Increment counter *name* by *n* (never ring-buffered)."""
+        """Increment counter *name* by *n* (a total, never an event)."""
         counters = self.counters
         counters[name] = counters.get(name, 0) + n
 
     def instant(self, name: str, **args) -> None:
         """Record a point event, with optional structured arguments."""
-        if not self.capacity:
-            return
-        self._append(
-            {
-                "kind": "instant",
-                "name": name,
-                "ts": perf_counter() - self._t0,
-                "args": args or None,
-                "tid": self.tid,
-            }
-        )
+        if self.events is not None:
+            self.events.append(
+                ("instant", name, perf_counter() - self._t0, args or None)
+            )
 
     def gauge(self, name: str, value: float) -> None:
         """Sample a time-varying value (e.g. queue depth)."""
-        if not self.capacity:
-            return
-        self._append(
-            {
-                "kind": "gauge",
-                "name": name,
-                "ts": perf_counter() - self._t0,
-                "value": float(value),
-                "tid": self.tid,
-            }
-        )
+        if self.events is not None:
+            self.events.append(
+                ("gauge", name, perf_counter() - self._t0, float(value))
+            )
 
     def now(self) -> float:
         """Seconds since this tracer was created (its timeline origin)."""
@@ -229,48 +182,34 @@ class Tracer:
     # -- merge protocol ----------------------------------------------------
 
     def export(self) -> dict:
-        """Picklable payload of everything recorded so far.
+        """Picklable payload: copies of the totals, and the events so far.
 
-        Timestamps are relative to this tracer's birth; the receiving
-        :meth:`absorb` re-bases them onto its own timeline.
+        The events are handed over, not copied: the tracer's timeline
+        starts empty again, so a stream flushed at every commit holds
+        only what it recorded since.  Timestamps stay relative to this
+        tracer's birth.
         """
+        events = self.events
+        if events is not None:
+            self.events = []
         return {
             "tid": self.tid,
-            "records": list(self._events),
+            "events": events or [],
             "counters": dict(self.counters),
             "phases": {name: replace(stat) for name, stat in self.phases.items()},
-            "dropped": self.dropped,
         }
 
-    def absorb(self, payload: dict, offset: float = 0.0) -> None:
-        """Merge an exported payload from another tracer.
+    def absorb(self, payload: dict) -> None:
+        """Merge an exported payload's totals into this tracer.
 
         Counters and phase totals merge by sum (phase maxima by max), so
         absorbing shards in any completion order yields identical totals.
-        *offset* (seconds on this tracer's timeline) shifts the payload's
-        events to where its stream actually ran -- the engine passes
-        ``commit_time - shard_duration`` so worker spans line up with the
-        parent's view in the Chrome trace.  The shifted events enter this
-        tracer's ring, under its capacity.
+        The payload's events are the trace writer's to place.
         """
         for name, value in payload["counters"].items():
             self.count(name, value)
         for name, stat in payload["phases"].items():
             self.phases.setdefault(name, PhaseStat()).merge(stat)
-        self.dropped += payload["dropped"]
-        for record in payload["records"]:
-            shifted = dict(record)
-            shifted["ts"] = record["ts"] + offset
-            self._append(shifted)
-
-    def records(self) -> list[dict]:
-        """The timeline (own + absorbed events), sorted by timestamp then tid.
-
-        The sort makes the exported trace independent of shard completion
-        order, so two runs of the same campaign differ only in the
-        timestamp *values*, never in record ordering logic.
-        """
-        return sorted(self._events, key=lambda r: (r["ts"], r["tid"], r["name"]))
 
 
-__all__ = ["Tracer", "NullTracer", "NULL_TRACER", "PhaseStat", "DEFAULT_CAPACITY"]
+__all__ = ["Tracer", "NullTracer", "NULL_TRACER", "PhaseStat"]

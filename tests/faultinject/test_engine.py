@@ -156,6 +156,26 @@ def test_split_contiguous_and_even():
     assert _split([], 3) == [[]]
 
 
+def test_default_shards_hold_at_most_a_thousand_plans():
+    shards = _engine()._shard_count
+    assert engine_mod.MAX_DEFAULT_SHARD == 1000
+    # One shard per worker, finer when journaling, as long as each holds
+    # at most 1,000 plans.
+    assert shards(1000, 1, False) == 1
+    assert shards(1001, 1, False) == 2
+    assert shards(20_000, 1, False) == 20
+    assert shards(20_000, 4, False) == 20
+    assert shards(3000, 8, False) == 8
+    assert shards(24, 2, True) == 16
+    assert shards(5, 2, True) == 5
+    assert shards(20_000, 2, True) == 20
+    # perfbench's in-process workloads keep their one shard per campaign.
+    assert shards(32, 1, False) == 1
+    # An explicit shard size is taken as given, above the cap too.
+    assert _engine(shard_size=2)._shard_count(24, 2, True) == 12
+    assert _engine(shard_size=5000)._shard_count(20_000, 1, False) == 4
+
+
 def test_local_app_degrades_to_serial():
     """An un-rederivable app (local class) runs in-process, same results."""
 

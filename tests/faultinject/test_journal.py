@@ -1,5 +1,6 @@
 """Campaign journal: durability, identity, and duplicate detection."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.faultinject.journal import (
     JOURNAL_FORMAT,
     CampaignJournal,
     JournalHeader,
+    plan_to_dict,
     plans_digest,
     result_from_dict,
     result_to_dict,
@@ -196,6 +198,28 @@ def test_plans_digest_matches_journals_already_written():
     assert plans_digest([]) == (
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
     )
+
+
+def test_plans_digest_across_chunks_equals_the_one_string_hash():
+    """2,500 plans span three hashing chunks (the last one partial); the
+    digest is still SHA-256 of the whole list encoded as one string."""
+    plans = [
+        InjectionPlan(
+            dyn_index=1 + 31 * i,
+            bit=i % 64,
+            reg_choice=(i % 97) / 97,
+            extra_bits=tuple(range(i % 2)),
+        )
+        for i in range(2500)
+    ]
+    for n in (999, 1000, 1001, 2000, 2500):
+        whole = json.dumps(
+            [plan_to_dict(plan) for plan in plans[:n]],
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        expected = hashlib.sha256(whole.encode()).hexdigest()
+        assert plans_digest(plans[:n]) == expected, n
 
 
 def _fingerprint(result):

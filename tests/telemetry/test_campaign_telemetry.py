@@ -6,17 +6,17 @@ The acceptance contract this file pins:
   campaign's :class:`CampaignResult` tallies;
 * the same seed yields an identical aggregated report signature across
   ``jobs=1`` and ``jobs=4`` (sharding never leaks into the numbers);
-* phase counts and the signature stay exact however small the timeline
-  ring is;
 * telemetry never changes campaign outcomes or the engine's tallies, and
   disabled telemetry leaves no report behind;
-* the exported trace files parse and their per-injection phase times sum
-  to no more than the campaign's wall-clock.
+* a timeline is kept only when a trace file is written, and the trace is
+  complete: for every span name its span lines equal its totals count;
+* the trace files grow as shards commit, and parse.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -95,22 +95,6 @@ def test_signature_identical_at_every_ladder_interval(pennant_app):
     assert lagged > 0  # repaired runs converge too, behind the grid
 
 
-def test_small_ring_keeps_phase_counts_and_signature_exact(
-    pennant_app, monkeypatch
-):
-    # The ring holds only the timeline: with room for 8 events per
-    # stream, every per-injection phase is still counted exactly.
-    reference = _run(pennant_app, LETGO_E, jobs=1)[1].signature()
-    monkeypatch.setattr(engine_mod, "DEFAULT_CAPACITY", 8)
-    for jobs in (1, 2):
-        _, report = _run(pennant_app, LETGO_E, jobs=jobs)
-        for phase in ("restore", "advance-to-site", "post-fault"):
-            assert report.phases[phase].count == N, (jobs, phase)
-        assert report.signature() == reference, jobs
-        assert report.events <= 8
-        assert report.dropped > 0
-
-
 @pytest.mark.parametrize(
     "knobs",
     [
@@ -185,20 +169,97 @@ def test_trace_files_written_and_parse(pennant_app, tmp_path):
 
     meta, records = read_jsonl(jsonl)
     assert meta["app"] == pennant_app.name
-    assert meta["n"] == N and meta["seed"] == SEED
+    assert meta["n"] == N and meta["seed"] == SEED and meta["jobs"] == 2
+    # The totals line carries the exact totals, not just the timeline.
     assert meta["counters"] == engine.telemetry.counters
-    # The header carries the exact phase totals, not just the timeline.
     assert meta["phases"]["post-fault"]["count"] == N
     assert meta["phases"]["shard"]["count"] == 2
+    assert meta["wall_seconds"] > 0
     assert any(r["kind"] == "span" and r["name"] == "shard" for r in records)
     # Worker streams survived the cross-process merge.
     assert any(r["tid"].startswith("shard-") for r in records)
     assert all(r["ts"] >= 0 for r in records)
 
-    doc = json.loads(chrome.read_text())
-    assert doc["traceEvents"]
-    names = {e["name"] for e in doc["traceEvents"]}
+    events = json.loads(chrome.read_text())
+    assert isinstance(events, list) and events
+    names = {e["name"] for e in events}
     assert "post-fault" in names and "thread_name" in names
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_trace_has_one_span_line_per_counted_span(pennant_app, tmp_path, jobs):
+    trace = tmp_path / "campaign.jsonl"
+    TRAP_FREE_MEMO.clear()
+    engine = CampaignEngine(
+        config=CampaignConfig(jobs=jobs, shard_size=3, trace=str(trace))
+    )
+    engine.run(pennant_app, N, SEED, LETGO_E)
+    meta, records = read_jsonl(trace)
+    lines = Counter(r["name"] for r in records if r["kind"] == "span")
+    counts = {name: stat["count"] for name, stat in meta["phases"].items()}
+    assert lines == counts
+    assert counts["shard"] == 5 and counts["post-fault"] == N
+    # (tid, ts) order: each stream's lines are together and in time order.
+    keys = [(r["tid"], r["ts"]) for r in records]
+    assert keys == sorted(keys)
+
+
+def test_trace_file_grows_at_every_commit(pennant_app, tmp_path):
+    trace = tmp_path / "campaign.jsonl"
+    sizes = []
+    engine = CampaignEngine(
+        config=CampaignConfig(jobs=1, shard_size=3, trace=str(trace))
+    )
+    engine.on_progress = lambda done, total: sizes.append(trace.stat().st_size)
+    engine.run(pennant_app, N, SEED, LETGO_E)
+    # The parent streams each committed shard to disk, never buffers the
+    # campaign's events to the end.
+    assert len(sizes) == 5
+    assert all(a < b for a, b in zip(sizes, sizes[1:]))
+    assert sizes[0] > 0 and sizes[-1] < trace.stat().st_size
+
+
+def test_interrupted_campaign_leaves_a_trace_without_totals(
+    pennant_app, tmp_path
+):
+    jsonl = tmp_path / "campaign.jsonl"
+    chrome = tmp_path / "campaign.chrome.json"
+
+    def interrupt(done, total):
+        raise KeyboardInterrupt
+
+    engine = CampaignEngine(config=CampaignConfig(
+        jobs=1, shard_size=3, trace=str(jsonl), chrome_trace=str(chrome)
+    ))
+    engine.on_progress = interrupt
+    with pytest.raises(KeyboardInterrupt):
+        engine.run(pennant_app, N, SEED, LETGO_E)
+    # The first shard reached the files, and both were closed: the Chrome
+    # array parses, and the JSONL reader refuses a run that did not finish.
+    events = json.loads(chrome.read_text())
+    assert any(e["name"] == "post-fault" for e in events)
+    with pytest.raises(ValueError, match="no totals line"):
+        read_jsonl(jsonl)
+
+
+def test_telemetry_without_a_trace_keeps_no_events(pennant_app, monkeypatch):
+    reference = _run(pennant_app, LETGO_E, jobs=1)[1]
+    tracers = []
+
+    class Recorded(engine_mod.Tracer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tracers.append(self)
+
+    monkeypatch.setattr(engine_mod, "Tracer", Recorded)
+    _, report = _run(pennant_app, LETGO_E, jobs=1)
+    assert report.signature() == reference.signature()
+    assert report.counters == reference.counters
+    assert {name: s.count for name, s in report.phases.items()} == {
+        name: s.count for name, s in reference.phases.items()
+    }
+    assert len(tracers) == 2  # the engine's and the one shard's
+    assert all(tracer.events is None for tracer in tracers)
 
 
 def test_resumed_campaign_records_resume_event(pennant_app, tmp_path):

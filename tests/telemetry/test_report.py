@@ -12,10 +12,6 @@ from repro.telemetry import (
 )
 
 
-def _span(name, ts, dur, tid="t"):
-    return {"kind": "span", "name": name, "ts": ts, "dur": dur, "depth": 0, "tid": tid}
-
-
 def _tracer(spans=(), counters=None):
     """A tracer that absorbed one stream of finished (name, ts, dur) spans.
 
@@ -28,10 +24,9 @@ def _tracer(spans=(), counters=None):
     tracer.absorb(
         {
             "tid": "t",
-            "records": [_span(*span) for span in spans],
+            "events": [("span", name, ts, dur, 0) for name, ts, dur in spans],
             "counters": dict(counters or {}),
             "phases": phases,
-            "dropped": 0,
         }
     )
     return tracer
@@ -53,27 +48,35 @@ def test_phase_stats_aggregate_count_total_mean_max():
     assert restore.mean_seconds == 0.02
     assert restore.max_seconds == 0.03
     assert report.phases["post-fault"].count == 1
-    assert report.events == 3
 
 
 def test_non_span_records_counted_but_not_phased():
-    tracer = Tracer()
+    tracer = Tracer(timeline=True)
     tracer.instant("flip")
     tracer.gauge("queue-depth", 1.0)
     report = TelemetryReport.from_tracer(tracer)
-    assert report.phases == {}
-    assert report.events == 2
+    assert report.phases == {} and report.counters == {}
+    assert len(tracer.events) == 2
 
 
-def test_from_tracer_carries_counters_and_dropped():
-    tracer = Tracer(capacity=1)
+def test_from_tracer_carries_counters_and_leaves_events():
+    tracer = Tracer(timeline=True)
     tracer.instant("a")
-    tracer.instant("b")  # evicts "a"
+    with tracer.span("restore"):
+        pass
     tracer.count("outcome:masked", 2)
     report = TelemetryReport.from_tracer(tracer, wall_seconds=0.5)
     assert report.counters == {"outcome:masked": 2}
-    assert report.dropped == 1
+    assert report.phases["restore"].count == 1
     assert report.wall_seconds == 0.5
+    # The report reads the totals only: the events stay for the writer,
+    # and later accounting does not move the snapshot.
+    assert [event[1] for event in tracer.events] == ["a", "restore"]
+    tracer.count("outcome:masked")
+    with tracer.span("restore"):
+        pass
+    assert report.counters == {"outcome:masked": 2}
+    assert report.phases["restore"].count == 1
 
 
 def test_empty_phase_stat_mean_is_zero():
@@ -168,11 +171,3 @@ def test_render_mentions_phases_counters_and_wall():
     assert "outcome:masked" in text
     assert "50.0%" in text  # 0.6s of 1.2s wall
     assert "1.20s wall-clock" in text
-
-
-def test_render_notes_ring_buffer_drops():
-    tracer = Tracer(capacity=1)
-    for name in "abcde":
-        tracer.instant(name)  # each evicts its predecessor
-    report = TelemetryReport.from_tracer(tracer)
-    assert "4 dropped" in report.render()
