@@ -4,19 +4,21 @@ Each class is a copy of a backend with ONE semantic fault planted --
 deliberately re-creating the bug classes fixed by hand in the substrate
 (NaN min/max, HALT-pc advance, map-before-alignment), a sign-extension
 fault, an imprecise trap in a compiled basic block, a compiled access
-that skips the trap its constant address calls for, and a compiled
-cross-type load that converts the value instead of the bits.  They are
-strictly test scaffolding: running the fuzzer with ``--mutation NAME``
-swaps the mutant in as the "compiled" side of every differential
-oracle, which must then (a) flag a divergence and (b) shrink it to a
-tiny reproducer.  A fuzzer that cannot kill these mutants would not
-have caught the real bugs either (the mutation-adequacy methodology of
-the repair-assessment line of work).
+that skips the trap its constant address calls for, a compiled
+cross-type load that converts the value instead of the bits, and two
+faults of compiled chains of blocks (a trap's retirement count and the
+budget test).  They are strictly test scaffolding: running the fuzzer
+with ``--mutation NAME`` swaps the mutant in as the "compiled" side of
+every differential oracle, which must then (a) flag a divergence and
+(b) shrink it to a tiny reproducer.  A fuzzer that cannot kill these
+mutants would not have caught the real bugs either (the
+mutation-adequacy methodology of the repair-assessment line of work).
 
 The interpreter builds its dispatch table per-instance with
 ``getattr(self, "_op_...")``, so overriding a handler in a subclass is
 all a mutant needs.  The block-level mutants instead override the
-compiled backend's code generator on the eager compiled CPU.
+compiled backend's code generator on the eager compiled CPU, and the
+chain mutants its chain bookkeeping.
 
 :data:`MEMO_MUTATIONS` are trap-free memo mutants instead: each one
 widens what :class:`~repro.apps.base.TrapFreeMemo` stores, and
@@ -139,6 +141,27 @@ class TypedLoadNumeric(EagerCompiledCPU):
         return source, consts
 
 
+class ChainOffset(EagerCompiledCPU):
+    """A trap in a later segment of a compiled chain retires
+    ``trap.pc - entry`` instructions, as if the chain's blocks were
+    contiguous in the image."""
+
+    def _retired_before(self, start: int, pc: int) -> int:
+        return pc - start
+
+
+class ChainBudget(EagerCompiledCPU):
+    """A chain entry keeps its first block's length in the budget table:
+    the chain runs when only that block fits the budget, and retires
+    only that block's instructions."""
+
+    def _compile(self, pc: int):
+        entry = super()._compile(pc)
+        image = self._image
+        image.lengths[pc] = image.spans[pc]
+        return entry
+
+
 #: name -> mutant class, the ``--mutation`` CLI choices.
 MUTATIONS: dict[str, type[CPU]] = {
     "fmin-nan": FminNanPropagates,
@@ -148,6 +171,8 @@ MUTATIONS: dict[str, type[CPU]] = {
     "block-trap-pc": BlockTrapAtEnd,
     "fold-unchecked": FoldUnchecked,
     "typed-load": TypedLoadNumeric,
+    "chain-offset": ChainOffset,
+    "chain-budget": ChainBudget,
 }
 
 

@@ -11,8 +11,23 @@ function: register indices, immediates and the memory's segment ranges
 are literals, loads and stores check the segment map inline and read or
 write the memory's cell dict directly (a store puts the register's value
 in the cell as it is), and the function returns the next pc.  The run
-loop is ``pc = block()`` once per block instead of one dispatch per
-instruction.
+loop is ``pc = block()`` once per compiled function instead of one
+dispatch per instruction.
+
+A leader's function is a *chain* of blocks when its block ends in
+``JMP`` or ``CALL``, whose successor is known when the code is
+generated (:func:`chain_segments`).  The chain follows the static target's
+block, and the block after that, while the target is in the image and is
+not a network op, none of the target block's pcs is already in the chain,
+and the chain stays within :data:`MAX_CHAIN` instructions.  Blocks
+overlap (a leader can sit inside another leader's block, and both run to
+the same terminator), so the overlap rule keeps each pc in one segment
+at most: a self-``JMP``, a jump back into the chain and a target whose
+block shares pcs with the chain all end it.  So do conditional branches,
+``RET``, ``HALT``, ``ABORT`` and a block that falls through to a network
+op.  The chain's source joins each segment's body as :func:`block_source`
+generates it: a chained ``JMP`` emits nothing, a chained ``CALL`` its
+checked push and no ``return``.
 
 Checks whose result is known when the block is generated are decided
 then.  The generator tracks the integer registers the block itself set
@@ -28,20 +43,22 @@ Everything else runs on the inherited interpreter handlers, which are the
 reference semantics: cold entries, entries no static code makes (a
 restored mid-block state, the pc after a bit flip or a LetGo repair, a
 wild jump, a run resumed mid-block), which run until their block ends,
-a budget tail shorter than the block, and the network ops
-(``SEND``/``FSEND``/``RECV``/``FRECV``), which are always
-single-instruction entries.
+a budget tail shorter than the chain (its first block runs on the
+handlers), and the network ops (``SEND``/``FSEND``/``RECV``/``FRECV``),
+which are always single-instruction entries.
 
 The backend preserves the interpreter's contract exactly:
 
-* **Precise exceptions.**  A trap inside a block carries the pc of the
-  faulter, retires ``trap.pc - block_start`` instructions and leaves
-  ``cpu.pc`` on the faulter.  Memory traps build the same
-  :class:`~repro.machine.memory.AccessError` as
+* **Precise exceptions.**  A trap inside a chain carries the pc of the
+  faulter, retires the instructions before it *in chain order* (the
+  whole segments before its own, then ``trap.pc - segment_start``) and
+  leaves ``cpu.pc`` on the faulter.  The segment is looked up only when a
+  trap is raised, so a chain's normal exit costs nothing extra.  Memory
+  traps build the same :class:`~repro.machine.memory.AccessError` as
   :class:`~repro.machine.memory.Memory` (segment check first, then
   alignment), so signals and detail strings match byte for byte.
-* **Exact ``instret`` accounting.**  A block runs only when it fits the
-  remaining step budget, so ``run(n)`` retires exactly what the
+* **Exact ``instret`` accounting.**  A chain runs only when all of it
+  fits the remaining step budget, so ``run(n)`` retires exactly what the
   interpreter would.  This keeps ``dyn_index``-addressed fault injection
   deterministic across backends.
 * **Live state.**  Block functions bind the *identities* of the register
@@ -57,16 +74,17 @@ The backend preserves the interpreter's contract exactly:
   like the interpreter (a run whose budget expires right after a wild jump
   stops with the wild pc and no trap).
 
-Code objects and per-entry heat counts belong to the program image: they
-live on the :class:`~repro.isa.program.Program` (in its ``__dict__``, like
-the cached checksum), keyed by CPU class and segment ranges, so they die
-with the program.  Each process binds its own state into the cached code
-when it first enters a block, which costs one function object.
-``run_profiled`` is inherited from the interpreter.
+Code objects, chain lengths and per-entry heat counts belong to the
+program image: they live on the :class:`~repro.isa.program.Program` (in
+its ``__dict__``, like the cached checksum), keyed by CPU class and
+segment ranges, so they die with the program.  Each process binds its own
+state into the cached code when it first enters a block, which costs one
+function object.  ``run_profiled`` is inherited from the interpreter.
 """
 
 from __future__ import annotations
 
+import re
 from math import copysign, inf, isinf, isnan, nan, sqrt
 from operator import index
 from types import FunctionType
@@ -78,6 +96,10 @@ from repro.isa.registers import SP
 from repro.machine.cpu import CPU, STOP_HALT, STOP_STEPS
 from repro.machine.memory import AccessError, float_as_int, int_as_float
 from repro.machine.signals import Blocked, Signal, Trap
+
+#: Most instructions one chain of blocks may hold (its first block may
+#: be longer, and then runs alone).
+MAX_CHAIN = 64
 
 #: What a compiled HALT returns: never a valid pc, so the loop's fetch
 #: check stops there and finds ``halted`` set (``cpu.pc`` is on the HALT).
@@ -406,15 +428,92 @@ def block_source(
     return source, tuple(consts)
 
 
-class _BlockImage:
-    """Compiled blocks and heat counts of one program image."""
+def chain_segments(
+    instrs: list[Instr], spans: list[int], entry: int
+) -> list[tuple[int, int]]:
+    """``(start, length)`` of each block of the chain entered at *entry*.
 
-    __slots__ = ("spans", "heat", "codes", "globals")
+    The chain follows the static target of a ``JMP`` or ``CALL`` that
+    ends its last block while the target is an in-image pc that is not a
+    network op, the target's block shares no pc with the chain, and the
+    chain stays within :data:`MAX_CHAIN` instructions.
+    """
+    n = len(instrs)
+    segments = [(entry, spans[entry])]
+    total = spans[entry]
+    while True:
+        start, length = segments[-1]
+        last = instrs[start + length - 1]
+        if last.op is not Op.JMP and last.op is not Op.CALL:
+            return segments
+        target = last.imm
+        if (
+            type(target) is not int
+            or not 0 <= target < n
+            or instrs[target].op in NETWORK_OPS
+        ):
+            return segments
+        length = spans[target]
+        end = target + length
+        if total + length > MAX_CHAIN or any(
+            lo < end and target < lo + size for lo, size in segments
+        ):
+            return segments
+        segments.append((target, length))
+        total += length
+
+
+_CONST = re.compile(r"\bK(\d+)\b")
+
+
+def chain_source(
+    block_source, instrs: list[Instr], segments, ranges: tuple
+) -> tuple[str, tuple]:
+    """Source of the function that runs the chain *segments*.
+
+    Joins each segment's body from *block_source*, the per-segment
+    generator: every segment but the last loses the ``return`` of its
+    ``JMP`` or ``CALL``, so control falls into the next one, and each
+    segment's bound constants are renumbered after the ones before it.
+    """
+    body: list[str] = []
+    consts: list = []
+    last = len(segments) - 1
+    for i, (start, length) in enumerate(segments):
+        source, seg_consts = block_source(instrs, start, length, ranges)
+        lines = source.splitlines()[1:]  # drop the ``def`` line
+        if i < last:
+            jump = lines.pop()
+            assert jump == f"    return {segments[i + 1][0]}", jump
+        if consts and seg_consts:
+            shift = len(consts)
+            lines = [
+                _CONST.sub(lambda m: f"K{int(m[1]) + shift}", ln)
+                for ln in lines
+            ]
+        body += lines
+        consts += seg_consts
+    params = ", ".join([_PARAMS] + [f"K{i}" for i in range(len(consts))])
+    source = f"def block({params}):\n" + "".join(f"{ln}\n" for ln in body)
+    return source, tuple(consts)
+
+
+class _BlockImage:
+    """Compiled chains, their lengths and heat counts of one program image."""
+
+    __slots__ = ("spans", "lengths", "chains", "heat", "codes", "globals")
 
     def __init__(self, program, ranges: tuple):
         instrs = program.instrs
         n = len(instrs)
         self.spans = block_spans(instrs)
+        #: entry pc -> instructions its compiled function retires (its
+        #: block's length until a chain is compiled there)
+        self.lengths = list(self.spans)
+        #: chain entry -> ``(start, end, before)`` of each segment, for
+        #: chains of two blocks or more; *before* counts the instructions
+        #: of the segments ahead of it
+        self.chains: dict[int, tuple] = {}
         self.heat = [0] * n
         #: entry pc -> (code object, bound constants); None until compiled;
         #: False never (not a leader, or a network op)
@@ -470,16 +569,33 @@ class CompiledCPU(CPU):
     block_source = staticmethod(block_source)
 
     def _compile(self, pc: int):
-        """Compile the block entered at leader *pc* into the image."""
+        """Compile the chain entered at leader *pc* into the image."""
         image = self._image
-        source, consts = self.block_source(
-            self.instrs, pc, image.spans[pc], image.globals["RANGES"]
+        segments = chain_segments(self.instrs, image.spans, pc)
+        source, consts = chain_source(
+            self.block_source, self.instrs, segments, image.globals["RANGES"]
         )
         namespace: dict = {}
         name = f"<block {self._program.source_name}:{pc}>"
         exec(compile(source, name, "exec"), image.globals, namespace)
+        if len(segments) > 1:
+            before = 0
+            chain = []
+            for start, length in segments:
+                chain.append((start, start + length, before))
+                before += length
+            image.chains[pc] = tuple(chain)
+            image.lengths[pc] = before
         entry = image.codes[pc] = (namespace["block"].__code__, consts)
         return entry
+
+    def _retired_before(self, start: int, pc: int) -> int:
+        """Instructions a function entered at *start* retired before the
+        one at *pc* raised: those ahead of it in chain order."""
+        for lo, hi, before in self._image.chains.get(start, ()):
+            if lo <= pc < hi:
+                return before + pc - lo
+        return pc - start
 
     def run(self, max_steps: int) -> str:
         """Exactly :meth:`CPU.run`, at compiled speed."""
@@ -489,6 +605,7 @@ class CompiledCPU(CPU):
             self._bind_image()  # first run, or the segment map changed
         image = self._image
         spans = image.spans
+        lengths = image.lengths
         codes = image.codes
         heat = image.heat
         code = self._code
@@ -497,15 +614,13 @@ class CompiledCPU(CPU):
         n = self._n_instrs
         pc = self.pc
         left = max_steps
-        start = pc
         try:
             while True:
                 if 0 <= pc < n:
                     fn = code[pc]
                     if fn is not None:
-                        length = spans[pc]
+                        length = lengths[pc]
                         if length <= left:
-                            start = pc
                             pc = fn()
                             left -= length
                             continue
@@ -514,7 +629,6 @@ class CompiledCPU(CPU):
                 if not 0 <= pc < n:
                     if self.halted:  # a compiled HALT returned _HALTED
                         break
-                    start = pc
                     raise _fetch_trap(pc)
                 if fn is None:
                     # Cold entry: bind the image's block, or count a
@@ -531,10 +645,10 @@ class CompiledCPU(CPU):
                         )
                         continue
                 # The reference interpreter runs the block (or the budget
-                # tail); each instruction is a block of one for trap
-                # accounting.
+                # tail, or the first block of a chain that does not fit);
+                # each instruction is a block of one for trap accounting.
                 for _ in range(min(spans[pc], left)):
-                    start = self.pc = pc
+                    self.pc = pc
                     ins = instrs[pc]
                     handlers[ins.op](ins)
                     left -= 1
@@ -543,8 +657,10 @@ class CompiledCPU(CPU):
                     pc = self.pc
             return STOP_HALT if self.halted else STOP_STEPS
         except (Trap, Blocked) as stop:
-            # Everything in the block before the faulter retired.
-            left -= stop.pc - start
+            # ``pc`` is still where the raising function or instruction
+            # was entered: everything before the faulter, in chain
+            # order, retired.
+            left -= self._retired_before(pc, stop.pc)
             pc = stop.pc
             raise
         finally:
@@ -589,6 +705,9 @@ __all__ = [
     "CompiledCPU",
     "BACKENDS",
     "DEFAULT_BACKEND",
+    "MAX_CHAIN",
     "block_source",
+    "chain_segments",
+    "chain_source",
     "cpu_class",
 ]

@@ -99,6 +99,23 @@ _TRIGGERS = {
         ],
         cells=1, data_init={DATA_BASE: 0x3FF8000000000000},  # 1.5
     ),
+    # The chain [0, 1] + [3, 5] traps at pc 4 after 3 instructions, not 4.
+    "chain-offset": _program([
+        Instr(Op.MOVI, rd=1, imm=8),
+        Instr(Op.JMP, imm=3),
+        Instr(Op.HALT),
+        Instr(Op.NOP),
+        Instr(Op.LD, rd=2, ra=1),
+        Instr(Op.HALT),
+    ]),
+    # The chain [0, 1] + [3, 4] retires 4 instructions, not 2.
+    "chain-budget": _program([
+        Instr(Op.MOVI, rd=1, imm=5),
+        Instr(Op.JMP, imm=3),
+        Instr(Op.HALT),
+        Instr(Op.ADDI, rd=1, ra=1, imm=1),
+        Instr(Op.HALT),
+    ]),
 }
 
 

@@ -147,7 +147,9 @@ def test_lockstep_random_budgets_demo(demo_program):
 #
 # Each check runs with the compiled backend at its default hot threshold
 # and with the eager twin that compiles every block on first entry, and
-# asserts that the block under test really ran as generated code.
+# asserts that the block under test really ran as generated code: inside
+# a compiled chain (one block, or several joined through JMP and CALL)
+# that the process entered.
 
 COMPILED = pytest.mark.parametrize(
     "cpu_class", [CompiledCPU, EagerCompiledCPU], ids=["default", "eager"]
@@ -158,8 +160,18 @@ def _program_of(instrs) -> Program:
     return Program(instrs=instrs, functions={"main": 0})
 
 
-def _ran_compiled(process: Process, entry: int) -> bool:
-    return process.cpu._code[entry] is not None
+def _ran_compiled(process: Process, pc: int) -> bool:
+    """Whether a compiled chain the process entered covers *pc*."""
+    cpu = process.cpu
+    image = cpu._image
+    for entry, fn in enumerate(cpu._code):
+        if fn is None:
+            continue
+        single = ((entry, entry + image.spans[entry], 0),)
+        chain = image.chains.get(entry, single)
+        if any(lo <= pc < hi for lo, hi, _ in chain):
+            return True
+    return False
 
 
 def _heat(program: Program, cpu_class, budget: int) -> None:
@@ -234,8 +246,9 @@ def test_trap_at_block_position(cpu_class, kind, position):
     want = _run_facts(Process.load(program, backend="interpreter"), 64)
     assert got == want
     assert got[0] == "terminated"
-    assert got[3].trap[1] == entry + _POSITIONS[position]
-    assert _ran_compiled(process, entry)
+    faulter = entry + _POSITIONS[position]
+    assert got[3].trap[1] == faulter
+    assert _ran_compiled(process, faulter)
 
 
 #: A counted loop whose body is one 8-instruction block at pc 2: int and
