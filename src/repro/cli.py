@@ -542,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="plant a known-bad backend mutant "
                         "(fmin-nan, halt-pc, shri-logical, segv-order, "
                         "block-trap-pc, fold-unchecked, typed-load, "
-                        "chain-offset, chain-budget); "
+                        "window-unchecked, chain-offset, chain-budget); "
                         "with --selftest also memo-traps, converge-lag")
     p.add_argument("--no-shrink", action="store_true",
                    help="skip delta-debugging divergent programs")

@@ -173,6 +173,18 @@ def gen_isa_program(rng: random.Random, *, max_len: int = 40) -> Program:
             data_init[addr] = rng.choice((1, 2, 7, 255, (1 << 64) - 1))
         else:
             data_init[addr] = float_to_pattern(_float_imm(rng))
+    # Now and then the body opens with a stack walk in the data segment:
+    # sp moved next to ``r1``'s global by an ADDI (a value the compiled
+    # backend cannot know) -- a Heuristic II corruption -- and a run of
+    # pushes that may leave the segment at its start.
+    if rng.random() < 0.1:
+        walk = [Instr(Op.ADDI, rd=SP, ra=1, imm=8 * rng.randint(0, 2))]
+        for _ in range(rng.randint(2, 3)):
+            if rng.random() < 0.7:
+                walk.append(Instr(Op.PUSH, ra=_ireg(rng)))
+            else:
+                walk.append(Instr(Op.FPUSH, ra=_freg(rng)))
+        instrs[len(prologue):len(prologue) + len(walk)] = walk
     return Program(
         instrs=instrs,
         functions={"main": 0},

@@ -5,7 +5,8 @@ deliberately re-creating the bug classes fixed by hand in the substrate
 (NaN min/max, HALT-pc advance, map-before-alignment), a sign-extension
 fault, an imprecise trap in a compiled basic block, a compiled access
 that skips the trap its constant address calls for, a compiled
-cross-type load that converts the value instead of the bits, and two
+cross-type load that converts the value instead of the bits, an access
+below its base's window of checked offsets that skips its check, and two
 faults of compiled chains of blocks (a trap's retirement count and the
 budget test).  They are strictly test scaffolding: running the fuzzer
 with ``--mutation NAME`` swaps the mutant in as the "compiled" side of
@@ -104,8 +105,8 @@ class BlockTrapAtEnd(EagerCompiledCPU):
     (imprecise exceptions, the classic block-compiler bug)."""
 
     @staticmethod
-    def block_source(instrs, entry, length, ranges):
-        source, consts = block_source(instrs, entry, length, ranges)
+    def block_source(instrs, entry, length, ranges, values=None):
+        source, consts = block_source(instrs, entry, length, ranges, values)
         end = entry + length - 1
         source = re.sub(
             r"trap\((RANGES, )?I, \d+", rf"trap(\g<1>I, {end}", source
@@ -119,8 +120,8 @@ class FoldUnchecked(EagerCompiledCPU):
     drops the trap it decided on at code-generation time."""
 
     @staticmethod
-    def block_source(instrs, entry, length, ranges):
-        source, consts = block_source(instrs, entry, length, ranges)
+    def block_source(instrs, entry, length, ranges, values=None):
+        source, consts = block_source(instrs, entry, length, ranges, values)
         # Only the decided traps are unconditional (at body indentation).
         source = re.sub(r"(?m)^    raise _mem_trap\(.*\n", "", source)
         return source, consts
@@ -132,11 +133,26 @@ class TypedLoadNumeric(EagerCompiledCPU):
     instead of reinterpreting its bit pattern."""
 
     @staticmethod
-    def block_source(instrs, entry, length, ranges):
-        source, consts = block_source(instrs, entry, length, ranges)
+    def block_source(instrs, entry, length, ranges, values=None):
+        source, consts = block_source(instrs, entry, length, ranges, values)
         source = source.replace("_float_cell(C, a, p)", "float(p)")
         source = source.replace(
             "_int_cell(C, a, p)", "(int(p) if p - p == 0 else 0)"
+        )
+        return source, consts
+
+
+class WindowUnchecked(EagerCompiledCPU):
+    """A compiled access below its base's window of checked offsets runs
+    unchecked, as if it lay inside the window: a push past the start of
+    the segment ``sp`` points into writes an unmapped cell instead of
+    trapping."""
+
+    @staticmethod
+    def block_source(instrs, entry, length, ranges, values=None):
+        source, consts = block_source(instrs, entry, length, ranges, values)
+        source = re.sub(
+            r"(?m)^    if a < \d+( and not \(.*\))?:\n.*\n", "", source
         )
         return source, consts
 
@@ -171,6 +187,7 @@ MUTATIONS: dict[str, type[CPU]] = {
     "block-trap-pc": BlockTrapAtEnd,
     "fold-unchecked": FoldUnchecked,
     "typed-load": TypedLoadNumeric,
+    "window-unchecked": WindowUnchecked,
     "chain-offset": ChainOffset,
     "chain-budget": ChainBudget,
 }

@@ -29,15 +29,47 @@ op.  The chain's source joins each segment's body as :func:`block_source`
 generates it: a chained ``JMP`` emits nothing, a chained ``CALL`` its
 checked push and no ``return``.
 
-Checks whose result is known when the block is generated are decided
-then.  The generator tracks the integer registers the block itself set
-to a constant (``MOVI``, or ``MOV`` from such a register) until the
-block writes them again.  A ``LD``/``ST``/``FLD``/``FST`` through such a
-base has a literal address: a mapped, aligned one is accessed with no
-check, any other one raises its trap unconditionally.  An indexed access
-through such a base has a known alignment, so only the segment compare
-remains, with the base's segment first.  Nothing outside a block
-function changes registers while it runs, so this is exact.
+Checks, wraps and moves whose outcome is known when a chain is generated
+are decided then.  One :class:`ChainValues` tracker runs across the whole
+chain, from its entry through every segment.  It holds each integer
+register as *symbol + offset*.  A symbol is a value fixed for the whole
+chain: a register's value at the entry, or whatever an instruction the
+tracker does not model wrote.  The symbol None is 0, so its offset is a
+literal (``MOVI``).  ``MOV`` copies a register's pair; ``PUSH``/``POP``
+and an unwrapped ``ADDI``/``SUBI`` move the offset.
+
+* A ``LD``/``ST``/``FLD``/``FST`` through a literal base has a literal
+  address: a mapped, aligned one is accessed with no check, any other one
+  raises its trap unconditionally.  An indexed access through such a base
+  has a known alignment, so only the segment compare remains, with the
+  base's segment first.  Other indexed accesses keep the full check.
+* Every other direct access and every stack op is at ``s + o`` for a
+  symbol ``s``.  Once one such access passed its check, ``s + o`` is
+  mapped and 8-aligned.  The tracker keeps a *window* ``[lo, hi]`` of
+  the offsets checked so far, per symbol.  Any two mapped addresses at
+  most the map's smallest hole apart lie in one mapped range, and so does
+  every address between them.  A window never grows wider than that
+  hole, which is computed once per segment map.  So a later access at
+  ``s + o`` with ``o`` congruent to ``lo`` mod 8 needs no check inside
+  the window.  Below it, it needs ``a < <topmost segment start> and not
+  <in another segment>``: an address at or above that start lies below a
+  mapped one, so in the topmost segment.  For a push on the stack that
+  is a single comparison.  Above the window only the segment test
+  remains.  An offset not congruent to ``lo`` is misaligned: the access
+  raises its trap unconditionally.
+* ``ADDI``/``SUBI`` on a register whose symbol has a window drop their
+  64-bit wrap when the sum provably stays in range.  Otherwise the wrap
+  stays and the destination becomes a new symbol.
+* A ``MOV``/``MOVI`` whose destination already holds the value emits
+  nothing (it still retires).
+
+Nothing here assumes what a symbol's value is: the first access through
+it is fully checked, and every later decision follows from accesses that
+passed.  So the rule stays exact when a fault (the paper's Heuristic II
+targets ``sp``/``bp``) sends ``sp`` into the data segment, below the
+stack or off alignment.  Nothing outside a chain function changes
+registers while it runs, and a chain runs only from its entry, so the
+tracker's facts hold for the whole function.
 
 Everything else runs on the inherited interpreter handlers, which are the
 reference semantics: cold entries, entries no static code makes (a
@@ -85,6 +117,7 @@ function object.  ``run_profiled`` is inherited from the interpreter.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from math import copysign, inf, isinf, isnan, nan, sqrt
 from operator import index
 from types import FunctionType
@@ -92,7 +125,7 @@ from types import FunctionType
 from repro.isa.instructions import BLOCK_END_OPS, LOAD_OPS, NETWORK_OPS, Instr, Op
 from repro.isa.layout import INT64_MAX, INT64_MIN, MASK64
 from repro.isa.program import leaders
-from repro.isa.registers import SP
+from repro.isa.registers import NUM_INT_REGS, SP
 from repro.machine.cpu import CPU, STOP_HALT, STOP_STEPS
 from repro.machine.memory import AccessError, float_as_int, int_as_float
 from repro.machine.signals import Blocked, Signal, Trap
@@ -339,56 +372,164 @@ def _mode(op: Op) -> str:
     return "read" if op in LOAD_OPS or op is Op.RET else "write"
 
 
+class _SegmentMap:
+    """What the generator uses of one segment map."""
+
+    __slots__ = ("ranges", "inside", "below", "above", "low", "high", "hole")
+
+    def __init__(self, ranges: tuple):
+        #: Largest segment (the stack) first: most accesses fall in it.
+        self.ranges = sorted(ranges, key=lambda r: r[0] - r[1])
+        self.inside = _inside(self.ranges)
+        # An address below a mapped one and at or above the topmost
+        # segment's start lies in that segment; below it, test the others.
+        top = max((lo for lo, _ in ranges), default=0)
+        others = [r for r in self.ranges if r[0] != top]
+        self.below = f"if a < {index(top)}" + (
+            f" and not ({_inside(others)}):" if others else ":"
+        )
+        self.above = f"if not ({self.inside}):"
+        self.low = min((lo for lo, _ in ranges), default=0)
+        self.high = max((hi for _, hi in ranges), default=0)
+        #: The smallest gap between two neighbouring mapped ranges: two
+        #: mapped addresses at most this far apart lie in one of them.
+        spans = sorted(ranges)
+        self.hole = min(
+            (b - a for (_, a), (b, _) in zip(spans, spans[1:]) if b > a),
+            default=inf,
+        )
+
+
+#: The :class:`_SegmentMap` of a tuple of ranges, computed once per map.
+_segment_map = lru_cache(maxsize=16)(_SegmentMap)
+
+
+class ChainValues:
+    """The integer registers as the generator knows them, from a chain's
+    entry up to the instruction it is generating.
+
+    Each register holds ``(symbol, offset)``: a symbol stands for a value
+    fixed for the whole chain (a register's value at entry, or what an
+    instruction the tracker does not model wrote), and the symbol None for
+    0, so its offset is a literal.  A symbol's *window* ``(lo, hi)`` spans
+    the offsets at which an earlier access of the chain passed its check:
+    ``symbol + lo`` and ``symbol + hi`` are mapped and 8-aligned, and
+    ``hi - lo`` never exceeds the map's smallest hole.
+    """
+
+    __slots__ = ("map", "regs", "windows", "_symbols")
+
+    def __init__(self, ranges: tuple):
+        self.map = _segment_map(tuple(ranges))
+        self.regs: list[tuple] = [(reg, 0) for reg in range(NUM_INT_REGS)]
+        self.windows: dict[int, tuple[int, int]] = {}
+        self._symbols = NUM_INT_REGS
+
+    def forget(self, reg: int) -> None:
+        """*reg* now holds a value the tracker does not model."""
+        self.regs[reg] = (self._symbols, 0)
+        self._symbols += 1
+
+    def check(self, symbol: int, offset: int, pc: int, mode: str) -> str:
+        """The check of the access at ``a`` = *symbol* + *offset*, which
+        the code after it may take as passed."""
+        m = self.map
+        window = self.windows.get(symbol)
+        if window is None:
+            self.windows[symbol] = (offset, offset)
+            return _CHECK.format(m.inside, pc, mode)
+        lo, hi = window
+        trap = _RAISE.format(pc, mode)
+        if (offset - lo) & 7:
+            return trap  # misaligned, mapped or not
+        if lo <= offset <= hi:
+            return ""  # between two mapped addresses of one range
+        if offset < lo:
+            if hi - offset <= m.hole:
+                self.windows[symbol] = (offset, hi)
+            return f"{m.below}\n    {trap}"
+        if offset - lo <= m.hole:
+            self.windows[symbol] = (lo, offset)
+        return f"{m.above}\n    {trap}"
+
+    def shifted(self, reg: int, delta: int) -> tuple | None:
+        """``R[reg] + delta`` as ``(symbol, offset)`` if that sum provably
+        stays a signed 64-bit value (its symbol has a window), else None."""
+        symbol, offset = self.regs[reg]
+        window = self.windows.get(symbol)
+        if window is None:
+            return None
+        offset += delta
+        # ``symbol + window[0]`` is mapped: in ``[low, high)``.
+        shift = offset - window[0]
+        m = self.map
+        if INT64_MIN <= m.low + shift and m.high + shift <= INT64_MAX:
+            return symbol, offset
+        return None
+
+
 def _access(
-    ins: Instr, pc: int, imm_src: str, base: int | None, ranges: list
+    ins: Instr, pc: int, imm_src: str, values: ChainValues
 ) -> tuple[str, str]:
     """``(address statement, check)`` of a :data:`_DIRECT` or
-    :data:`_INDEXED` access (*ranges* largest segment first).
+    :data:`_INDEXED` access.
 
-    *base* is the constant the block put in ``R[ra]``, or None.  With a
-    base the address, or for an indexed access its alignment, is known
-    here: a check whose outcome is known is left out, or becomes the
-    unconditional trap.  A zero offset adds no term.
+    A literal base makes the address, or for an indexed access its
+    alignment, known here: a check whose outcome is known is left out, or
+    becomes the unconditional trap.  A direct access through any other
+    base is checked against its symbol's window; an indexed one keeps the
+    full check.  A zero offset adds no term.
     """
     mode = _mode(ins.op)
-    if base is None:
-        terms, const = [f"R[{index(ins.ra)}]"], imm_src
-    else:
-        offset = base + ins.imm
+    m = values.map
+    symbol, offset = values.regs[ins.ra]
+    literal = symbol is None and type(ins.imm) is int
+    if literal:
+        offset += ins.imm
         terms, const = [], repr(offset)
+    else:
+        terms, const = [f"R[{index(ins.ra)}]"], imm_src
     if ins.op in _INDEXED:
         terms.append(f"R[{index(ins.rb)}] * 8")
     if const != "0" or not terms:
         terms.append(const)
     addr = "a = " + " + ".join(terms)
+    if not literal:
+        if ins.op in _DIRECT and type(ins.imm) is int:
+            return addr, values.check(symbol, offset + ins.imm, pc, mode)
+        return addr, _CHECK.format(m.inside, pc, mode)
     trap = _RAISE.format(pc, mode)
-    if base is None:
-        return addr, _CHECK.format(_inside(ranges), pc, mode)
     if offset & 7:
         return addr, trap  # misaligned whatever the index
     if ins.op in _DIRECT:
-        mapped = any(lo <= offset < hi for lo, hi in ranges)
+        mapped = any(lo <= offset < hi for lo, hi in m.ranges)
         return addr, "" if mapped else trap
     # Aligned: only the segment compare, the base's segment first.
-    ranges = sorted(ranges, key=lambda r: not r[0] <= offset < r[1])
+    ranges = sorted(m.ranges, key=lambda r: not r[0] <= offset < r[1])
     return addr, f"if not ({_inside(ranges)}):\n    {trap}"
 
 
+#: The stack ops that move ``sp`` down before their access.
+_PUSHES = frozenset((Op.PUSH, Op.FPUSH, Op.CALL))
+
+
 def block_source(
-    instrs: list[Instr], entry: int, length: int, ranges: tuple
+    instrs: list[Instr], entry: int, length: int, ranges: tuple,
+    values: ChainValues | None = None,
 ) -> tuple[str, tuple]:
     """Source of the block function for ``instrs[entry:entry + length]``.
 
-    Returns ``(source, consts)``: immediates that are not plain ints
-    (float immediates, NaN, infinities, -0.0) are never written into the
-    text; they become parameters ``K0, K1, ...`` bound to *consts*.
+    *values* is what the chain before this block left in the registers
+    (a chain entry's by default); the block updates it.  Returns
+    ``(source, consts)``: immediates that are not plain ints (float
+    immediates, NaN, infinities, -0.0) are never written into the text;
+    they become parameters ``K0, K1, ...`` bound to *consts*.
     """
+    if values is None:
+        values = ChainValues(ranges)
+    regs = values.regs
+    inside = values.map.inside
     consts: list = []
-    # Largest segment (the stack) first: most accesses fall in it.
-    ranges = sorted(ranges, key=lambda r: r[0] - r[1])
-    inside = _inside(ranges)
-    # int register -> the constant this block put there, until rewritten
-    known: dict[int, int] = {}
     body = []
     for pc in range(entry, entry + length):
         ins = instrs[pc]
@@ -399,25 +540,45 @@ def block_source(
         else:
             imm_src = f"K{len(consts)}"
             consts.append(imm)
+        template = _TEMPLATES[op]
         addr = check = ""
+        value = sp = None  # what rd and sp hold after, None: not modelled
         if op in _DIRECT or op in _INDEXED:
-            base = known.get(ins.ra) if type(imm) is int else None
-            addr, check = _access(ins, pc, imm_src, base, ranges)
+            addr, check = _access(ins, pc, imm_src, values)
         elif op in _STACK_OPS:
-            check = _CHECK.format(inside, pc, _mode(op))
+            symbol, offset = regs[SP]
+            if op in _PUSHES:
+                offset -= 8
+            if symbol is None:
+                check = _CHECK.format(inside, pc, _mode(op))
+            else:
+                check = values.check(symbol, offset, pc, _mode(op))
+                sp = symbol, offset if op in _PUSHES else offset + 8
+        elif op is Op.MOV or op is Op.MOVI and type(imm) is int:
+            value = regs[ins.ra] if op is Op.MOV else (None, imm)
+            if regs[ins.rd] == value:
+                template = ""  # it holds that value already
+        elif (op is Op.ADDI or op is Op.SUBI) and type(imm) is int:
+            value = values.shifted(ins.ra, imm if op is Op.ADDI else -imm)
+            if value is not None:
+                template = "R[{rd}] = R[{ra}] %s {imm}" % (
+                    "+" if op is Op.ADDI else "-"
+                )
         # Only integers and names made here ever reach the source text.
-        body.append(_TEMPLATES[op].format(
+        body.append(template.format(
             rd=index(ins.rd), ra=index(ins.ra), rb=index(ins.rb),
             imm=imm_src, pc=pc, nxt=pc + 1, addr=addr, check=check,
         ))
-        if op is Op.MOVI and type(imm) is int:
-            known[ins.rd] = imm
-        elif op is Op.MOV and ins.ra in known:
-            known[ins.rd] = known[ins.ra]
-        elif (written := ins.written_reg()) and written[0] == "r":
-            known.pop(written[1], None)
         if op in _STACK_OPS:
-            known.pop(SP, None)
+            if sp is None:
+                values.forget(SP)
+            else:
+                regs[SP] = sp
+        if (written := ins.written_reg()) and written[0] == "r":
+            if value is None:
+                values.forget(written[1])
+            else:
+                regs[written[1]] = value
     if instrs[entry + length - 1].op not in BLOCK_END_OPS:
         body.append(f"return {entry + length}")
     params = ", ".join([_PARAMS] + [f"K{i}" for i in range(len(consts))])
@@ -472,15 +633,19 @@ def chain_source(
     """Source of the function that runs the chain *segments*.
 
     Joins each segment's body from *block_source*, the per-segment
-    generator: every segment but the last loses the ``return`` of its
+    generator, which carries one :class:`ChainValues` from each segment
+    into the next: every segment but the last loses the ``return`` of its
     ``JMP`` or ``CALL``, so control falls into the next one, and each
     segment's bound constants are renumbered after the ones before it.
     """
     body: list[str] = []
     consts: list = []
+    values = ChainValues(ranges)
     last = len(segments) - 1
     for i, (start, length) in enumerate(segments):
-        source, seg_consts = block_source(instrs, start, length, ranges)
+        source, seg_consts = block_source(
+            instrs, start, length, ranges, values
+        )
         lines = source.splitlines()[1:]  # drop the ``def`` line
         if i < last:
             jump = lines.pop()
@@ -702,6 +867,7 @@ def cpu_class(backend: "str | type[CPU] | None") -> type[CPU]:
 
 
 __all__ = [
+    "ChainValues",
     "CompiledCPU",
     "BACKENDS",
     "DEFAULT_BACKEND",

@@ -23,8 +23,9 @@ from repro.fuzz.oracles import (
 )
 from repro.fuzz.runner import mutation_selftest
 from repro.isa.instructions import Instr, Op
-from repro.isa.layout import DATA_BASE
+from repro.isa.layout import DATA_BASE, STACK_LIMIT
 from repro.isa.program import DataSymbol, Program
+from repro.isa.registers import SP
 from repro.machine.process import Process
 
 pytestmark = pytest.mark.fuzz
@@ -99,6 +100,15 @@ _TRIGGERS = {
         ],
         cells=1, data_init={DATA_BASE: 0x3FF8000000000000},  # 1.5
     ),
+    # sp one cell above the stack's start: the second push, below the
+    # first one's checked address, leaves the segment.
+    "window-unchecked": _program([
+        Instr(Op.MOVI, rd=1, imm=STACK_LIMIT + 8),
+        Instr(Op.ADDI, rd=SP, ra=1, imm=0),
+        Instr(Op.PUSH, ra=1),
+        Instr(Op.PUSH, ra=1),
+        Instr(Op.HALT),
+    ]),
     # The chain [0, 1] + [3, 5] traps at pc 4 after 3 instructions, not 4.
     "chain-offset": _program([
         Instr(Op.MOVI, rd=1, imm=8),
