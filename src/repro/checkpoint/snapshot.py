@@ -158,8 +158,6 @@ def restore(program: Program, snap: Snapshot, backend: str | None = None) -> Pro
     Snapshots are backend-agnostic; *backend* picks the execution engine
     of the restored process.
     """
-    if program.checksum() != snap.checksum:
-        raise SimulationError("snapshot belongs to a different program image")
     return restore_into(Process.load(program, backend=backend), snap)
 
 

@@ -303,24 +303,25 @@ def _fuzz_progress(done: int, total: int) -> None:
     print(f"\rfuzz: {done}/{total} cases", end="", file=sys.stderr, flush=True)
 
 
+def _mutant_names(campaign: bool) -> str:
+    """The backend (or campaign) mutants' names, comma-separated."""
+    from repro.fuzz.mutations import MUTATIONS
+
+    return ", ".join(
+        name for name, m in MUTATIONS.items() if (m.cpu is None) == campaign
+    )
+
+
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     import json
 
     from repro.fuzz.corpus import iter_corpus, save_case
-    from repro.fuzz.mutations import (
-        CONVERGE_MUTATIONS,
-        MEMO_MUTATIONS,
-        MUTATIONS,
-    )
+    from repro.fuzz.mutations import MUTATIONS
     from repro.fuzz.oracles import ALL_ORACLES
     from repro.fuzz.runner import FuzzConfig, mutation_selftest, run_fuzz
 
     if args.selftest:
-        names = (
-            [args.mutation] if args.mutation
-            else sorted(MUTATIONS) + sorted(MEMO_MUTATIONS)
-            + sorted(CONVERGE_MUTATIONS)
-        )
+        names = [args.mutation] if args.mutation else list(MUTATIONS)
         rows = []
         ok = True
         for name in names:
@@ -339,8 +340,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             ["mutation", "status", "case", "len", "shrunk", "limit", "verdict"],
             rows,
             title=(
-                "mutation self-test "
-                "(len: instructions; plans for memo-* and converge-*)"
+                "mutation self-test (len: instructions; plans for "
+                f"{_mutant_names(campaign=True)})"
             ),
         ))
         return 0 if ok else 1
@@ -370,19 +371,22 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"corpus: {replayed} cases replayed, "
                   f"{corpus_failures} divergences")
 
-    config = FuzzConfig(
-        iterations=args.iterations,
-        lang_iterations=(
-            args.lang_iterations if args.lang_iterations is not None
-            else max(1, args.iterations // 10)
-        ),
-        seed=args.seed,
-        oracles=oracles,
-        budget=args.budget,
-        jobs=args.jobs,
-        mutation=args.mutation,
-        shrink=not args.no_shrink,
-    )
+    try:
+        config = FuzzConfig(
+            iterations=args.iterations,
+            lang_iterations=(
+                args.lang_iterations if args.lang_iterations is not None
+                else max(1, args.iterations // 10)
+            ),
+            seed=args.seed,
+            oracles=oracles,
+            budget=args.budget,
+            jobs=args.jobs,
+            mutation=args.mutation,
+            shrink=not args.no_shrink,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"fuzz: {exc}") from None
     live = sys.stderr.isatty()
     report = run_fuzz(config, on_progress=_fuzz_progress if live else None)
     if live:
@@ -513,6 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mtbf", type=float, default=5_000.0)
     p.add_argument("--seeds", type=int, default=6)
 
+    from repro.fuzz.mutations import MUTATIONS
+
     p = sub.add_parser(
         "fuzz", help="differential fuzzing across backends and oracles"
     )
@@ -538,18 +544,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-corpus", action="store_true",
                    help="save shrunk reproducers of new findings "
                         "into --corpus-dir")
-    p.add_argument("--mutation", default=None,
+    p.add_argument("--mutation", default=None, metavar="NAME",
+                   choices=list(MUTATIONS),
                    help="plant a known-bad backend mutant "
-                        "(fmin-nan, halt-pc, shri-logical, segv-order, "
-                        "block-trap-pc, fold-unchecked, typed-load, "
-                        "window-unchecked, chain-offset, chain-budget); "
-                        "with --selftest also memo-traps, converge-lag")
+                        f"({_mutant_names(campaign=False)}); with "
+                        f"--selftest also {_mutant_names(campaign=True)}")
     p.add_argument("--no-shrink", action="store_true",
                    help="skip delta-debugging divergent programs")
     p.add_argument("--selftest", action="store_true",
                    help="verify the fuzzer kills and shrinks every "
-                        "planted mutant (<= 25 instructions; memo and "
-                        "convergence mutants to one plan)")
+                        "planted mutant (<= 25 instructions; campaign "
+                        "mutants to one plan)")
     return parser
 
 

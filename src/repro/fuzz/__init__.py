@@ -3,8 +3,9 @@
 Generates random programs (raw ISA sequences and MiniC sources), runs
 them through differential oracles (interpreter vs compiled, debugger
 stepping, snapshot round-trips) and campaign metamorphic oracles
-(merge/resume/jobs invariance), shrinks any divergence to a minimal
-reproducer, and replays the accumulated corpus as tier-1 tests.
+(merge/resume/jobs/converge/paired invariance), shrinks any divergence
+to a minimal reproducer, and replays the accumulated corpus as tier-1
+tests.
 
 Entry points: the ``repro fuzz`` CLI subcommand and
 :func:`repro.fuzz.runner.run_fuzz`.
@@ -29,7 +30,7 @@ from repro.fuzz.runner import (
     mutation_selftest,
     run_fuzz,
 )
-from repro.fuzz.shrinker import emit_pytest, shrink
+from repro.fuzz.shrinker import shrink
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -46,5 +47,4 @@ __all__ = [
     "mutation_selftest",
     "run_fuzz",
     "shrink",
-    "emit_pytest",
 ]

@@ -76,13 +76,6 @@ class FuzzCoverage:
             for section in _SECTIONS
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FuzzCoverage":
-        cov = cls()
-        for section in _SECTIONS:
-            getattr(cov, section).update(payload.get(section, {}))
-        return cov
-
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
             json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -101,8 +94,4 @@ class FuzzCoverage:
         return out
 
 
-def load_floor(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
-__all__ = ["FuzzCoverage", "load_floor"]
+__all__ = ["FuzzCoverage"]

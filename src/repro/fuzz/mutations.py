@@ -9,11 +9,12 @@ cross-type load that converts the value instead of the bits, an access
 below its base's window of checked offsets that skips its check, and two
 faults of compiled chains of blocks (a trap's retirement count and the
 budget test).  They are strictly test scaffolding: running the fuzzer
-with ``--mutation NAME`` swaps the mutant in as the "compiled" side of
-every differential oracle, which must then (a) flag a divergence and
-(b) shrink it to a tiny reproducer.  A fuzzer that cannot kill these
-mutants would not have caught the real bugs either (the
-mutation-adequacy methodology of the repair-assessment line of work).
+with ``--mutation NAME`` swaps such a backend mutant in as the
+"compiled" side of every differential oracle, which must then (a) flag
+a divergence and (b) shrink it to a tiny reproducer.  A fuzzer that
+cannot kill these mutants would not have caught the real bugs either
+(the mutation-adequacy methodology of the repair-assessment line of
+work).
 
 The interpreter builds its dispatch table per-instance with
 ``getattr(self, "_op_...")``, so overriding a handler in a subclass is
@@ -21,27 +22,33 @@ all a mutant needs.  The block-level mutants instead override the
 compiled backend's code generator on the eager compiled CPU, and the
 chain mutants its chain bookkeeping.
 
-:data:`MEMO_MUTATIONS` are trap-free memo mutants instead: each one
-widens what :class:`~repro.apps.base.TrapFreeMemo` stores, and
-:func:`planted_memo` swaps it in for the process-wide memo.  The
-``paired`` campaign oracle must catch them.
+Two campaign mutants plant a fault outside the CPU instead: a trap-free
+memo that also stores crashing runs (:func:`planted_memo` swaps it in
+for the process-wide memo; the ``paired`` oracle must catch it), and an
+injector finisher that drops a repaired run's lag
+(:func:`planted_convergence`; the ``converge`` oracle must catch it).
 
-:data:`CONVERGE_MUTATIONS` are ladder-convergence mutants: each one
-replaces how the injector finishes a run that halted or converged on a
-rung, and :func:`planted_convergence` swaps it in.  The ``converge``
-campaign oracle must catch them.
+:data:`MUTATIONS` lists all of them, each with the oracle that must
+kill it.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
+from dataclasses import dataclass
+from functools import partial
 from math import isnan
 
 from repro.apps.base import TRAP_FREE_MEMO, TrapFreeMemo
 from repro.faultinject import injector
-from repro.fuzz.oracles import EagerCompiledCPU
+from repro.fuzz.oracles import (
+    Divergence,
+    EagerCompiledCPU,
+    check_converge,
+    check_paired,
+)
 from repro.isa.instructions import Instr
 from repro.machine.compiled import block_source
 from repro.machine.cpu import CPU
@@ -178,21 +185,6 @@ class ChainBudget(EagerCompiledCPU):
         return entry
 
 
-#: name -> mutant class, the ``--mutation`` CLI choices.
-MUTATIONS: dict[str, type[CPU]] = {
-    "fmin-nan": FminNanPropagates,
-    "halt-pc": HaltAdvancesPc,
-    "shri-logical": ShriLogical,
-    "segv-order": AlignmentBeforeMap,
-    "block-trap-pc": BlockTrapAtEnd,
-    "fold-unchecked": FoldUnchecked,
-    "typed-load": TypedLoadNumeric,
-    "window-unchecked": WindowUnchecked,
-    "chain-offset": ChainOffset,
-    "chain-budget": ChainBudget,
-}
-
-
 class MemoStoresTraps(TrapFreeMemo):
     """Stores every run the watchdog did not stop, crashing ones too: a
     later LetGo config is then served the baseline's crash instead of
@@ -201,12 +193,6 @@ class MemoStoresTraps(TrapFreeMemo):
     @staticmethod
     def admits(result) -> bool:
         return not result.timed_out
-
-
-#: name -> trap-free memo mutant, checked by the ``paired`` oracle.
-MEMO_MUTATIONS: dict[str, type[TrapFreeMemo]] = {
-    "memo-traps": MemoStoresTraps,
-}
 
 
 @contextmanager
@@ -237,12 +223,6 @@ def _finish_dropping_the_lag(
     return _FINISH(app, process, converged, continued, tracer)
 
 
-#: name -> replacement finisher, checked by the ``converge`` oracle.
-CONVERGE_MUTATIONS: dict[str, Callable] = {
-    "converge-lag": _finish_dropping_the_lag,
-}
-
-
 @contextmanager
 def planted_convergence(finish: Callable) -> Iterator[None]:
     """Finish halted and converged runs with *finish* instead of the
@@ -254,13 +234,53 @@ def planted_convergence(finish: Callable) -> Iterator[None]:
         injector._classify_finished = _FINISH
 
 
+@dataclass(frozen=True)
+class Mutant:
+    """One planted fault and the oracle that must kill it.
+
+    A ``backend`` mutant is a CPU class (:attr:`cpu`) that every
+    differential oracle runs as its compiled side.  A campaign mutant is
+    planted for the duration of ``with plant():``, and :attr:`check`, the
+    campaign oracle named :attr:`oracle` run on an explicit plan list,
+    must catch it.
+    """
+
+    oracle: str
+    cpu: type[CPU] | None = None
+    plant: Callable[[], AbstractContextManager] | None = None
+    check: Callable[..., list[Divergence]] | None = None
+
+
+#: Every mutant by name, in ``--selftest`` order: the ``--mutation``
+#: choices.  Campaign mutants run only under the self-test.
+MUTATIONS: dict[str, Mutant] = {
+    "block-trap-pc": Mutant("backend", BlockTrapAtEnd),
+    "chain-budget": Mutant("backend", ChainBudget),
+    "chain-offset": Mutant("backend", ChainOffset),
+    "fmin-nan": Mutant("backend", FminNanPropagates),
+    "fold-unchecked": Mutant("backend", FoldUnchecked),
+    "halt-pc": Mutant("backend", HaltAdvancesPc),
+    "segv-order": Mutant("backend", AlignmentBeforeMap),
+    "shri-logical": Mutant("backend", ShriLogical),
+    "typed-load": Mutant("backend", TypedLoadNumeric),
+    "window-unchecked": Mutant("backend", WindowUnchecked),
+    "memo-traps": Mutant(
+        "paired",
+        plant=partial(planted_memo, MemoStoresTraps),
+        check=check_paired,
+    ),
+    "converge-lag": Mutant(
+        "converge",
+        plant=partial(planted_convergence, _finish_dropping_the_lag),
+        check=check_converge,
+    ),
+}
+
+
 __all__ = [
+    "Mutant",
     "MUTATIONS",
-    "MEMO_MUTATIONS",
-    "CONVERGE_MUTATIONS",
     "planted_memo",
     "planted_convergence",
-] + [
-    cls.__name__
-    for cls in (*MUTATIONS.values(), *MEMO_MUTATIONS.values())
-]
+    "MemoStoresTraps",
+] + [m.cpu.__name__ for m in MUTATIONS.values() if m.cpu is not None]

@@ -22,8 +22,7 @@ Case kinds:
   they always run in the parent, never inside a fuzz worker).
 
 Any differential divergence is delta-debugged down to a minimal
-reproducer and carried in the finding as a ready-to-save corpus case
-plus a ready-to-commit pytest module.
+reproducer and carried in the finding as a ready-to-save corpus case.
 """
 
 from __future__ import annotations
@@ -44,20 +43,12 @@ from repro.fuzz.generator import (
     gen_lang_source,
     gen_segments,
 )
-from repro.fuzz.mutations import (
-    CONVERGE_MUTATIONS,
-    MEMO_MUTATIONS,
-    MUTATIONS,
-    planted_convergence,
-    planted_memo,
-)
+from repro.fuzz.mutations import MUTATIONS
 from repro.fuzz.oracles import (
     ALL_ORACLES,
     CAMPAIGN_CONFIGS,
-    CAMPAIGN_ORACLES,
     COMPILED_SIDES,
     PROGRAM_ORACLES,
-    Divergence,
     check_converge,
     check_jobs,
     check_merge,
@@ -65,7 +56,14 @@ from repro.fuzz.oracles import (
     check_program,
     check_resume,
 )
-from repro.fuzz.shrinker import emit_pytest, shrink, shrink_list
+from repro.fuzz.shrinker import shrink, shrink_list
+
+#: Every Nth lang case also runs the campaign oracles on its app.
+CAMPAIGN_STRIDE = 2
+#: Injections per campaign oracle run.
+CAMPAIGN_N = 5
+#: Jobs-invariance cases of a run whose oracles include ``jobs``.
+JOBS_CASES = 1
 
 
 @dataclass(frozen=True)
@@ -78,16 +76,23 @@ class FuzzConfig:
     oracles: tuple[str, ...] = ALL_ORACLES
     budget: int = DEFAULT_BUDGET   # differential step budget per ISA case
     jobs: int = 1                  # fuzz worker processes
-    campaign_stride: int = 2       # merge/resume every Nth lang case
-    jobs_cases: int = 1            # jobs-invariance cases (0 disables)
-    campaign_n: int = 5            # injections per campaign oracle run
-    mutation: str | None = None    # plant a mutant as the compiled side
+    mutation: str | None = None    # plant a backend mutant as compiled side
     shrink: bool = True
+
+    def __post_init__(self) -> None:
+        if self.mutation is not None and (
+            self.mutation not in MUTATIONS
+            or MUTATIONS[self.mutation].cpu is None
+        ):
+            raise ValueError(
+                f"{self.mutation!r} is not a backend mutant; campaign "
+                "mutants run only under the self-test (--selftest)"
+            )
 
     def backends(self) -> tuple:
         """(a, b): every differential oracle compares *a* with each of *b*."""
         if self.mutation is not None:
-            return ("interpreter", MUTATIONS[self.mutation])
+            return ("interpreter", MUTATIONS[self.mutation].cpu)
         return ("interpreter", COMPILED_SIDES)
 
 
@@ -101,7 +106,6 @@ class Finding:
     at: str
     detail: str
     case: dict | None = None       # corpus-format reproducer (shrunk)
-    pytest_source: str | None = None
     shrunk_len: int | None = None
     original_len: int | None = None
 
@@ -140,7 +144,7 @@ def _shrink_finding(
     cut: int,
     breakpoints: list[int],
 ) -> None:
-    """Attach a minimal reproducer (corpus case + pytest) to *finding*."""
+    """Attach a minimal reproducer (a corpus case) to *finding*."""
     a, b = config.backends()
     oracle = finding.oracle
 
@@ -169,10 +173,6 @@ def _shrink_finding(
         cut=cut,
         breakpoints=breakpoints,
         oracles=(oracle,),
-    )
-    finding.pytest_source = emit_pytest(
-        name, program, budget=budget, segments=segments, cut=cut,
-        breakpoints=breakpoints, oracles=(oracle,), provenance=provenance,
     )
 
 
@@ -215,6 +215,36 @@ def _check_generated(
     return findings
 
 
+def _resume(app, seed, letgo, rng, coverage):
+    with tempfile.TemporaryDirectory() as workdir:
+        return check_resume(
+            app, CAMPAIGN_N, seed, letgo,
+            prefix=rng.randint(0, CAMPAIGN_N - 1), workdir=workdir,
+            coverage=coverage,
+        )
+
+
+#: The campaign oracles a lang case runs on its app, in order, each
+#: called as ``check(app, campaign_seed, letgo, rng, coverage)``; a
+#: check draws its own parameters from *rng* after the earlier ones.
+METAMORPHIC = {
+    "merge": lambda app, seed, letgo, rng, coverage: check_merge(
+        app, CAMPAIGN_N, seed, letgo,
+        split=rng.randint(1, CAMPAIGN_N - 1), coverage=coverage,
+    ),
+    "resume": _resume,
+    # Twice the plans: only repaired runs that rejoin the golden path
+    # test the lagged rung match, and on generated apps that is about
+    # one plan in 40.
+    "converge": lambda app, seed, letgo, rng, coverage: check_converge(
+        app, 2 * CAMPAIGN_N, seed, coverage=coverage
+    ),
+    "paired": lambda app, seed, letgo, rng, coverage: check_paired(
+        app, CAMPAIGN_N, seed, coverage=coverage
+    ),
+}
+
+
 def run_case(config: FuzzConfig, kind: str, index: int):
     """Run one case; returns (findings, coverage) for merge in case order."""
     rng = _case_rng(config, kind, index)
@@ -243,56 +273,25 @@ def run_case(config: FuzzConfig, kind: str, index: int):
         findings = _check_generated(
             kind, index, program, config, rng, budget, coverage
         )
-        if index % config.campaign_stride == 0 and config.mutation is None:
+        if index % CAMPAIGN_STRIDE == 0 and config.mutation is None:
             letgo = rng.choice(CAMPAIGN_CONFIGS)
-            n = config.campaign_n
             campaign_seed = rng.randrange(1 << 30)
-            if "merge" in config.oracles:
-                coverage.oracles["merge"] += 1
-                for div in check_merge(
-                    app, n, campaign_seed, letgo,
-                    split=rng.randint(1, n - 1), coverage=coverage,
-                ):
-                    findings.append(Finding(
-                        kind, index, div.oracle, div.at, div.detail
-                    ))
-            if "resume" in config.oracles:
-                coverage.oracles["resume"] += 1
-                with tempfile.TemporaryDirectory() as workdir:
-                    for div in check_resume(
-                        app, n, campaign_seed, letgo,
-                        prefix=rng.randint(0, n - 1), workdir=workdir,
-                        coverage=coverage,
+            for oracle, check in METAMORPHIC.items():
+                if oracle in config.oracles:
+                    coverage.oracles[oracle] += 1
+                    for div in check(
+                        app, campaign_seed, letgo, rng, coverage
                     ):
                         findings.append(Finding(
                             kind, index, div.oracle, div.at, div.detail
                         ))
-            if "converge" in config.oracles:
-                # Twice the plans: only repaired runs that rejoin the
-                # golden path test the lagged rung match, and on
-                # generated apps that is about one plan in 40.
-                coverage.oracles["converge"] += 1
-                for div in check_converge(
-                    app, 2 * n, campaign_seed, coverage=coverage
-                ):
-                    findings.append(Finding(
-                        kind, index, div.oracle, div.at, div.detail
-                    ))
-            if "paired" in config.oracles:
-                coverage.oracles["paired"] += 1
-                for div in check_paired(
-                    app, n, campaign_seed, coverage=coverage
-                ):
-                    findings.append(Finding(
-                        kind, index, div.oracle, div.at, div.detail
-                    ))
 
     elif kind == "jobs":
         app = FIXED_APPS[index % len(FIXED_APPS)]()
         letgo = rng.choice(CAMPAIGN_CONFIGS)
         coverage.oracles["jobs"] += 1
         for div in check_jobs(
-            app, rng.randint(4, 4 + config.campaign_n), rng.randrange(1 << 30),
+            app, rng.randint(4, 4 + CAMPAIGN_N), rng.randrange(1 << 30),
             letgo, jobs=4, shard_size=rng.choice((None, 1, 2)),
             coverage=coverage,
         ):
@@ -316,7 +315,7 @@ def plan_cases(config: FuzzConfig) -> list[tuple[str, int]]:
     cases = [("isa", i) for i in range(config.iterations)]
     cases += [("lang", i) for i in range(config.lang_iterations)]
     if "jobs" in config.oracles and config.mutation is None:
-        cases += [("jobs", i) for i in range(config.jobs_cases)]
+        cases += [("jobs", i) for i in range(JOBS_CASES)]
     return cases
 
 
@@ -379,9 +378,9 @@ def run_fuzz(config: FuzzConfig, on_progress=None) -> FuzzReport:
 class SelftestResult:
     """Outcome of one mutant-killing run (the shrinker acceptance gate).
 
-    Lengths count instructions for a backend mutant and plans for a memo
-    or convergence mutant; ``limit`` is the most the shrunk reproducer
-    may keep.
+    Lengths count instructions for a backend mutant and plans for a
+    campaign mutant; ``limit`` is the most the shrunk reproducer may
+    keep.
     """
 
     mutation: str
@@ -401,21 +400,23 @@ class SelftestResult:
         )
 
 
-#: Plans per campaign of the memo and convergence mutants' self-test.
+#: Plans per campaign of a campaign mutant's self-test.
 CAMPAIGN_SELFTEST_PLANS = 8
 
 
 def _campaign_selftest(
-    mutation: str, family: str, planted, check, seed: int, max_cases: int
+    mutation: str, seed: int, max_cases: int
 ) -> SelftestResult:
-    """With a campaign mutant *planted*, oracle *check* must kill it on
-    a fixed generated app, and the plan list shrink to one plan.
+    """With a campaign mutant planted, its oracle must kill it on a
+    fixed generated app, and the plan list shrink to one plan.
 
-    Case seeds are keyed by the mutant *family*, so each family's
+    Case seeds are keyed by the mutant's oracle, so each oracle's
     self-test draws its own campaigns."""
-    with planted:
+    mutant = MUTATIONS[mutation]
+    check = mutant.check
+    with mutant.plant():
         for index in range(max_cases):
-            rng = random.Random(f"{seed}:{family}:{index}")
+            rng = random.Random(f"{seed}:{mutant.oracle}:{index}")
             app = FIXED_APPS[index % len(FIXED_APPS)]()
             campaign_seed = rng.randrange(1 << 30)
             plans = seeded_plans(
@@ -449,27 +450,17 @@ def mutation_selftest(
     max_cases: int = 300,
     budget: int = 96,
 ) -> SelftestResult:
-    """Plant *mutation* as the compiled side; the fuzzer must kill and
-    shrink it to <= 25 instructions within *max_cases* programs.
+    """Plant *mutation* (a name in :data:`~repro.fuzz.mutations.MUTATIONS`)
+    and check that the fuzzer kills and shrinks it.
 
-    A memo mutant (:data:`~repro.fuzz.mutations.MEMO_MUTATIONS`) is
-    planted as the process-wide trap-free memo instead, and a
-    convergence mutant (:data:`~repro.fuzz.mutations.CONVERGE_MUTATIONS`)
-    as the injector's finisher; the ``paired`` or ``converge`` oracle
-    must kill it within *max_cases* campaigns and shrink its plan list
-    to a single plan.
+    A backend mutant runs as the compiled side of the differential
+    oracles, which must kill it within *max_cases* programs and shrink
+    the program to <= 25 instructions.  A campaign mutant's oracle must
+    kill it within *max_cases* campaigns and shrink the plan list to a
+    single plan.
     """
-    if mutation in MEMO_MUTATIONS:
-        return _campaign_selftest(
-            mutation, "memo", planted_memo(MEMO_MUTATIONS[mutation]),
-            check_paired, seed, max_cases,
-        )
-    if mutation in CONVERGE_MUTATIONS:
-        return _campaign_selftest(
-            mutation, "converge",
-            planted_convergence(CONVERGE_MUTATIONS[mutation]),
-            check_converge, seed, max_cases,
-        )
+    if MUTATIONS[mutation].cpu is None:
+        return _campaign_selftest(mutation, seed, max_cases)
     config = FuzzConfig(
         iterations=max_cases, lang_iterations=0, seed=seed,
         oracles=PROGRAM_ORACLES, budget=budget, mutation=mutation,

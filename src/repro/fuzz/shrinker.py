@@ -15,18 +15,17 @@ Passes, to fixpoint:
    registers, replace with NOP);
 3. data-initialiser pruning.
 
-:func:`emit_pytest` renders the survivor as a ready-to-commit pytest
-case that replays the exact oracle schedule through
-:func:`repro.fuzz.oracles.check_program`.
+The runner stores the survivor as a corpus case
+(:func:`repro.fuzz.corpus.case_to_dict`), which replays the exact oracle
+schedule through :func:`repro.fuzz.corpus.check_case`.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 from repro.isa.instructions import BRANCH_OPS, FLOAT_IMM_OPS, Instr, Op
-from repro.isa.program import DataSymbol, Program
+from repro.isa.program import Program
 
 Predicate = Callable[[Program], bool]
 
@@ -159,90 +158,4 @@ def shrink_list(items: list, predicate: Callable[[list], bool]) -> list:
     return current
 
 
-# -- pytest emission ----------------------------------------------------------
-
-
-def _imm_literal(imm: int | float) -> str:
-    if isinstance(imm, float):
-        if math.isnan(imm) or math.isinf(imm):
-            return f'float("{imm!r}")'
-        return repr(imm)
-    return repr(imm)
-
-
-def _instr_literal(ins: Instr) -> str:
-    parts = [f"Op.{ins.op.name}"]
-    if ins.rd:
-        parts.append(f"rd={ins.rd}")
-    if ins.ra:
-        parts.append(f"ra={ins.ra}")
-    if ins.rb:
-        parts.append(f"rb={ins.rb}")
-    if ins.imm != 0 or isinstance(ins.imm, float):
-        parts.append(f"imm={_imm_literal(ins.imm)}")
-    return f"Instr({', '.join(parts)})"
-
-
-def emit_pytest(
-    name: str,
-    program: Program,
-    *,
-    budget: int,
-    segments: list[int] | None = None,
-    cut: int | None = None,
-    breakpoints: list[int] | None = None,
-    oracles: tuple[str, ...] = ("backend", "debugger", "snapshot"),
-    provenance: str = "",
-) -> str:
-    """A self-contained pytest module replaying the shrunk reproducer."""
-    instr_lines = "\n".join(
-        f"        {_instr_literal(ins)}," for ins in program.instrs
-    )
-    symbol_lines = "\n".join(
-        f'        "{s.name}": DataSymbol("{s.name}", {s.addr}, {s.cells}),'
-        for s in program.data_symbols.values()
-    )
-    data_lines = "\n".join(
-        f"        {addr}: {pattern},"
-        for addr, pattern in sorted(program.data_init.items())
-    )
-    test_name = name.replace("-", "_")
-    header = f'"""Shrunk fuzz reproducer: {name}.'
-    if provenance:
-        header += f"\n\n{provenance}"
-    header += '\n"""'
-    kwargs = [f"budget={budget}"]
-    if segments is not None:
-        kwargs.append(f"segments={segments!r}")
-    if cut is not None:
-        kwargs.append(f"cut={cut}")
-    if breakpoints is not None:
-        kwargs.append(f"breakpoints={breakpoints!r}")
-    kwargs.append(f"oracles={oracles!r}")
-    return f"""{header}
-
-from repro.fuzz.oracles import check_program
-from repro.isa.instructions import Instr, Op
-from repro.isa.program import DataSymbol, Program
-
-PROGRAM = Program(
-    instrs=[
-{instr_lines}
-    ],
-    functions={{"main": 0}},
-    data_symbols={{
-{symbol_lines}
-    }},
-    data_init={{
-{data_lines}
-    }},
-    source_name="{name}",
-)
-
-
-def test_{test_name}():
-    assert check_program(PROGRAM, {", ".join(kwargs)}) == []
-"""
-
-
-__all__ = ["shrink", "shrink_list", "emit_pytest"]
+__all__ = ["shrink", "shrink_list"]

@@ -70,8 +70,6 @@ from repro.lang.semantics import INTRINSICS, LocalInfo, ModuleInfo
 #: Deepest simultaneously-live expression intermediates per bank.
 INT_SCRATCH_DEPTH = 7
 FLOAT_SCRATCH_DEPTH = 9
-#: Backwards-compatible alias (the tighter of the two).
-SCRATCH_DEPTH = INT_SCRATCH_DEPTH
 _ADDR_TEMP = "r10"
 _ZERO_TEMP = "r12"
 #: Callee-saved registers available for local-variable promotion.
@@ -668,7 +666,6 @@ def generate(module: Module, info: ModuleInfo) -> str:
 __all__ = [
     "CodeGenerator",
     "generate",
-    "SCRATCH_DEPTH",
     "INT_SCRATCH_DEPTH",
     "FLOAT_SCRATCH_DEPTH",
     "INT_PROMOTE_REGS",

@@ -78,6 +78,31 @@ def test_program_dict_roundtrip_special_floats():
     assert restored.data_init[DATA_BASE + 8] == -7
 
 
+def test_case_file_roundtrip_nan_and_negative_imms(tmp_path):
+    # A finding's reproducer is its corpus case: NaN and negative
+    # immediates must survive the JSON file and the case must replay clean.
+    program = Program(
+        instrs=[
+            Instr(Op.FMOVI, rd=1, imm=float("nan")),
+            Instr(Op.MOVI, rd=2, imm=-7),
+            Instr(Op.HALT),
+        ],
+        functions={"main": 0},
+        source_name="imms",
+    )
+    case = case_to_dict(
+        "imms", "nan and negative immediates", program,
+        budget=8, oracles=("backend",),
+    )
+    loaded = load_case(save_case(tmp_path / "imms.json", case))
+    restored = program_from_dict(loaded["program"])
+    # NaN compares unequal through Instr equality; compare fields.
+    assert [i.op for i in restored.instrs] == [i.op for i in program.instrs]
+    assert math.isnan(restored.instrs[0].imm)
+    assert restored.instrs[1] == Instr(Op.MOVI, rd=2, imm=-7)
+    assert check_case(loaded) == []
+
+
 def test_save_and_load_case(tmp_path):
     program = gen_isa_program(random.Random("corpus-save:0"))
     case = case_to_dict(

@@ -129,11 +129,13 @@ _TRIGGERS = {
 }
 
 
-@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize(
+    "mutation", sorted(n for n, m in MUTATIONS.items() if m.cpu)
+)
 def test_mutant_is_caught(mutation):
     program = _TRIGGERS[mutation]
     divergences = check_backends(
-        program, segments=[16], a="interpreter", b=MUTATIONS[mutation]
+        program, segments=[16], a="interpreter", b=MUTATIONS[mutation].cpu
     )
     assert divergences, f"{mutation} mutant survived its trigger program"
     # ...and the fixed substrate passes the same trigger.

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.fuzz.coverage import FuzzCoverage
+from repro.fuzz.oracles import ALL_ORACLES
 from repro.fuzz.runner import FuzzConfig, plan_cases, run_case, run_fuzz
 
 pytestmark = pytest.mark.fuzz
@@ -14,7 +15,8 @@ pytestmark = pytest.mark.fuzz
 FLOOR_PATH = Path(__file__).parent / "coverage_floor.json"
 #: The exact configuration the checked-in floor was recorded from.
 FLOOR_CONFIG = FuzzConfig(
-    iterations=120, lang_iterations=24, seed=0, jobs_cases=0
+    iterations=120, lang_iterations=24, seed=0,
+    oracles=tuple(o for o in ALL_ORACLES if o != "jobs"),
 )
 
 
@@ -50,9 +52,9 @@ def test_case_results_are_deterministic():
 
 def test_jobs_partitioning_does_not_change_results():
     base = FuzzConfig(iterations=16, lang_iterations=2, seed=5,
-                      oracles=("backend", "snapshot"), jobs_cases=0)
+                      oracles=("backend", "snapshot"))
     fanned = FuzzConfig(iterations=16, lang_iterations=2, seed=5,
-                        oracles=("backend", "snapshot"), jobs_cases=0, jobs=2)
+                        oracles=("backend", "snapshot"), jobs=2)
     r1 = run_fuzz(base)
     r2 = run_fuzz(fanned)
     assert [f.to_dict() for f in r1.findings] == [f.to_dict() for f in r2.findings]
@@ -68,7 +70,6 @@ def test_mutation_run_produces_shrunk_findings():
     assert report.findings, "halt-pc mutant survived 60 programs"
     for finding in report.findings:
         assert finding.case is not None
-        assert finding.pytest_source is not None
         assert finding.shrunk_len <= 25
 
 

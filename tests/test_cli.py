@@ -186,3 +186,30 @@ def test_campaign_interrupt_names_resume_journal(monkeypatch, capsys, tmp_path):
     assert "interrupted" in err and f"--resume {journal}" in err
     assert main(["campaign", "--app", "pennant", "-n", "4"]) == 130
     assert "no journal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "selftest", [[], ["--selftest"]], ids=["run", "selftest"]
+)
+def test_fuzz_unknown_mutation_is_rejected_by_the_parser(selftest, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", *selftest, "--mutation", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutation", ["memo-traps", "converge-lag"])
+def test_fuzz_campaign_mutant_needs_selftest(mutation):
+    argv = ["fuzz", "--iterations", "1", "--lang-iterations", "0",
+            "--mutation", mutation]
+    with pytest.raises(
+        SystemExit, match=f"^fuzz: '{mutation}' is not a backend mutant"
+    ):
+        main(argv)
+
+
+def test_fuzz_selftest_runs_a_campaign_mutant(capsys):
+    assert main(["fuzz", "--selftest", "--mutation", "memo-traps"]) == 0
+    out = capsys.readouterr().out
+    assert "plans for memo-traps, converge-lag" in out
+    assert "killed" in out
