@@ -11,7 +11,7 @@ import os
 
 from repro.apps import make_app
 from repro.core import LETGO_E
-from repro.faultinject import run_campaign, seeded_plans
+from repro.faultinject import CampaignEngine, seeded_plans
 from repro.reporting import ascii_table, pct
 
 from conftest import SEED, write_artifact
@@ -26,7 +26,7 @@ def build_table():
     series = {}
     for n_bits in (1, 2, 4):
         plans = seeded_plans(app.golden.instret, N, SEED, n_bits=n_bits)
-        campaign = run_campaign(
+        campaign = CampaignEngine().run(
             app, N, seed=SEED, config=LETGO_E, plans=plans
         )
         m = campaign.metrics()

@@ -13,7 +13,7 @@ from math import isfinite
 
 from repro.apps.base import MiniApp, Output
 from repro.core import LETGO_E
-from repro.faultinject import Outcome, run_campaign
+from repro.faultinject import CampaignEngine, Outcome
 from repro.reporting import ascii_table, pct
 
 N = 16
@@ -103,7 +103,7 @@ def main() -> None:
 
     n = 80
     print(f"\ninjecting {n} faults under LetGo-E...")
-    campaign = run_campaign(app, n, seed=3, config=LETGO_E)
+    campaign = CampaignEngine().run(app, n, seed=3, config=LETGO_E)
     rows = [
         [outcome.value, count, pct(count / n)]
         for outcome, count in sorted(

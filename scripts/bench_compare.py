@@ -14,16 +14,23 @@ memo on, telemetry on) and reduces each campaign to
   glance.
 
 A speed-up of the substrate or the engine must leave all of it
-unchanged, bit for bit.  Run from the repo root:
+unchanged, bit for bit.  Outcomes are also a pure function of (app,
+plans, config), whatever the worker count or the execution backend, so
+the check re-runs the family once per :data:`LEGS` entry (two worker
+processes; the interpreter backend) and requires each campaign's
+``results`` and ``signature`` hashes to equal those of the recorded
+one-process, compiled-backend run.  Run from the repo root:
 
     PYTHONPATH=src python scripts/bench_compare.py            # check
     PYTHONPATH=src python scripts/bench_compare.py --write    # re-record
 
 The campaign is fixed at :data:`N` plans per app and config drawn with
-seed :data:`SEED` (about 10 s).  The check compares it with the record
-(``BENCH_signature.json``), prints one line per campaign, and exits 1 on
-any difference.  Re-record only on a
-commit whose outcomes are known good, never to make a check pass.
+seed :data:`SEED` (about 10 s; the interpreter leg about five times
+that).  The check compares it with the record (``BENCH_signature.json``),
+prints one line per campaign and one per leg, and exits 1 on any
+difference.  ``--write`` records the one-process run only.  Re-record
+only on a commit whose outcomes are known good, never to make a check
+pass.
 """
 
 from __future__ import annotations
@@ -45,6 +52,11 @@ from repro.telemetry.report import LADDER_COUNTERS
 RECORD = Path(__file__).resolve().parent.parent / "BENCH_signature.json"
 CONFIGS = (None, LETGO_E)
 N, SEED = 100, 7
+#: CampaignConfig knobs of the legs re-run beside the recorded campaign.
+LEGS = {"jobs=2": {"jobs": 2}, "interpreter": {"backend": "interpreter"}}
+#: Record fields every leg must reproduce (the ladder counters depend on
+#: how plans are sharded, so they are compared with the record only).
+LEG_FIELDS = ("results", "signature")
 
 
 def _plain(value):
@@ -68,17 +80,20 @@ def _digest(data) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def measure(n: int, seed: int) -> dict[str, dict]:
-    """``"app/config" -> record`` of the pinned campaign family."""
+def measure(n: int, seed: int, **knobs) -> dict[str, dict]:
+    """``"app/config" -> record`` of the pinned campaign family, run at
+    ``jobs=1`` on the default backend unless *knobs* say otherwise."""
+    # The memo key has no backend in it: a warm memo would serve one
+    # backend's trap-free runs to the other, so every leg starts cold.
     TRAP_FREE_MEMO.clear()
     records = {}
     for name in app_names():
         app = make_app(name)
         plans = seeded_plans(app.golden.instret, n, seed)
         for config in CONFIGS:
-            engine = CampaignEngine(config=CampaignConfig(
-                jobs=1, keep_results=True, telemetry=True
-            ))
+            engine = CampaignEngine(config=CampaignConfig(**{
+                "jobs": 1, "keep_results": True, "telemetry": True, **knobs
+            }))
             result = engine.run(app, n, seed, config, plans=plans)
             counters = engine.telemetry.counters
             records[f"{name}/{config.name if config else 'baseline'}"] = {
@@ -126,6 +141,21 @@ def main(argv: list[str] | None = None) -> int:
         f"{len(records) - differ}/{len(records)} campaigns match "
         f"(n={N}, seed {SEED})"
     )
+    for leg, knobs in LEGS.items():
+        other = measure(N, SEED, **knobs)
+        misses = [
+            key for key in sorted(records)
+            if any(other[key][f] != records[key][f] for f in LEG_FIELDS)
+        ]
+        for key in misses:
+            print(f"DIFF {key} at {leg}")
+            print(f"     jobs=1 {json.dumps(records[key], sort_keys=True)}")
+            print(f"     {leg} {json.dumps(other[key], sort_keys=True)}")
+        print(
+            f"{len(records) - len(misses)}/{len(records)} campaigns at "
+            f"{leg} match the jobs=1 compiled run"
+        )
+        differ += len(misses)
     return 1 if differ else 0
 
 

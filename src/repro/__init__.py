@@ -28,10 +28,10 @@ Quickstart::
 
     from repro.apps import make_app
     from repro.core import LETGO_E
-    from repro.faultinject import run_campaign
+    from repro.faultinject import CampaignEngine
 
     app = make_app("lulesh")
-    campaign = run_campaign(app, n=100, seed=0, config=LETGO_E)
+    campaign = CampaignEngine().run(app, n=100, seed=0, config=LETGO_E)
     print(campaign.metrics().continuability)
 """
 

@@ -36,10 +36,10 @@ from repro.apps import app_names, make_app
 from repro.core import VARIANTS
 from repro.faultinject import (
     CampaignConfig,
+    CampaignEngine,
     InjectionPlan,
     add_campaign_arguments,
     campaign_config_from_args,
-    run_campaign,
     run_injection,
 )
 from repro.reporting import ascii_table, pct, pct_ci
@@ -130,7 +130,6 @@ def _progress_line(done: int, total: int) -> None:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.errors import CampaignAbortedError, JournalError
-    from repro.faultinject import CampaignEngine
 
     app = make_app(args.app)
     config = _variant(args.letgo)
@@ -214,8 +213,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         source = "paper Table 3"
     else:
         app = make_app(args.app)
-        campaign = run_campaign(
-            app, args.n, seed=args.seed, config=VARIANTS["LetGo-E"]
+        campaign = CampaignEngine().run(
+            app, args.n, args.seed, VARIANTS["LetGo-E"]
         )
         params = AppParams(
             name=app.name,
@@ -243,9 +242,8 @@ def _cmd_sites(args: argparse.Namespace) -> int:
     from repro.faultinject import analyze_sites
 
     app = make_app(args.app)
-    campaign = run_campaign(
-        app, args.n, seed=args.seed, config=VARIANTS["LetGo-E"],
-        campaign=CampaignConfig(keep_results=True),
+    campaign = CampaignEngine(config=CampaignConfig(keep_results=True)).run(
+        app, args.n, args.seed, VARIANTS["LetGo-E"]
     )
     print(analyze_sites(app, campaign).render())
     return 0
@@ -448,6 +446,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if (report.findings or corpus_failures) else 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
 def _add_backend_arg(p: argparse.ArgumentParser) -> None:
     from repro.machine.compiled import BACKENDS
 
@@ -485,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("campaign", help="run an injection campaign")
     p.add_argument("--app", required=True, choices=app_names())
-    p.add_argument("-n", type=int, default=100)
+    p.add_argument("-n", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--letgo", choices=sorted(VARIANTS), default="LetGo-E")
     # Every execution/resilience/observability flag is derived from the
@@ -504,12 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimate", action="store_true",
                    help="estimate parameters from a fresh campaign instead "
                         "of the paper's Table 3")
-    p.add_argument("-n", type=int, default=100)
+    p.add_argument("-n", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("sites", help="fault-site characterisation")
     p.add_argument("--app", required=True, choices=app_names())
-    p.add_argument("-n", type=int, default=100)
+    p.add_argument("-n", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("parallel", help="SPMD coordinated-C/R study")

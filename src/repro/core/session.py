@@ -13,10 +13,11 @@ Steps 2-3 on one trap are :meth:`LetGoSession.intervene`, the one place
 LetGo decides to repair; the in-vivo C/R driver
 (:mod:`repro.parallel.driver`) and the debugger REPL call it too.
 
-Both post-fault loops -- this one and the fault injector's baseline run --
-continue through :func:`cont_sliced`, which owns the one slicing rule:
-stop at the budget, at a wall-clock watchdog slice, or at the next
-golden snapshot-ladder rung, whichever comes first.
+:meth:`LetGoSession.run` is the one post-fault loop: the fault injector
+runs its no-LetGo baseline through it too, with a configuration that
+intercepts no signal.  It continues through :func:`cont_sliced`, which
+owns the one slicing rule: stop at the budget, at a wall-clock watchdog
+slice, or at the next golden snapshot-ladder rung, whichever comes first.
 """
 
 from __future__ import annotations

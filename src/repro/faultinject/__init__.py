@@ -10,7 +10,6 @@ from repro.faultinject.campaign import (
     CampaignResult,
     add_campaign_arguments,
     campaign_config_from_args,
-    run_campaign,
     run_paired_campaigns,
 )
 from repro.faultinject.engine import (
@@ -22,7 +21,6 @@ from repro.faultinject.engine import (
 from repro.faultinject.fault_model import (
     InjectionPlan,
     flip_bit,
-    plan_injections,
     seeded_plans,
     select_target,
 )
@@ -56,7 +54,6 @@ from repro.faultinject.sites import (
 
 __all__ = [
     "InjectionPlan",
-    "plan_injections",
     "seeded_plans",
     "select_target",
     "flip_bit",
@@ -66,7 +63,6 @@ __all__ = [
     "CampaignResult",
     "add_campaign_arguments",
     "campaign_config_from_args",
-    "run_campaign",
     "run_paired_campaigns",
     "CampaignEngine",
     "EngineStats",

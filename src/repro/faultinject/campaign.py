@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from repro.apps.base import MiniApp
 from repro.core.config import LetGoConfig
-from repro.faultinject.fault_model import InjectionPlan, seeded_plans
+from repro.faultinject.fault_model import seeded_plans
 from repro.faultinject.injector import InjectionResult
 from repro.faultinject.metrics import (
     LetGoMetrics,
@@ -154,12 +154,13 @@ class CampaignConfig:
     """Every execution / resilience / observability knob of a campaign.
 
     The one way to configure a campaign: the CLI builds it from flags,
-    :class:`~repro.faultinject.engine.CampaignEngine` takes it as
-    ``config=``, :func:`run_campaign` / :func:`run_paired_campaigns` as
-    ``campaign=``, and the engine pickles it once into each worker.  None
-    of these knobs changes campaign *outcomes* (``wall_clock_limit`` is
-    the documented safety-valve exception); they change how fast the
-    result arrives, what it survives, and what gets observed on the way.
+    :class:`~repro.faultinject.engine.CampaignEngine`, the one campaign
+    entry point, takes it as ``config=`` (:func:`run_paired_campaigns`
+    passes its ``campaign=`` on), and the engine pickles it once into
+    each worker.  None of these knobs changes campaign *outcomes*
+    (``wall_clock_limit`` is the documented safety-valve exception); they
+    change how fast the result arrives, what it survives, and what gets
+    observed on the way.
 
     Each field's metadata (help text, flag type, default) is the single
     source of truth the CLI derives its ``campaign`` flags from, so
@@ -338,31 +339,6 @@ def campaign_config_from_args(args: argparse.Namespace) -> CampaignConfig:
     )
 
 
-def run_campaign(
-    app: MiniApp,
-    n: int,
-    seed: int,
-    config: LetGoConfig | None = None,
-    *,
-    plans: list[InjectionPlan] | None = None,
-    campaign: CampaignConfig | None = None,
-) -> CampaignResult:
-    """Run *n* injections on *app* under *config* (None = baseline).
-
-    Shorthand for ``CampaignEngine(config=campaign).run(...)``: by default
-    the golden prefix of each run is restored from the app's snapshot
-    ladder instead of replayed from instruction 0, and ``campaign.jobs``
-    fans the independent runs out across worker processes.  Results are
-    identical to the naive serial loop for the same seed whatever the
-    :class:`CampaignConfig` (``ladder_interval=0`` disables the ladder).
-    Per-run :class:`InjectionResult` records are kept only with
-    ``keep_results=True``: at large N they grow without bound.
-    """
-    from repro.faultinject.engine import CampaignEngine
-
-    return CampaignEngine(config=campaign).run(app, n, seed, config, plans=plans)
-
-
 #: CampaignConfig fields that name one campaign's output or input file.
 _PER_CAMPAIGN_PATHS = ("journal", "resume", "trace", "chrome_trace")
 
@@ -378,9 +354,11 @@ def run_paired_campaigns(
     """Run the same fault population under several configurations.
 
     Returns config-name -> result ("baseline" for None).  ``campaign``
-    passes through to :func:`run_campaign`, so it may not name a file:
+    configures each configuration's engine, so it may not name a file:
     every configuration would write (or resume) the same one.
     """
+    from repro.faultinject.engine import CampaignEngine
+
     if campaign is not None:
         paths = [
             name for name in _PER_CAMPAIGN_PATHS
@@ -389,14 +367,14 @@ def run_paired_campaigns(
         if paths:
             raise ValueError(
                 f"{', '.join(paths)} names one campaign's file; run each "
-                f"configuration with run_campaign to give each its own"
+                f"configuration with CampaignEngine to give each its own"
             )
     plans = seeded_plans(app.golden.instret, n, seed)
     out: dict[str, CampaignResult] = {}
     for config in configs:
         name = config.name if config is not None else "baseline"
-        out[name] = run_campaign(
-            app, n, seed, config, plans=plans, campaign=campaign
+        out[name] = CampaignEngine(config=campaign).run(
+            app, n, seed, config, plans=plans
         )
     return out
 
@@ -406,6 +384,5 @@ __all__ = [
     "CampaignConfig",
     "add_campaign_arguments",
     "campaign_config_from_args",
-    "run_campaign",
     "run_paired_campaigns",
 ]

@@ -30,8 +30,8 @@ in-process campaigns are served alike.
 shard sorted by injection depth for ladder locality, and executed on one
 process-wide ``ProcessPoolExecutor`` that lives across campaigns (see
 :func:`shutdown_workers`).  Nothing un-picklable crosses the process
-boundary: each shard carries its app spec (registry name or import
-path), LetGo config and campaign config, and workers re-derive the app
+boundary: each shard carries its app spec (the import path of its
+class), LetGo config and campaign config, and workers re-derive the app
 and ladder from (source, interval) through module caches -- on
 fork-based platforms those the parent held when the pool started are
 inherited, so this is free.  Each shard is folded into the campaign's
@@ -251,8 +251,8 @@ def _run_shard(
 
 # -- worker protocol --------------------------------------------------------
 #
-# Every shard task carries only picklable values: an app *spec* (registry
-# name or module:qualname import path), the LetGo config, the
+# Every shard task carries only picklable values: an app *spec* (its
+# class's module:qualname import path), the LetGo config, the
 # CampaignConfig (both frozen dataclasses), the batch, and the parent's
 # trap-free memo entries for the batch's plans.  App, program image and
 # ladder are re-derived worker-side through the same module caches the
@@ -261,11 +261,7 @@ def _run_shard(
 
 def _app_from_spec(spec: tuple) -> MiniApp:
     """Rebuild an app from its worker spec."""
-    if spec[0] == "registry":
-        from repro.apps.registry import make_app
-
-        return make_app(spec[1])
-    _, module, qualname = spec
+    module, qualname = spec
     obj = importlib.import_module(module)
     for part in qualname.split("."):
         obj = getattr(obj, part)
@@ -273,18 +269,16 @@ def _app_from_spec(spec: tuple) -> MiniApp:
 
 
 def _app_spec(app: MiniApp) -> tuple | None:
-    """A picklable spec a worker can rebuild *app* from (None: not possible)."""
-    try:
-        from repro.apps.registry import make_app
+    """A picklable spec a worker can rebuild *app* from (None: not possible).
 
-        if type(make_app(app.name)) is type(app):
-            return ("registry", app.name)
-    except KeyError:
-        pass
+    The spec is ``(module, qualname)`` of a module-level class whose
+    zero-argument instance has *app*'s source, as every registry app's
+    has.
+    """
     cls = type(app)
     if "<locals>" in cls.__qualname__ or cls.__module__ == "__main__":
         return None
-    spec = ("import", cls.__module__, cls.__qualname__)
+    spec = (cls.__module__, cls.__qualname__)
     try:
         rebuilt = _app_from_spec(spec)
     except Exception:

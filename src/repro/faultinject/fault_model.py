@@ -20,14 +20,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.isa.instructions import Instr
 from repro.isa.layout import MASK64
 from repro.machine.cpu import CPU
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _PACK_D = struct.Struct("<d")
 _PACK_Q = struct.Struct("<Q")
@@ -70,18 +66,27 @@ class InjectionPlan:
         return (self.bit, *self.extra_bits)
 
 
-def plan_injections(
-    rng: np.random.Generator, total_instret: int, n: int, n_bits: int = 1
+def seeded_plans(
+    total_instret: int, n: int, seed: int, n_bits: int = 1
 ) -> list[InjectionPlan]:
-    """Draw *n* independent plans over a run of *total_instret* instructions.
+    """The *n* plans a campaign with *seed* draws over a run of
+    *total_instret* instructions, from a fresh
+    ``numpy.random.default_rng(seed)``.
 
     ``n_bits`` > 1 draws multi-bit upsets: that many distinct bits of the
-    same target register flip together.
+    same target register flip together.  numpy is imported here, not at
+    module level, so a campaign that is handed explicit plans never
+    loads it.
     """
     if total_instret < 1:
         raise ValueError("profiled run has no instructions")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if not 1 <= n_bits <= 64:
         raise ValueError("n_bits must be in [1, 64]")
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
     indices = rng.integers(1, total_instret + 1, size=n)
     choices = rng.random(size=n)
     plans = []
@@ -96,20 +101,6 @@ def plan_injections(
             )
         )
     return plans
-
-
-def seeded_plans(
-    total_instret: int, n: int, seed: int, n_bits: int = 1
-) -> list[InjectionPlan]:
-    """The *n* plans a campaign with *seed* draws: :func:`plan_injections`
-    on a fresh ``numpy.random.default_rng(seed)``.
-
-    numpy is imported here, not at module level, so a campaign that is
-    handed explicit plans never loads it.
-    """
-    import numpy as np
-
-    return plan_injections(np.random.default_rng(seed), total_instret, n, n_bits)
 
 
 def select_target(instr: Instr, reg_choice: float) -> tuple[str, int] | None:
@@ -146,7 +137,6 @@ def flip_bit(cpu: CPU, bank: str, index: int, bit: int) -> None:
 
 __all__ = [
     "InjectionPlan",
-    "plan_injections",
     "seeded_plans",
     "select_target",
     "flip_bit",

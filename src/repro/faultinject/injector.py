@@ -1,10 +1,11 @@
 """Single-fault injection runs (paper section 5.4, phase 2).
 
 A run advances a fresh process to the planned dynamic instruction, flips
-the planned bit in the register that instruction produced, and then either
-lets the default OS behaviour apply (baseline: any trap kills the process)
-or hands supervision to LetGo.  The resulting :class:`InjectionResult`
-carries the Figure-4 leaf plus enough detail for per-site analysis.
+the planned bit in the register that instruction produced, and then hands
+supervision to LetGo.  The no-LetGo baseline is the same supervised run
+with every signal left at its default action, so any trap kills the
+process.  The resulting :class:`InjectionResult` carries the Figure-4
+leaf plus enough detail for per-site analysis.
 
 Runs accept an optional **wall-clock watchdog** (``wall_clock_limit``
 seconds): the instruction budget already converts infinite loops into
@@ -40,14 +41,7 @@ from time import perf_counter
 from repro.apps.base import MemoEntry, MiniApp, TrapFreeMemo
 from repro.checkpoint.snapshot import SnapshotLadder
 from repro.core.config import LetGoConfig
-from repro.core.session import (
-    COMPLETED,
-    CONVERGED,
-    HUNG,
-    STOP_CONVERGED,
-    LetGoSession,
-    cont_sliced,
-)
+from repro.core.session import COMPLETED, CONVERGED, HUNG, LetGoSession
 from repro.errors import InjectionError
 from repro.faultinject.fault_model import InjectionPlan, flip_bit, select_target
 from repro.faultinject.outcomes import Outcome, classify_finished
@@ -57,8 +51,19 @@ from repro.machine.debugger import (
     STOP_TRAP,
     DebugSession,
 )
+from repro.machine.process import Process
 from repro.machine.signals import Signal
 from repro.telemetry.tracer import NULL_TRACER
+
+
+#: The no-LetGo baseline as a LetGo configuration that intercepts no
+#: signal: every trap takes its default action and ends the run.
+_BASELINE = LetGoConfig(
+    name="baseline",
+    heuristic1=False,
+    heuristic2=False,
+    handled_signals=frozenset(),
+)
 
 
 @dataclass
@@ -200,16 +205,10 @@ def run_injection(
             result = _replay(plan, target_pc, target_reg, entry, tracer)
         else:
             budget = max(app.max_steps - process.cpu.instret, 1)
-            if config is None:
-                result, skipped = _finish_baseline(
-                    app, session, plan, target_pc, target_reg, budget,
-                    deadline, tracer, ladder,
-                )
-            else:
-                result, skipped = _finish_letgo(
-                    app, session, plan, target_pc, target_reg, budget,
-                    config, deadline, tracer, ladder,
-                )
+            result, skipped = _finish(
+                app, process, plan, target_pc, target_reg, budget,
+                config, deadline, tracer, ladder,
+            )
             if memo is not None and memo.admits(result):
                 memo.put(key, MemoEntry(
                     result.outcome, target_pc, target_reg, result.steps,
@@ -295,62 +294,25 @@ def _classify_finished(
     return outcome, steps, skipped
 
 
-def _finish_baseline(
+def _finish(
     app: MiniApp,
-    session: DebugSession,
+    process: Process,
     plan: InjectionPlan,
     target_pc: int,
     target_reg: tuple[str, int],
     budget: int,
-    deadline: float | None = None,
-    tracer=NULL_TRACER,
-    ladder: SnapshotLadder | None = None,
+    config: LetGoConfig | None,
+    deadline: float | None,
+    tracer,
+    ladder: SnapshotLadder | None,
 ) -> tuple[InjectionResult, int | None]:
-    process = session.process
-    with tracer.span("post-fault"):
-        event, timed_out = cont_sliced(
-            session, budget, deadline=deadline, ladder=ladder
-        )
-    steps = process.cpu.instret
-    signal: Signal | None = None
-    skipped: int | None = None
-    if event.kind == STOP_TRAP:
-        assert event.trap is not None
-        session.deliver_default(event.trap)
-        outcome: Outcome = Outcome.CRASH
-        signal = event.trap.signal
-    elif event.kind in (STOP_EXITED, STOP_CONVERGED):
-        outcome, steps, skipped = _classify_finished(
-            app, process, event.kind == STOP_CONVERGED, False, tracer
-        )
-    else:
-        outcome = Outcome.HANG
-    return InjectionResult(
-        outcome=outcome,
-        plan=plan,
-        target_pc=target_pc,
-        target_reg=target_reg,
-        first_signal=signal,
-        steps=steps,
-        timed_out=timed_out,
-    ), skipped
+    """The post-fault run, under *config* or (None) the baseline.
 
-
-def _finish_letgo(
-    app: MiniApp,
-    session: DebugSession,
-    plan: InjectionPlan,
-    target_pc: int,
-    target_reg: tuple[str, int],
-    budget: int,
-    config: LetGoConfig,
-    deadline: float | None = None,
-    tracer=NULL_TRACER,
-    ladder: SnapshotLadder | None = None,
-) -> tuple[InjectionResult, int | None]:
-    process = session.process
+    The baseline is the same supervised run with every signal left at
+    its default action (:data:`_BASELINE`), so its first trap kills it.
+    """
     with tracer.span("post-fault"):
-        report = LetGoSession(config, app.functions).run(
+        report = LetGoSession(config or _BASELINE, app.functions).run(
             process, budget, deadline=deadline, tracer=tracer, ladder=ladder
         )
     steps = process.cpu.instret
@@ -364,6 +326,8 @@ def _finish_letgo(
         outcome = Outcome.C_HANG if report.intervened else Outcome.HANG
     elif report.intervened:
         outcome = Outcome.DOUBLE_CRASH
+    elif config is None:
+        outcome = Outcome.CRASH
     else:
         # first signal was outside LetGo's table (e.g. SIGFPE)
         outcome = Outcome.CRASH_UNHANDLED

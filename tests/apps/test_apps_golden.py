@@ -12,7 +12,7 @@ from repro.apps import APP_CLASSES, app_names
 from repro.apps.base import MiniApp
 from repro.checkpoint import build_ladder
 from repro.checkpoint.snapshot import MAX_RUNGS
-from repro.faultinject import run_campaign
+from repro.faultinject import CampaignEngine
 
 
 def test_suite_composition():
@@ -135,7 +135,7 @@ def test_one_golden_pass_per_app(monkeypatch):
     assert app.golden.exit_code == 0
     assert app.ladder().total == app.golden.instret
     assert app.default_ladder_interval == app.ladder().interval
-    assert run_campaign(app, 4, seed=3).n == 4
+    assert CampaignEngine().run(app, 4, seed=3).n == 4
     assert calls == [()]
 
 

@@ -7,9 +7,10 @@ import pytest
 from repro.core import LETGO_B, LETGO_E
 from repro.faultinject import (
     CampaignConfig,
+    CampaignEngine,
     Outcome,
-    run_campaign,
     run_paired_campaigns,
+    seeded_plans,
 )
 
 N = 30
@@ -85,33 +86,29 @@ def test_parameter_estimates_in_range(paired):
 
 
 def test_run_campaign_reproducible(pennant_app):
-    a = run_campaign(pennant_app, 10, seed=3, config=LETGO_E)
-    b = run_campaign(pennant_app, 10, seed=3, config=LETGO_E)
+    a = CampaignEngine().run(pennant_app, 10, seed=3, config=LETGO_E)
+    b = CampaignEngine().run(pennant_app, 10, seed=3, config=LETGO_E)
     assert a.counts == b.counts
 
 
 def test_run_campaign_keep_results(pennant_app):
-    result = run_campaign(
-        pennant_app, 5, seed=4, config=None,
-        campaign=CampaignConfig(keep_results=True),
+    result = CampaignEngine(config=CampaignConfig(keep_results=True)).run(
+        pennant_app, 5, seed=4, config=None
     )
     assert len(result.results) == 5
 
 
 def test_run_campaign_drops_results_by_default(pennant_app):
     """Memory-safe default: per-run records are not accumulated."""
-    result = run_campaign(pennant_app, 5, seed=4, config=None)
+    result = CampaignEngine().run(pennant_app, 5, seed=4, config=None)
     assert result.results == []
     assert result.n == 5
 
 
 def test_plans_length_mismatch(pennant_app):
-    from repro.faultinject import plan_injections
-    import numpy as np
-
-    plans = plan_injections(np.random.default_rng(0), pennant_app.golden.instret, 3)
+    plans = seeded_plans(pennant_app.golden.instret, 3, 0)
     with pytest.raises(ValueError):
-        run_campaign(pennant_app, 5, seed=0, plans=plans)
+        CampaignEngine().run(pennant_app, 5, seed=0, plans=plans)
 
 
 def test_fraction_and_rates(paired):

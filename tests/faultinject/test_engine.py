@@ -12,8 +12,8 @@ from repro.faultinject import (
     CampaignConfig,
     CampaignEngine,
     InjectionResult,
-    run_campaign,
     run_injection,
+    seeded_plans,
 )
 from repro.faultinject import engine as engine_mod
 from repro.faultinject.engine import _app_spec, _split
@@ -88,13 +88,11 @@ def test_engine_stats_accounting(pennant_app):
 def test_split_campaigns_concatenate_to_unsharded(pennant_app):
     """Campaigns over consecutive slices of the plan list, results
     concatenated and counts summed, equal the unsharded campaign."""
-    keep = CampaignConfig(keep_results=True)
-    whole = run_campaign(pennant_app, 10, seed=SEED, config=LETGO_E, campaign=keep)
+    whole = _engine(keep_results=True).run(pennant_app, 10, SEED, LETGO_E)
     plans = [result.plan for result in whole.results]
     parts = [
-        run_campaign(
-            pennant_app, len(chunk), seed=SEED, config=LETGO_E,
-            plans=chunk, campaign=keep,
+        _engine(keep_results=True).run(
+            pennant_app, len(chunk), SEED, LETGO_E, plans=chunk
         )
         for chunk in (plans[:4], plans[4:7], plans[7:])
     ]
@@ -210,23 +208,37 @@ def test_local_app_degrades_to_serial():
     assert _fingerprint(result) == _fingerprint(reference)
 
 
+def test_baseline_gives_each_first_trap_its_default_action(pennant_app):
+    """The baseline is LetGo's loop with no signal intercepted: every
+    run's first trap is counted once as a default disposition, and none
+    as an interception."""
+    engine = _engine(telemetry=True)
+    engine.run(pennant_app, 30, SEED, None)
+    counters = engine.telemetry.counters
+    first = {
+        key.split(":")[1]: count for key, count in counters.items()
+        if key.startswith("first-signal:")
+    }
+    default = {
+        key.split(":")[1]: count for key, count in counters.items()
+        if key.startswith("signal:") and key.endswith(":default")
+    }
+    assert first, "no run trapped"
+    assert default == first
+    assert not [key for key in counters if key.endswith(":intercept")]
+
+
 def test_registry_app_spec_roundtrip(pennant_app):
     from repro.faultinject.engine import _app_from_spec
 
     spec = _app_spec(pennant_app)
-    assert spec == ("registry", "pennant")
+    assert spec == ("repro.apps.pennant", "Pennant")
     rebuilt = _app_from_spec(spec)
     assert rebuilt.source == pennant_app.source
 
 
 def test_plans_length_mismatch_engine(pennant_app):
-    import numpy as np
-
-    from repro.faultinject import plan_injections
-
-    plans = plan_injections(
-        np.random.default_rng(0), pennant_app.golden.instret, 3
-    )
+    plans = seeded_plans(pennant_app.golden.instret, 3, 0)
     with pytest.raises(ValueError):
         CampaignEngine().run(pennant_app, 5, 0, None, plans=plans)
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.faultinject import (
     InjectionPlan,
     flip_bit,
-    plan_injections,
     seeded_plans,
     select_target,
 )
@@ -32,8 +31,7 @@ def test_plan_validation():
 
 
 def test_plan_injections_ranges():
-    rng = np.random.default_rng(1)
-    plans = plan_injections(rng, total_instret=1000, n=500)
+    plans = seeded_plans(total_instret=1000, n=500, seed=1)
     assert len(plans) == 500
     assert all(1 <= p.dyn_index <= 1000 for p in plans)
     assert all(0 <= p.bit < 64 for p in plans)
@@ -41,21 +39,38 @@ def test_plan_injections_ranges():
 
 
 def test_plan_injections_deterministic():
-    a = plan_injections(np.random.default_rng(7), 1000, 50)
-    b = plan_injections(np.random.default_rng(7), 1000, 50)
+    a = seeded_plans(1000, 50, 7)
+    b = seeded_plans(1000, 50, 7)
     assert a == b
 
 
 @pytest.mark.parametrize("n_bits", [1, 3])
 @pytest.mark.parametrize("seed", range(5))
 def test_seeded_plans_match_explicit_rng(seed, n_bits):
-    want = plan_injections(np.random.default_rng(seed), 12_345, 40, n_bits)
+    """The plans are drawn from a fresh ``default_rng(seed)`` in one
+    order: all indices, then all register choices, then each plan's
+    bits, so a given seed always names the same fault population."""
+    rng = np.random.default_rng(seed)
+    indices = rng.integers(1, 12_345 + 1, size=40)
+    choices = rng.random(size=40)
+    want = []
+    for i, c in zip(indices, choices):
+        bits = rng.choice(64, size=n_bits, replace=False)
+        want.append(InjectionPlan(
+            int(i), int(bits[0]), float(c), tuple(int(b) for b in bits[1:])
+        ))
     assert seeded_plans(12_345, 40, seed, n_bits) == want
 
 
 def test_plan_injections_empty_program():
     with pytest.raises(ValueError):
-        plan_injections(np.random.default_rng(0), 0, 10)
+        seeded_plans(0, 10, 0)
+
+
+def test_seeded_plans_rejects_negative_n():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        seeded_plans(1000, -3, 0)
+    assert seeded_plans(1000, 0, 0) == []
 
 
 def test_select_target_written_reg_priority():

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core import LETGO_E
 from repro.faultinject import InjectionPlan, Outcome, run_injection
+from repro.fuzz.app import LangApp
+from repro.machine.signals import Signal
 
 
 def plan(dyn_index, bit=62, reg_choice=0.0):
@@ -88,3 +90,26 @@ def test_letgo_interventions_counted(pennant_app):
             assert result.interventions >= 1
         if result.outcome is Outcome.CRASH_UNHANDLED:
             assert result.interventions == 0
+
+
+def test_unintercepted_first_trap_is_crash_baseline_and_unhandled_under_letgo():
+    """SIGFPE is in no signal table LetGo-E handles: a fault whose first
+    trap is SIGFPE ends as a crash in both runs, told apart only by
+    whether LetGo was attached."""
+    app = LangApp(
+        "func main() -> int { var int d = 1; out(100 / d); return 0; }"
+    )
+    plans = [plan(i, bit=0) for i in range(1, app.golden.instret + 1)]
+    fpe = [
+        p for p in plans
+        if run_injection(app, p, None).first_signal is Signal.SIGFPE
+    ]
+    assert fpe, "no flip zeroes the divisor"
+    for p in fpe:
+        base = run_injection(app, p, None)
+        letgo = run_injection(app, p, LETGO_E)
+        assert base.outcome is Outcome.CRASH
+        assert letgo.outcome is Outcome.CRASH_UNHANDLED
+        assert letgo.first_signal is Signal.SIGFPE
+        assert base.interventions == letgo.interventions == 0
+        assert (base.target_pc, base.steps) == (letgo.target_pc, letgo.steps)

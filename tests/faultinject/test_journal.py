@@ -3,7 +3,6 @@
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from repro.errors import JournalError
@@ -13,7 +12,7 @@ from repro.faultinject import (
     InjectionPlan,
     InjectionResult,
     Outcome,
-    plan_injections,
+    seeded_plans,
 )
 from repro.faultinject.journal import (
     JOURNAL_FORMAT,
@@ -31,7 +30,7 @@ SEED = 5
 
 @pytest.fixture
 def plans():
-    return plan_injections(np.random.default_rng(SEED), 100_000, 8)
+    return seeded_plans(100_000, 8, SEED)
 
 
 @pytest.fixture
@@ -152,7 +151,7 @@ def test_verify_rejects_other_campaign(tmp_path, plans, header):
     other_seed = JournalHeader.for_campaign("pennant", "LetGo-E", 8, 99, plans)
     with pytest.raises(JournalError, match="seed"):
         journal.verify(other_seed)
-    other_plans = plan_injections(np.random.default_rng(SEED + 1), 100_000, 8)
+    other_plans = seeded_plans(100_000, 8, SEED + 1)
     shifted = JournalHeader.for_campaign("pennant", "LetGo-E", 8, SEED, other_plans)
     with pytest.raises(JournalError, match="plans"):
         journal.verify(shifted)

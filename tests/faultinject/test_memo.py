@@ -1,7 +1,6 @@
 """Trap-free memo: what it stores, how a hit replays, worker merge, and
 the ``paired`` oracle and memo mutant that guard it."""
 
-import numpy as np
 import pytest
 
 from repro.apps.base import TRAP_FREE_MEMO, MemoEntry, TrapFreeMemo
@@ -11,8 +10,8 @@ from repro.faultinject import (
     CampaignConfig,
     CampaignEngine,
     Outcome,
-    plan_injections,
     run_injection,
+    seeded_plans,
 )
 from repro.faultinject.engine import _app_spec, _worker_run
 from repro.fuzz.oracles import check_paired
@@ -24,7 +23,7 @@ SEED = 5
 
 
 def _plans(app, n=N, seed=SEED):
-    return plan_injections(np.random.default_rng(seed), app.golden.instret, n)
+    return seeded_plans(app.golden.instret, n, seed)
 
 
 def test_stores_only_trap_free_runs(pennant_app):

@@ -1,10 +1,9 @@
 """Multi-bit upset extension of the fault model."""
 
-import numpy as np
 import pytest
 
 from repro.core import LETGO_E
-from repro.faultinject import InjectionPlan, plan_injections, run_injection
+from repro.faultinject import InjectionPlan, run_injection, seeded_plans
 
 
 def test_plan_bits_property():
@@ -23,23 +22,20 @@ def test_extra_bits_range_checked():
 
 
 def test_plan_injections_multibit():
-    rng = np.random.default_rng(0)
-    plans = plan_injections(rng, 1000, 50, n_bits=3)
+    plans = seeded_plans(1000, 50, 0, n_bits=3)
     assert all(len(p.bits) == 3 for p in plans)
     assert all(len(set(p.bits)) == 3 for p in plans)
 
 
 def test_plan_injections_nbits_validation():
-    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        plan_injections(rng, 1000, 5, n_bits=0)
+        seeded_plans(1000, 5, 0, n_bits=0)
     with pytest.raises(ValueError):
-        plan_injections(rng, 1000, 5, n_bits=65)
+        seeded_plans(1000, 5, 0, n_bits=65)
 
 
 def test_single_bit_unchanged_default():
-    rng = np.random.default_rng(0)
-    plans = plan_injections(rng, 1000, 5)
+    plans = seeded_plans(1000, 5, 0)
     assert all(p.extra_bits == () for p in plans)
 
 

@@ -9,7 +9,6 @@ patch, so worker crashes and poison plans can be staged deterministically.
 import os
 import signal
 
-import numpy as np
 import pytest
 
 from repro.core import LETGO_E
@@ -20,8 +19,8 @@ from repro.faultinject import (
     CampaignJournal,
     InjectionPlan,
     Outcome,
-    plan_injections,
     run_injection,
+    seeded_plans,
 )
 from repro.faultinject import engine as engine_mod
 
@@ -51,7 +50,7 @@ def _fingerprint(result):
 
 
 def _plans(app, n=N, seed=SEED):
-    return plan_injections(np.random.default_rng(seed), app.golden.instret, n)
+    return seeded_plans(app.golden.instret, n, seed)
 
 
 def _reference(app, config=None, n=N, seed=SEED):

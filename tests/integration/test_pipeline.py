@@ -4,7 +4,7 @@ from repro.analysis import FunctionTable, profile_program
 from repro.core import LETGO_E, LetGoSession
 from repro.crsim import SystemParams, compare_efficiency
 from repro.crsim.params import AppParams
-from repro.faultinject import run_campaign
+from repro.faultinject import CampaignEngine
 from repro.isa import decode_program, disassemble, encode_program, assemble
 from repro.lang import compile_unit
 from repro.machine import Process
@@ -49,7 +49,7 @@ def test_profile_feeds_injection(pennant_app):
 def test_campaign_parameters_feed_simulation(pennant_app):
     """The paper's full loop: inject faults, estimate Table-4 parameters,
     simulate C/R efficiency, observe a LetGo gain."""
-    campaign = run_campaign(pennant_app, 30, seed=5, config=LETGO_E)
+    campaign = CampaignEngine().run(pennant_app, 30, seed=5, config=LETGO_E)
     app_params = AppParams(
         name=pennant_app.name,
         p_crash=campaign.estimate_p_crash(),

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.checkpoint.snapshot import restore_into, snapshot
 from repro.core import VARIANTS
-from repro.faultinject.fault_model import plan_injections
+from repro.faultinject.fault_model import seeded_plans
 from repro.faultinject.injector import run_injection
 from repro.fuzz.observe import observe
 from repro.fuzz.oracles import EagerCompiledCPU
@@ -493,8 +492,7 @@ def _result_facts(result):
 def test_injection_outcomes_bit_identical(suite, name, config_name):
     app = suite[name]
     config = VARIANTS[config_name] if config_name else None
-    rng = np.random.default_rng(0xD1FF + len(name))
-    plans = plan_injections(rng, app.golden.instret, N_PLANS)
+    plans = seeded_plans(app.golden.instret, N_PLANS, 0xD1FF + len(name))
     for plan in plans:
         facts = [
             _result_facts(run_injection(app, plan, config, backend=backend))

@@ -213,3 +213,23 @@ def test_fuzz_selftest_runs_a_campaign_mutant(capsys):
     out = capsys.readouterr().out
     assert "plans for memo-traps, converge-lag" in out
     assert "killed" in out
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["campaign", "--app", "pennant"],
+        ["sites", "--app", "pennant"],
+        ["simulate", "--app", "pennant", "--estimate"],
+    ],
+    ids=["campaign", "sites", "simulate"],
+)
+def test_injection_count_must_be_positive(argv, n, capsys):
+    """A campaign of no runs has nothing to tabulate, analyse or estimate
+    from: ``-n`` below 1 is a usage error, not a traceback or an
+    estimate from zero runs."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-n", n])
+    assert exc.value.code == 2
+    assert "argument -n: must be >= 1" in capsys.readouterr().err
