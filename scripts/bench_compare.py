@@ -18,8 +18,9 @@ unchanged, bit for bit.  Outcomes are also a pure function of (app,
 plans, config), whatever the worker count or the execution backend, so
 the check re-runs the family once per :data:`LEGS` entry (two worker
 processes; the interpreter backend) and requires each campaign's
-``results`` and ``signature`` hashes to equal those of the recorded
-one-process, compiled-backend run.  Run from the repo root:
+``results`` and ``signature`` hashes and its convergence counters
+(:data:`LEG_COUNTERS`) to equal those of the recorded one-process,
+compiled-backend run.  Run from the repo root:
 
     PYTHONPATH=src python scripts/bench_compare.py            # check
     PYTHONPATH=src python scripts/bench_compare.py --write    # re-record
@@ -54,9 +55,13 @@ CONFIGS = (None, LETGO_E)
 N, SEED = 100, 7
 #: CampaignConfig knobs of the legs re-run beside the recorded campaign.
 LEGS = {"jobs=2": {"jobs": 2}, "interpreter": {"backend": "interpreter"}}
-#: Record fields every leg must reproduce (the ladder counters depend on
-#: how plans are sharded, so they are compared with the record only).
+#: Record fields every leg must reproduce.
 LEG_FIELDS = ("results", "signature")
+#: Ladder counters every leg must reproduce: where a post-fault run stops
+#: depends only on its plan and the ladder.  ``restore``, ``cold-start``
+#: and ``fast-forward-instr`` depend on how plans are sharded, so they are
+#: compared with the record only.
+LEG_COUNTERS = ("converged", "converged-lagged", "converged-skipped-instr")
 
 
 def _plain(value):
@@ -146,6 +151,10 @@ def main(argv: list[str] | None = None) -> int:
         misses = [
             key for key in sorted(records)
             if any(other[key][f] != records[key][f] for f in LEG_FIELDS)
+            or any(
+                other[key]["ladder"].get(c) != records[key]["ladder"].get(c)
+                for c in LEG_COUNTERS
+            )
         ]
         for key in misses:
             print(f"DIFF {key} at {leg}")

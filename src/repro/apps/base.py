@@ -210,16 +210,21 @@ class MiniApp(ABC):
 
     # -- derived classification helpers --------------------------------------
 
+    @cached_property
+    def golden_sdc(self) -> bytes:
+        """The golden run's SDC data, packed as :meth:`matches_golden`
+        compares it."""
+        return pack_output(
+            self.sdc_slice(list(self.golden.output)), self.sdc_digits
+        )
+
     def matches_golden(self, output: Output) -> bool:
         """Bitwise comparison of the SDC data against the golden run."""
         try:
             candidate = self.sdc_slice(output)
         except (IndexError, TypeError, ValueError):
             return False
-        reference = self.sdc_slice(list(self.golden.output))
-        return pack_output(candidate, self.sdc_digits) == pack_output(
-            reference, self.sdc_digits
-        )
+        return pack_output(candidate, self.sdc_digits) == self.golden_sdc
 
     # -- misc ------------------------------------------------------------
 

@@ -198,14 +198,17 @@ class SnapshotLadder:
         pos = bisect_right(self.instrets, instret)
         return self.rungs[pos - 1] if pos else None
 
-    def next_rung(self, instret: int) -> Snapshot | None:
-        """Lowest rung with ``rung.instret > instret`` (None: past the last).
+    def next_rung(self, instret: int, skip: int = 0) -> Snapshot | None:
+        """Lowest rung with ``rung.instret > instret``, or the rung *skip*
+        rungs past it, capped at the last rung (None: past the last).
 
         The next point at which a run now at retirement count *instret*
         can be compared with the golden run (see :meth:`Snapshot.matches`).
         """
         pos = bisect_right(self.instrets, instret)
-        return self.rungs[pos] if pos < len(self.rungs) else None
+        if pos >= len(self.rungs):
+            return None
+        return self.rungs[min(pos + skip, len(self.rungs) - 1)]
 
 
 def build_ladder(

@@ -17,7 +17,9 @@ LetGo decides to repair; the in-vivo C/R driver
 runs its no-LetGo baseline through it too, with a configuration that
 intercepts no signal.  It continues through :func:`cont_sliced`, which
 owns the one slicing rule: stop at the budget, at a wall-clock watchdog
-slice, or at the next golden snapshot-ladder rung, whichever comes first.
+slice, or at the next compared golden snapshot-ladder rung, whichever
+comes first; it compares rungs ever further apart while the run keeps
+diverging (:data:`MAX_RUNG_STRIDE`).
 """
 
 from __future__ import annotations
@@ -59,6 +61,11 @@ WATCHDOG_SLICE = 1 << 18
 #: in exactly that rung's state, so the rest of it *is* the golden run.
 STOP_CONVERGED = "converged"
 
+#: Widest gap, in rungs, between two ladder comparisons of one
+#: :func:`cont_sliced` call.  A comparison costs little; the stop before
+#: it costs more, since it ends compiled execution mid-chain.
+MAX_RUNG_STRIDE = 16
+
 
 def cont_sliced(
     session: DebugSession,
@@ -73,8 +80,8 @@ def cont_sliced(
     Each slice runs to the nearest of: the end of the budget, one
     :data:`WATCHDOG_SLICE` (only with a *deadline*, an absolute
     :func:`~time.perf_counter` instant checked before every slice), and
-    the next rung of *ladder*, the golden run's snapshot ladder.  At a
-    rung the process is compared with the golden state there
+    the next compared rung of *ladder*, the golden run's snapshot ladder.
+    At that rung the process is compared with the golden state there
     (:meth:`~repro.checkpoint.snapshot.Snapshot.matches`); on a match,
     with budget left for the golden remainder, it stops with
     :data:`STOP_CONVERGED`.  *lag* is how many retirements the run is
@@ -83,6 +90,16 @@ def cont_sliced(
     the rung at ``instret + lag``, so its slice ends *lag* instructions
     before that rung's retirement count.
 
+    Rungs are compared on a capped doubling schedule: first the rung just
+    above the run, then, after each comparison that does not converge, a
+    stride twice the last one further on, up to :data:`MAX_RUNG_STRIDE`
+    rungs (1, 3, 7, 15, 31, 47, ... rungs above the start; the last rung
+    when the stride runs past it).  A watchdog slice that stops short of
+    the rung leaves the stride as it is.  Convergence is permanent (a run
+    in the golden state at one rung is in it at every later one, and the
+    budget guard that fails at one rung fails at every later one), so the
+    schedule changes only *where* a run stops, never whether it does.
+
     Returns ``(event, timed_out)``; ``event.steps`` counts every slice.
     An expired deadline returns a budget-style stop with ``timed_out``
     set.  With neither deadline nor ladder this is one ``cont`` call.
@@ -90,13 +107,12 @@ def cont_sliced(
     cpu = session.process.cpu
     remaining = budget
     steps = 0
+    stride = 1
+    rung = ladder.next_rung(cpu.instret + lag) if ladder is not None else None
     while True:
         if deadline is not None and perf_counter() >= deadline:
             return StopEvent(STOP_BUDGET, steps, pc=cpu.pc), True
         chunk = remaining if deadline is None else min(remaining, WATCHDOG_SLICE)
-        rung = (
-            ladder.next_rung(cpu.instret + lag) if ladder is not None else None
-        )
         if rung is not None:
             chunk = min(chunk, rung.instret - lag - cpu.instret)
         event = session.cont(chunk)
@@ -104,14 +120,17 @@ def cont_sliced(
         remaining -= event.steps
         if event.kind != STOP_BUDGET or remaining <= 0:
             return replace(event, steps=steps), False
+        if rung is None or cpu.instret + lag < rung.instret:
+            continue  # a watchdog slice, short of the rung
         # The golden remainder must fit in the budget left, or the
         # full-length run would stop as a hang rather than halt.
         if (
-            rung is not None
-            and remaining >= ladder.total - rung.instret
+            remaining >= ladder.total - rung.instret
             and rung.matches(session.process, lag)
         ):
             return StopEvent(STOP_CONVERGED, steps, pc=cpu.pc), False
+        stride = min(2 * stride, MAX_RUNG_STRIDE)
+        rung = ladder.next_rung(rung.instret, stride - 1)
 
 
 @dataclass
@@ -176,8 +195,11 @@ class LetGoSession:
 
         ``ladder`` (the golden run's
         :class:`~repro.checkpoint.snapshot.SnapshotLadder`) lets the run
-        stop at the first rung where its state equals the golden state
-        (see :func:`cont_sliced`).  Each repair leaves the run one
+        stop at a rung where its state equals the golden state.  Rungs
+        are compared on :func:`cont_sliced`'s doubling schedule, which
+        starts again at the rung just above the run after every repair,
+        so the run stops at the first *compared* rung at or after the one
+        where it rejoined the golden path.  Each repair leaves the run one
         retirement behind its golden position, so the rung is matched at
         ``instret + len(interventions)``.  The run then reports
         ``CONVERGED``: the remainder is the trap-free golden run and is
@@ -289,5 +311,6 @@ __all__ = [
     "CONVERGED",
     "WATCHDOG_SLICE",
     "STOP_CONVERGED",
+    "MAX_RUNG_STRIDE",
     "cont_sliced",
 ]

@@ -620,7 +620,12 @@ class CampaignEngine:
         campaign, skips already-journaled plans, and appends new shards to
         the same file.  Either way the returned result is bit-identical to
         an uninterrupted run with the same seed.
+
+        Raises :class:`ValueError` for *n* below 1: a campaign of no runs
+        has no outcome rates to estimate.
         """
+        if n < 1:
+            raise ValueError(f"a campaign needs at least one run, got n={n}")
         cfg = self.config
         tracer = Tracer(tid="engine", timeline=cfg.writes_trace)
         self.telemetry = None

@@ -17,8 +17,9 @@ classify as ``HANG`` (with ``timed_out=True`` for observability); the
 default of ``None`` keeps runs bit-for-bit deterministic.
 
 Runs accept an optional golden **snapshot ladder** (``ladder``): the
-post-fault run is then compared with the golden state at every rung it
-reaches, and a run that matches one stops there.  A LetGo run is
+post-fault run is then compared with the golden state at rungs it
+reaches (on :func:`~repro.core.session.cont_sliced`'s doubling
+schedule), and a run that matches one stops there.  A LetGo run is
 matched at ``instret + repairs``: each repair skips the faulting
 instruction without retiring it.  The machine is deterministic and the
 golden path trap-free, so the rest of such a run *is* the golden run: it
@@ -163,8 +164,8 @@ def run_injection(
     costs nothing and never alters the result.
 
     ``ladder`` (the app's golden :class:`SnapshotLadder`) stops the
-    post-fault run at the first rung where its state equals the golden
-    state and finishes it as the golden run.  A LetGo run that was
+    post-fault run at the first compared rung where its state equals the
+    golden state and finishes it as the golden run.  A LetGo run that was
     repaired is compared with the rung one retirement ahead per repair
     and finishes that many retirements short of the golden count.
     ``converged``, ``converged-lagged`` (converged runs with at least

@@ -123,8 +123,12 @@ def _bit_range(bit: int) -> str:
 
 
 def analyze_sites(app: MiniApp, campaign: CampaignResult) -> SiteReport:
-    """Aggregate a campaign's kept results into a :class:`SiteReport`."""
-    if not campaign.results:
+    """Aggregate a campaign's kept results into a :class:`SiteReport`.
+
+    A campaign of zero runs gives an empty report; one that ran plans
+    but kept no per-run records raises :class:`ValueError`.
+    """
+    if campaign.n and not campaign.results:
         raise ValueError(
             "campaign has no per-run records; run with keep_results=True"
         )

@@ -461,10 +461,10 @@ def check_converge(
     """Ladder-cut campaigns == cold full-length ``run_injection``, per plan.
 
     The engine passes its snapshot ladder to every run, which stops a
-    post-fault run at the first rung where it reaches the golden state
-    (a LetGo run that was repaired: where it reaches it one retirement
-    behind per repair).  For the baseline and LetGo-E the engine runs at
-    the app's default ladder interval and at
+    post-fault run at the first compared rung where it is in the golden
+    state (a LetGo run that was repaired: where it reaches it one
+    retirement behind per repair).  For the baseline and LetGo-E the
+    engine runs at the app's default ladder interval and at
     :data:`TINY_LADDER_INTERVAL`; every per-plan result must equal the
     cold run's under ``_result_key``, and the telemetry signature must
     not depend on the interval.  *plans* overrides the seeded draw.

@@ -1,5 +1,6 @@
 """Golden-state convergence: the rung comparison and the post-fault cut,
-including runs that LetGo repaired, which match a rung behind it.
+including runs that LetGo repaired, which match a rung behind it, and
+the doubling schedule of the rungs a post-fault run is compared at.
 
 :meth:`Snapshot.matches` decides whether a post-fault run may stop at a
 ladder rung and be finished as the golden run.  A false match would
@@ -8,13 +9,23 @@ change outcomes, so every field that can differ while ``==`` says equal
 negative case here, on both execution backends.
 """
 
+from bisect import bisect_right
 from dataclasses import replace
+from time import perf_counter
 
 import pytest
 
+import repro.core.session as session_module
+from repro.analysis.functions import FunctionTable
 from repro.checkpoint import build_ladder, restore
-from repro.core import LETGO_E
-from repro.core.session import STOP_CONVERGED, cont_sliced
+from repro.checkpoint.snapshot import Snapshot
+from repro.core import LETGO_E, LetGoSession
+from repro.core.session import (
+    CONVERGED,
+    MAX_RUNG_STRIDE,
+    STOP_CONVERGED,
+    cont_sliced,
+)
 from repro.faultinject import run_injection
 from repro.faultinject.fault_model import InjectionPlan
 from repro.faultinject.outcomes import Outcome
@@ -29,6 +40,7 @@ from repro.machine.debugger import (
     DebugSession,
 )
 from repro.machine.memory import pattern_to_float
+from repro.machine.process import Process
 from repro.telemetry import Tracer
 
 BACKENDS = ("interpreter", "compiled")
@@ -273,6 +285,185 @@ def test_cont_sliced_wild_pc_traps_instead_of_converging(backend):
     assert event.kind == STOP_TRAP
 
 
+# -- the comparison schedule ------------------------------------------------------
+
+
+def _compared_rungs(ladder, instret):
+    """Retirement counts of the rungs :func:`cont_sliced` compares a run
+    with, for a run starting at *instret* (lag included) that never
+    converges: the rung just above it, then strides 2, 4, 8 and 16, 16,
+    ... rungs further on, the last rung when a stride runs past it."""
+    pos, last = bisect_right(ladder.instrets, instret), len(ladder) - 1
+    stride, compared = 1, []
+    while pos <= last:
+        compared.append(ladder.instrets[pos])
+        if pos == last:
+            break
+        stride = min(2 * stride, MAX_RUNG_STRIDE)
+        pos = min(pos + stride, last)
+    return compared
+
+
+@pytest.fixture
+def compared(monkeypatch):
+    """``(rung instret, lag)`` of every :meth:`Snapshot.matches` call."""
+    calls = []
+    matches = Snapshot.matches
+
+    def spy(self, process, lag=0):
+        calls.append((self.instret, lag))
+        return matches(self, process, lag)
+
+    monkeypatch.setattr(Snapshot, "matches", spy)
+    return calls
+
+
+@pytest.fixture
+def slice_starts(monkeypatch):
+    """Golden position (``instret + lag``) of the run at every
+    :func:`cont_sliced` call that :meth:`LetGoSession.run` makes."""
+    starts = []
+
+    def spy(session, budget, **kwargs):
+        starts.append(session.process.cpu.instret + kwargs["lag"])
+        return cont_sliced(session, budget, **kwargs)
+
+    monkeypatch.setattr(session_module, "cont_sliced", spy)
+    return starts
+
+
+def _with_dead_cell(program, start, backend):
+    """A run from rung *start* whose ``data[7]`` holds a value the golden
+    run never has; the loop overwrites it within eight iterations."""
+    process = _at(program, start, backend)
+    data = next(seg for seg in process.memory.segments if seg.name == "data")
+    process.memory.write_float(data.start + 7 * 8, -1.5)
+    return process
+
+
+def _first_matching_rung(process, ladder):
+    """The first rung at which *process*, run forward, equals the golden
+    state (each rung compared, as a stride of one would)."""
+    session = DebugSession(process)
+    for rung in ladder.rungs:
+        if rung.instret <= process.cpu.instret:
+            continue
+        session.cont(rung.instret - process.cpu.instret)
+        if rung.matches(process):
+            return rung
+    raise AssertionError("the run never rejoins the golden state")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cont_sliced_stops_at_the_first_compared_rung_after_rejoining(
+    program, backend, compared
+):
+    ladder = build_ladder(program, interval=13)
+    start = ladder.rungs[0]
+    first = _first_matching_rung(_with_dead_cell(program, start, backend), ladder)
+    stop = next(
+        r for r in _compared_rungs(ladder, start.instret) if r >= first.instret
+    )
+    assert stop > first.instret  # the schedule skips the first equal rung
+    compared.clear()
+    process = _with_dead_cell(program, start, backend)
+    event, _ = cont_sliced(DebugSession(process), 10**6, ladder=ladder)
+    assert event.kind == STOP_CONVERGED
+    assert process.cpu.instret == stop
+    assert event.steps == stop - start.instret
+    assert [r for r, _ in compared] == [
+        r for r in _compared_rungs(ladder, start.instret) if r <= stop
+    ]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cont_sliced_backs_off_a_run_that_never_converges(
+    program, backend, compared
+):
+    ladder = build_ladder(program, interval=7)
+    start = ladder.rungs[0]
+    process = _at(program, start, backend)
+    process.memory.write_pattern(_stack(process).start, 0)  # a dead extra cell
+    event, _ = cont_sliced(DebugSession(process), 10**6, ladder=ladder)
+    assert event.kind == STOP_EXITED
+    assert process.cpu.instret == ladder.total
+    rungs_above = len(ladder) - 1
+    assert rungs_above > 200
+    assert [r for r, _ in compared] == _compared_rungs(ladder, start.instret)
+    # Four doublings to the cap of 16, then one comparison per 16 rungs.
+    assert len(compared) <= 5 + rungs_above // 16 + 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_far_future_deadline_does_not_move_the_stop(
+    program, backend, compared, monkeypatch
+):
+    ladder = build_ladder(program, interval=13)
+    start = ladder.rungs[0]
+    stops = []
+    for deadline in (None, perf_counter() + 3600):
+        # Watchdog slices shorter than a rung gap: most slices stop
+        # short of their rung and must not count as comparisons.
+        monkeypatch.setattr(session_module, "WATCHDOG_SLICE", 5)
+        compared.clear()
+        process = _with_dead_cell(program, start, backend)
+        event, timed_out = cont_sliced(
+            DebugSession(process), 10**6, deadline=deadline, ladder=ladder
+        )
+        stops.append(
+            (event.kind, event.steps, timed_out, process.cpu.instret,
+             list(compared))
+        )
+    assert stops[0] == stops[1]
+    assert stops[0][0] == STOP_CONVERGED
+
+
+#: A load through ``idx[0]`` late in the run: with a high bit set in that
+#: cell the load faults, LetGo skips it, and the next statements restore
+#: everything the fault touched.
+LATE_REPAIR_SOURCE = """
+global int idx[1];
+global float data[8];
+func main() -> int {
+    var int i;
+    var float a;
+    var float s = 0.0;
+    for (i = 0; i < 200; i = i + 1) {
+        if (i == 120) { a = data[idx[0]]; idx[0] = 0; a = 0.0; }
+        s = s + float(i);
+    }
+    out(s);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_repair_restarts_the_schedule_at_the_next_rung(
+    backend, compared, slice_starts
+):
+    program = compile_source(LATE_REPAIR_SOURCE, "late-repair")
+    ladder = build_ladder(program, interval=16)
+    process = Process.load(program, backend=backend)
+    data = next(seg for seg in process.memory.segments if seg.name == "data")
+    process.memory.write_int(data.start, 1 << 40)  # idx[0]
+    report = LetGoSession(LETGO_E, FunctionTable(program)).run(
+        process, 10**6, ladder=ladder
+    )
+    assert (report.status, len(report.interventions)) == (CONVERGED, 1)
+    assert len(slice_starts) == 2  # the flip point, then the repair
+    before = [r for r, lag in compared if lag == 0]
+    after = [r for r, lag in compared if lag == 1]
+    # Before the repair the run diverged long enough to reach the cap.
+    assert before == _compared_rungs(ladder, 0)[:len(before)]
+    assert before[-1] - before[-2] == MAX_RUNG_STRIDE * ladder.interval
+    # After it, the rung just above the repaired run is compared (and
+    # matches), where the old stride would have aimed 16 rungs on.
+    assert after == [ladder.next_rung(slice_starts[1]).instret]
+    assert after[0] < before[-1] + MAX_RUNG_STRIDE * ladder.interval
+    assert process.cpu.instret + 1 == after[0]
+
+
 # -- whole injection runs ---------------------------------------------------------
 
 #: A pennant fault that is masked early: the run reaches the golden state
@@ -333,6 +524,50 @@ def test_repaired_run_converges_one_retirement_behind(pennant_app):
     assert tracer.counters["converged-skipped-instr"] == (
         pennant_app.golden.instret - 1 - cpu.instret
     ) > 0
+
+
+#: Pennant faults whose runs rejoin the golden state a few rungs after
+#: the flip (the second one after one LetGo-E repair), between two rungs
+#: the schedule compares.
+LATE_MASKED_PLAN = InjectionPlan(
+    dyn_index=42668, bit=12, reg_choice=0.05139881989008033
+)
+LATE_REPAIRED_PLAN = InjectionPlan(
+    dyn_index=46380, bit=16, reg_choice=0.22932760200855773
+)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "plan, config, lag",
+    [(LATE_MASKED_PLAN, None, 0), (LATE_REPAIRED_PLAN, LETGO_E, 1)],
+    ids=["masked-baseline", "repaired-LetGo-E"],
+)
+def test_schedule_moves_only_the_stop_and_the_skipped_count(
+    pennant_app, backend, plan, config, lag, slice_starts, monkeypatch
+):
+    ladder = pennant_app.ladder()
+    runs = {}
+    # A stride capped at 1 compares every rung: the run stops at the
+    # first rung where it equals the golden state.
+    for cap in (1, MAX_RUNG_STRIDE):
+        monkeypatch.setattr(session_module, "MAX_RUNG_STRIDE", cap)
+        tracer = Tracer()
+        session = DebugSession(pennant_app.load(backend))
+        result = run_injection(
+            pennant_app, plan, config,
+            session=session, tracer=tracer, ladder=ladder,
+        )
+        at = session.process.cpu.instret + lag  # the rung it stopped on
+        assert tracer.counters["converged-skipped-instr"] == (
+            pennant_app.golden.instret - at
+        )
+        runs[cap] = (result, at, slice_starts[-1])
+    (every, first, _), (scheduled, stop, start) = runs[1], runs[MAX_RUNG_STRIDE]
+    assert scheduled == every
+    assert scheduled.interventions == lag
+    assert stop == next(r for r in _compared_rungs(ladder, start) if r >= first)
+    assert stop > first  # the first equal rung was not compared
 
 
 def _with_budget(app, max_steps):

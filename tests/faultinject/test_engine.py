@@ -243,6 +243,16 @@ def test_plans_length_mismatch_engine(pennant_app):
         CampaignEngine().run(pennant_app, 5, 0, None, plans=plans)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_campaign_needs_at_least_one_run(pennant_app, n):
+    # Zero runs would leave P_v and P_v' at 1.0 and P_crash and P_letgo
+    # at 0.0, estimated from no data.
+    with pytest.raises(ValueError, match="at least one run"):
+        CampaignEngine().run(pennant_app, n, 0, LETGO_E)
+    with pytest.raises(ValueError, match="at least one run"):
+        CampaignEngine().run(pennant_app, n, 0, LETGO_E, plans=[])
+
+
 def test_workers_receive_the_whole_config(pennant_app, monkeypatch):
     """Pooled workers run with the same CampaignConfig as an in-process
     campaign: non-default backend and wall-clock limit included.

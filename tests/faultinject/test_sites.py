@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import LETGO_E
-from repro.faultinject import CampaignConfig, CampaignEngine
+from repro.faultinject import CampaignConfig, CampaignEngine, CampaignResult
 from repro.faultinject.sites import INSTR_CLASSES, analyze_sites, classify_op
 from repro.isa import Op
 
@@ -75,6 +75,21 @@ def test_requires_kept_results(pennant_app):
     campaign = CampaignEngine().run(pennant_app, 5, seed=1, config=None)
     with pytest.raises(ValueError):
         analyze_sites(pennant_app, campaign)
+
+
+def test_zero_run_campaign_gives_an_empty_report(pennant_app):
+    # Nothing ran, so nothing is missing: an empty report, not the
+    # "run with keep_results=True" error.
+    campaign = CampaignResult(
+        app_name=pennant_app.name, config_name="LetGo-E", n=0, counts={}
+    )
+    site_report = analyze_sites(pennant_app, campaign)
+    assert site_report.by_function == {}
+    assert site_report.by_class == {}
+    assert site_report.by_bit_range == {}
+    assert not site_report.by_signal
+    assert site_report.crashiest_functions() == []
+    assert "instr class" in site_report.render()
 
 
 def test_high_bits_crash_more(pennant_app):
