@@ -59,7 +59,7 @@ def _fingerprint(result):
     return (
         result.n,
         result.counts,
-        [(r.outcome, r.plan, r.steps, r.timed_out) for r in result.results],
+        [(r.outcome, r.plan, r.steps) for r in result.results],
     )
 
 

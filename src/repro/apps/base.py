@@ -265,8 +265,9 @@ class TrapFreeMemo:
     budget, the ladder interval (it decides the converged counters) and
     the plan: instances of one class with one source must classify
     alike, the contract the engine's worker specs already rely on.  Only
-    results :meth:`admits` are stored: no signal, no repair, no watchdog
-    expiry.
+    results :meth:`admits` are stored: no signal, no repair.  A hang
+    qualifies too: the instruction budget, part of the key, is the one
+    hang bound.
 
     A pool worker's memo is a function of the parent's: the parent ships
     the entries it holds for a shard's plans (:meth:`subset`), and the
@@ -295,11 +296,7 @@ class TrapFreeMemo:
     @staticmethod
     def admits(result: "InjectionResult") -> bool:
         """True if *result* is configuration-independent: trap-free."""
-        return (
-            result.first_signal is None
-            and result.interventions == 0
-            and not result.timed_out
-        )
+        return result.first_signal is None and result.interventions == 0
 
     def get(self, key: tuple) -> MemoEntry | None:
         entry = self._entries.get(key)

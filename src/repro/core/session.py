@@ -16,16 +16,15 @@ LetGo decides to repair; the in-vivo C/R driver
 :meth:`LetGoSession.run` is the one post-fault loop: the fault injector
 runs its no-LetGo baseline through it too, with a configuration that
 intercepts no signal.  It continues through :func:`cont_sliced`, which
-owns the one slicing rule: stop at the budget, at a wall-clock watchdog
-slice, or at the next compared golden snapshot-ladder rung, whichever
-comes first; it compares rungs ever further apart while the run keeps
-diverging (:data:`MAX_RUNG_STRIDE`).
+owns the one slicing rule: stop at the budget or at the next compared
+golden snapshot-ladder rung, whichever comes first; it compares rungs
+ever further apart while the run keeps diverging
+(:data:`MAX_RUNG_STRIDE`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from time import perf_counter
 from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.functions import FunctionTable
@@ -49,13 +48,8 @@ if TYPE_CHECKING:
 #: Final status values of a LetGo-supervised run.
 COMPLETED = "completed"      # program halted cleanly
 TERMINATED = "terminated"    # killed by a signal LetGo did not (re)handle
-HUNG = "hung"                # instruction budget (or wall-clock deadline) exhausted
+HUNG = "hung"                # instruction budget exhausted
 CONVERGED = "converged"      # reached a golden ladder rung in the golden state
-
-#: Instructions run between wall-clock deadline checks (~tens of ms of
-#: interpreted execution); only used when a deadline is supplied, so
-#: deadline-free runs stay bit-for-bit deterministic.
-WATCHDOG_SLICE = 1 << 18
 
 #: Stop kind of :func:`cont_sliced`: the run sits on a snapshot-ladder rung
 #: in exactly that rung's state, so the rest of it *is* the golden run.
@@ -71,16 +65,13 @@ def cont_sliced(
     session: DebugSession,
     budget: int,
     *,
-    deadline: float | None = None,
     ladder: "SnapshotLadder | None" = None,
     lag: int = 0,
-) -> tuple[StopEvent, bool]:
-    """``session.cont(budget)``, sliced at watchdog and ladder-rung stops.
+) -> StopEvent:
+    """``session.cont(budget)``, sliced at ladder-rung stops.
 
-    Each slice runs to the nearest of: the end of the budget, one
-    :data:`WATCHDOG_SLICE` (only with a *deadline*, an absolute
-    :func:`~time.perf_counter` instant checked before every slice), and
-    the next compared rung of *ladder*, the golden run's snapshot ladder.
+    Each slice runs to the nearer of the end of the budget and the next
+    compared rung of *ladder*, the golden run's snapshot ladder.
     At that rung the process is compared with the golden state there
     (:meth:`~repro.checkpoint.snapshot.Snapshot.matches`); on a match,
     with budget left for the golden remainder, it stops with
@@ -94,15 +85,13 @@ def cont_sliced(
     above the run, then, after each comparison that does not converge, a
     stride twice the last one further on, up to :data:`MAX_RUNG_STRIDE`
     rungs (1, 3, 7, 15, 31, 47, ... rungs above the start; the last rung
-    when the stride runs past it).  A watchdog slice that stops short of
-    the rung leaves the stride as it is.  Convergence is permanent (a run
+    when the stride runs past it).  Convergence is permanent (a run
     in the golden state at one rung is in it at every later one, and the
     budget guard that fails at one rung fails at every later one), so the
     schedule changes only *where* a run stops, never whether it does.
 
-    Returns ``(event, timed_out)``; ``event.steps`` counts every slice.
-    An expired deadline returns a budget-style stop with ``timed_out``
-    set.  With neither deadline nor ladder this is one ``cont`` call.
+    Returns the stop; ``event.steps`` counts every slice.  Without a
+    ladder this is one ``cont`` call.
     """
     cpu = session.process.cpu
     remaining = budget
@@ -110,25 +99,21 @@ def cont_sliced(
     stride = 1
     rung = ladder.next_rung(cpu.instret + lag) if ladder is not None else None
     while True:
-        if deadline is not None and perf_counter() >= deadline:
-            return StopEvent(STOP_BUDGET, steps, pc=cpu.pc), True
-        chunk = remaining if deadline is None else min(remaining, WATCHDOG_SLICE)
+        chunk = remaining
         if rung is not None:
             chunk = min(chunk, rung.instret - lag - cpu.instret)
         event = session.cont(chunk)
         steps += event.steps
         remaining -= event.steps
-        if event.kind != STOP_BUDGET or remaining <= 0:
-            return replace(event, steps=steps), False
-        if rung is None or cpu.instret + lag < rung.instret:
-            continue  # a watchdog slice, short of the rung
+        if event.kind != STOP_BUDGET or remaining <= 0 or rung is None:
+            return replace(event, steps=steps)
         # The golden remainder must fit in the budget left, or the
         # full-length run would stop as a hang rather than halt.
         if (
             remaining >= ladder.total - rung.instret
             and rung.matches(session.process, lag)
         ):
-            return StopEvent(STOP_CONVERGED, steps, pc=cpu.pc), False
+            return StopEvent(STOP_CONVERGED, steps, pc=cpu.pc)
         stride = min(2 * stride, MAX_RUNG_STRIDE)
         rung = ladder.next_rung(rung.instret, stride - 1)
 
@@ -143,7 +128,6 @@ class LetGoRunReport:
     final_signal: Signal | None = None
     exit_code: int | None = None
     output: list[tuple[str, int | float]] = field(default_factory=list)
-    timed_out: bool = False      # HUNG because the wall-clock deadline passed
 
     @property
     def intervened(self) -> bool:
@@ -178,20 +162,14 @@ class LetGoSession:
         process: Process,
         max_steps: int,
         *,
-        deadline: float | None = None,
         tracer=None,
         ladder: "SnapshotLadder | None" = None,
     ) -> LetGoRunReport:
-        """Run *process* under LetGo until exit, death, budget, or deadline.
+        """Run *process* under LetGo until exit, death or budget.
 
-        ``deadline`` is an absolute :func:`~time.perf_counter` instant: a
-        wall-clock watchdog complementing the instruction budget, so a
-        pathological repaired run (e.g. a corrupted loop bound far beyond
-        the budget's intent) cannot stall its host forever.  When set, the
-        budget is consumed in :data:`WATCHDOG_SLICE` chunks and the clock
-        is checked between chunks; expiry reports ``HUNG`` with
-        ``timed_out=True``.  ``None`` (the default) keeps runs fully
-        deterministic.
+        ``max_steps`` is the only hang bound: a run that outruns it
+        reports ``HUNG``, so the report is a pure function of the
+        process state, the config and the ladder.
 
         ``ladder`` (the golden run's
         :class:`~repro.checkpoint.snapshot.SnapshotLadder`) lets the run
@@ -217,9 +195,8 @@ class LetGoSession:
         remaining = max_steps
         total_steps = 0
         while True:
-            event, timed_out = cont_sliced(
-                session, remaining, deadline=deadline, ladder=ladder,
-                lag=len(interventions),
+            event = cont_sliced(
+                session, remaining, ladder=ladder, lag=len(interventions)
             )
             total_steps += event.steps
             remaining -= event.steps
@@ -244,7 +221,6 @@ class LetGoSession:
                     steps=total_steps,
                     interventions=interventions,
                     output=list(process.output),
-                    timed_out=timed_out,
                 )
             assert event.kind == STOP_TRAP and event.trap is not None
             trap = event.trap
@@ -309,7 +285,6 @@ __all__ = [
     "TERMINATED",
     "HUNG",
     "CONVERGED",
-    "WATCHDOG_SLICE",
     "STOP_CONVERGED",
     "MAX_RUNG_STRIDE",
     "cont_sliced",

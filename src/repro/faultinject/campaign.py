@@ -157,9 +157,10 @@ class CampaignConfig:
     :class:`~repro.faultinject.engine.CampaignEngine`, the one campaign
     entry point, takes it as ``config=`` (:func:`run_paired_campaigns`
     passes its ``campaign=`` on), and the engine pickles it once into
-    each worker.  None of these knobs changes campaign *outcomes*
-    (``wall_clock_limit`` is the documented safety-valve exception); they
-    change how fast the result arrives, what it survives, and what gets
+    each worker.  None of these knobs changes campaign *outcomes*: a
+    result is a pure function of (app, plans, LetGo config), and the
+    app's instruction budget is the one hang bound.  The knobs change
+    how fast the result arrives, what it survives, and what gets
     observed on the way.
 
     Each field's metadata (help text, flag type, default) is the single
@@ -216,13 +217,6 @@ class CampaignConfig:
         "(--no-serial-fallback aborts instead)",
         kind="bool",
     )
-    wall_clock_limit: float | None = _knob(
-        None,
-        "per-injection wall-clock watchdog: a run exceeding this "
-        "real-time budget classifies as HANG (default: off)",
-        kind="float",
-        metavar="SECONDS",
-    )
     # -- durability -------------------------------------------------------
     journal: str | None = _knob(
         None,
@@ -268,9 +262,6 @@ class CampaignConfig:
             raise ValueError("ladder_interval must be >= 0")
         if self.max_pool_rebuilds < 0:
             raise ValueError("max_pool_rebuilds must be >= 0")
-        # Zero or less would classify every run as HANG; NaN never expires.
-        if self.wall_clock_limit is not None and not self.wall_clock_limit > 0:
-            raise ValueError("wall_clock_limit must be > 0 (or None for off)")
         if self.journal is not None and self.resume is not None:
             raise ValueError(
                 "pass either journal= (fresh) or resume= (existing), not both"
@@ -290,7 +281,6 @@ class CampaignConfig:
 #: argparse flag types, keyed by field-metadata ``kind``.
 _FLAG_TYPES = {
     "int": int,
-    "float": float,
     "str": str,
     "ladder": _nonnegative_int,
 }

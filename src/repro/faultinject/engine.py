@@ -54,10 +54,11 @@ checkpoint/restart discipline to the campaign runner itself:
   failing shard down to the single **poison plan** and quarantines it
   (recorded in :class:`EngineStats` and the journal, never silently
   dropped), and degrades to in-process serial execution when
-  multiprocessing is unavailable or keeps breaking;
-* a per-run **wall-clock watchdog** (``wall_clock_limit``) complements
-  the instruction-budget ``HANG`` detection so a pathological repaired
-  run cannot stall a worker forever.
+  multiprocessing is unavailable or keeps breaking.
+
+A run's one hang bound is the app's instruction budget: nothing in the
+engine or below it reads a clock to decide an outcome, so a campaign
+result is a pure function of (app, plans, LetGo config).
 
 Throughput and resilience observability come back in an
 :class:`EngineStats` record, read off the campaign's one tally (its
@@ -124,7 +125,6 @@ class EngineStats:
     pool_rebuilds: int = 0         # broken process pools replaced
     degraded_serial: bool = False  # fell back to in-process execution
     resumed: int = 0               # plans skipped: already journaled
-    timeouts: int = 0              # runs stopped by the wall-clock watchdog
     quarantined: tuple[int, ...] = ()  # poison-plan indices, never re-run
 
     @property
@@ -175,8 +175,6 @@ class EngineStats:
             extras.append(f"pool rebuilds={self.pool_rebuilds}")
         if self.degraded_serial:
             extras.append("serial fallback")
-        if self.timeouts:
-            extras.append(f"timeouts={self.timeouts}")
         if self.quarantined:
             extras.append(f"quarantined={list(self.quarantined)}")
         if extras:
@@ -241,7 +239,6 @@ def _run_shard(
                 plan,
                 letgo_config,
                 session=DebugSession(host),
-                wall_clock_limit=campaign.wall_clock_limit,
                 tracer=tracer,
                 ladder=ladder,
                 memo=TRAP_FREE_MEMO,
@@ -573,8 +570,8 @@ class CampaignEngine:
 
     Every knob -- execution (``jobs``, ``ladder_interval``, ``shard_size``,
     ``backend``, ``keep_results``), resilience (pool rebuilds, serial
-    fallback, the ``wall_clock_limit`` watchdog), durability (``journal``
-    / ``resume``) and observability -- is a field of the frozen
+    fallback), durability (``journal`` / ``resume``) and
+    observability -- is a field of the frozen
     :class:`~repro.faultinject.campaign.CampaignConfig` passed as
     ``config=`` (None: the defaults).  The engine reads it as
     :attr:`config` and hands the same object to every worker.
@@ -754,7 +751,6 @@ class CampaignEngine:
             pool_rebuilds=tally("pool-rebuild", 0),
             degraded_serial="serial-degrade" in tracer.counters,
             resumed=resumed,
-            timeouts=tally("timeout", 0),
             quarantined=tuple(sorted(prior_quarantine + supervisor.quarantined)),
         )
         if cfg.telemetry_enabled:

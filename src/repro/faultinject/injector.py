@@ -7,14 +7,10 @@ with every signal left at its default action, so any trap kills the
 process.  The resulting :class:`InjectionResult` carries the Figure-4
 leaf plus enough detail for per-site analysis.
 
-Runs accept an optional **wall-clock watchdog** (``wall_clock_limit``
-seconds): the instruction budget already converts infinite loops into
-``HANG``, but a pathological repaired run can be *slow* rather than
-unbounded -- e.g. a corrupted trip count that still fits the budget yet
-takes minutes of interpreter time.  The watchdog caps real time per run so
-one bad injection cannot stall a campaign worker forever.  Expired runs
-classify as ``HANG`` (with ``timed_out=True`` for observability); the
-default of ``None`` keeps runs bit-for-bit deterministic.
+The app's instruction budget (``max_steps``) is the one hang bound: a
+post-fault run that outruns it is a ``HANG``, and nothing on this path
+reads a clock to decide an outcome, so a result is a pure function of
+(app, plan, config).
 
 Runs accept an optional golden **snapshot ladder** (``ladder``): the
 post-fault run is then compared with the golden state at rungs it
@@ -37,7 +33,6 @@ configuration still advances and flips but skips the post-fault run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 from repro.apps.base import MemoEntry, MiniApp, TrapFreeMemo
 from repro.checkpoint.snapshot import SnapshotLadder
@@ -78,7 +73,6 @@ class InjectionResult:
     first_signal: Signal | None = None  # first crash signal, if any
     interventions: int = 0              # LetGo repairs performed
     steps: int = 0                      # total retired instructions
-    timed_out: bool = False             # wall-clock watchdog expired
 
 
 def _advance_and_flip(
@@ -138,7 +132,6 @@ def run_injection(
     config: LetGoConfig | None = None,
     *,
     session: DebugSession | None = None,
-    wall_clock_limit: float | None = None,
     backend: str | None = None,
     tracer=None,
     ladder: SnapshotLadder | None = None,
@@ -150,10 +143,6 @@ def run_injection(
     (e.g. restored from a snapshot-ladder rung at or before the plan's
     injection point); by default a fresh process is loaded and the whole
     prefix replayed.  Results are identical either way.
-
-    ``wall_clock_limit`` caps the post-injection continuation in real
-    seconds (the golden prefix is bounded by construction); expiry
-    classifies as ``HANG`` with ``timed_out=True``.
 
     ``backend`` picks the execution engine for the freshly loaded process
     (ignored when *session* is supplied); outcomes are backend-invariant.
@@ -181,11 +170,6 @@ def run_injection(
     Without a memo the run is cold and stores nothing.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
-    deadline = (
-        perf_counter() + wall_clock_limit
-        if wall_clock_limit is not None
-        else None
-    )
     if session is None:
         session = DebugSession(app.load(backend))
     process = session.process
@@ -208,7 +192,7 @@ def run_injection(
             budget = max(app.max_steps - process.cpu.instret, 1)
             result, skipped = _finish(
                 app, process, plan, target_pc, target_reg, budget,
-                config, deadline, tracer, ladder,
+                config, tracer, ladder,
             )
             if memo is not None and memo.admits(result):
                 memo.put(key, MemoEntry(
@@ -216,8 +200,6 @@ def run_injection(
                     skipped,
                 ))
     tracer.count(f"outcome:{result.outcome.value}")
-    if result.timed_out:
-        tracer.count("timeout")
     if result.first_signal is not None:
         tracer.count(f"first-signal:{result.first_signal.name}")
     return result
@@ -303,7 +285,6 @@ def _finish(
     target_reg: tuple[str, int],
     budget: int,
     config: LetGoConfig | None,
-    deadline: float | None,
     tracer,
     ladder: SnapshotLadder | None,
 ) -> tuple[InjectionResult, int | None]:
@@ -314,7 +295,7 @@ def _finish(
     """
     with tracer.span("post-fault"):
         report = LetGoSession(config or _BASELINE, app.functions).run(
-            process, budget, deadline=deadline, tracer=tracer, ladder=ladder
+            process, budget, tracer=tracer, ladder=ladder
         )
     steps = process.cpu.instret
     skipped: int | None = None
@@ -345,7 +326,6 @@ def _finish(
         first_signal=first_signal,
         interventions=len(report.interventions),
         steps=steps,
-        timed_out=report.timed_out,
     ), skipped
 
 

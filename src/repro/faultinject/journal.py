@@ -94,7 +94,6 @@ def result_to_dict(result: InjectionResult) -> dict:
         "first_signal": result.first_signal.name if result.first_signal else None,
         "interventions": result.interventions,
         "steps": result.steps,
-        "timed_out": result.timed_out,
     }
 
 
@@ -110,7 +109,6 @@ def result_from_dict(data: dict) -> InjectionResult:
         first_signal=Signal[signal] if signal else None,
         interventions=data.get("interventions", 0),
         steps=data.get("steps", 0),
-        timed_out=data.get("timed_out", False),
     )
 
 
@@ -337,6 +335,14 @@ class CampaignJournal:
         kind = record["kind"]
         if kind == "shard":
             indices = [int(i) for i in record["indices"]]
+            for index, data in zip(indices, record["results"]):
+                if data.get("timed_out"):
+                    raise JournalError(
+                        f"plan {index} in journal {self.path} was cut short "
+                        f"by a wall-clock watchdog, which this version does "
+                        f"not have; its HANG depends on the clock, so the "
+                        f"journal cannot be resumed"
+                    )
             results = [result_from_dict(r) for r in record["results"]]
             self._claim_shard(indices, results)
             self._pairs.extend(zip(indices, results))

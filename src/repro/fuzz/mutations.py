@@ -186,13 +186,12 @@ class ChainBudget(EagerCompiledCPU):
 
 
 class MemoStoresTraps(TrapFreeMemo):
-    """Stores every run the watchdog did not stop, crashing ones too: a
-    later LetGo config is then served the baseline's crash instead of
-    its own repair."""
+    """Stores every run, crashing ones too: a later LetGo config is then
+    served the baseline's crash instead of its own repair."""
 
     @staticmethod
     def admits(result) -> bool:
-        return not result.timed_out
+        return True
 
 
 @contextmanager

@@ -277,7 +277,6 @@ def _result_key(r: InjectionResult) -> tuple:
         None if r.first_signal is None else r.first_signal.name,
         r.interventions,
         r.steps,
-        r.timed_out,
     )
 
 

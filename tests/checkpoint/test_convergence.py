@@ -11,7 +11,6 @@ negative case here, on both execution backends.
 
 from bisect import bisect_right
 from dataclasses import replace
-from time import perf_counter
 
 import pytest
 
@@ -220,15 +219,15 @@ def test_cont_sliced_stops_only_on_a_match(program, backend):
     ladder = build_ladder(program, interval=97)
     # Golden continuation from rung 2 converges at the very next rung.
     session = DebugSession(_at(program, ladder.rungs[2], backend))
-    event, timed_out = cont_sliced(session, 10**6, ladder=ladder)
-    assert (event.kind, timed_out) == (STOP_CONVERGED, False)
+    event = cont_sliced(session, 10**6, ladder=ladder)
+    assert event.kind == STOP_CONVERGED
     assert session.process.cpu.instret == ladder.rungs[3].instret
     assert event.steps == 97
     # A dead-store difference (an extra zero cell) never converges: the
     # run goes on to HALT with exactly the golden retirement count.
     process = _at(program, ladder.rungs[2], backend)
     process.memory.write_pattern(_stack(process).start, 0)
-    event, _ = cont_sliced(DebugSession(process), 10**6, ladder=ladder)
+    event = cont_sliced(DebugSession(process), 10**6, ladder=ladder)
     assert event.kind == STOP_EXITED
     assert process.cpu.instret == ladder.total
 
@@ -241,11 +240,11 @@ def test_cont_sliced_needs_budget_for_the_golden_remainder(program, backend):
     # the full-length run would hang, so converging would be wrong.
     short = (rung.instret - start.instret) + (ladder.total - rung.instret) - 1
     session = DebugSession(_at(program, start, backend))
-    event, _ = cont_sliced(session, short, ladder=ladder)
+    event = cont_sliced(session, short, ladder=ladder)
     assert event.kind == STOP_BUDGET
     assert event.steps == short
     session = DebugSession(_at(program, start, backend))
-    event, _ = cont_sliced(session, short + 1, ladder=ladder)
+    event = cont_sliced(session, short + 1, ladder=ladder)
     assert event.kind == STOP_CONVERGED
 
 
@@ -255,21 +254,21 @@ def test_cont_sliced_converges_a_lagging_run_short_of_the_rung(program, backend)
     start, rung = ladder.rungs[2], ladder.rungs[3]
     process = _at(program, start, backend)
     process.cpu.instret -= 2  # the golden state, two retirements behind
-    event, _ = cont_sliced(DebugSession(process), 10**6, ladder=ladder, lag=2)
+    event = cont_sliced(DebugSession(process), 10**6, ladder=ladder, lag=2)
     assert event.kind == STOP_CONVERGED
     assert event.steps == 97
     assert process.cpu.instret == rung.instret - 2
     # The same run at the wrong lag never matches and goes on to HALT.
     process = _at(program, start, backend)
     process.cpu.instret -= 2
-    event, _ = cont_sliced(DebugSession(process), 10**6, ladder=ladder, lag=1)
+    event = cont_sliced(DebugSession(process), 10**6, ladder=ladder, lag=1)
     assert event.kind == STOP_EXITED
     assert process.cpu.instret == ladder.total - 2
     # A lagging run needs budget for the golden remainder as well.
     short = 97 + (ladder.total - rung.instret) - 1
     process = _at(program, start, backend)
     process.cpu.instret -= 2
-    event, _ = cont_sliced(DebugSession(process), short, ladder=ladder, lag=2)
+    event = cont_sliced(DebugSession(process), short, ladder=ladder, lag=2)
     assert (event.kind, event.steps) == (STOP_BUDGET, short)
 
 
@@ -281,7 +280,7 @@ def test_cont_sliced_wild_pc_traps_instead_of_converging(backend):
     sp = process.cpu.iregs[SP]
     ret_slot = next(a for a in ladder.rungs[0].cells if a >= sp)
     process.memory.write_pattern(ret_slot, 999)
-    event, _ = cont_sliced(DebugSession(process), 100, ladder=ladder)
+    event = cont_sliced(DebugSession(process), 100, ladder=ladder)
     assert event.kind == STOP_TRAP
 
 
@@ -367,7 +366,7 @@ def test_cont_sliced_stops_at_the_first_compared_rung_after_rejoining(
     assert stop > first.instret  # the schedule skips the first equal rung
     compared.clear()
     process = _with_dead_cell(program, start, backend)
-    event, _ = cont_sliced(DebugSession(process), 10**6, ladder=ladder)
+    event = cont_sliced(DebugSession(process), 10**6, ladder=ladder)
     assert event.kind == STOP_CONVERGED
     assert process.cpu.instret == stop
     assert event.steps == stop - start.instret
@@ -384,7 +383,7 @@ def test_cont_sliced_backs_off_a_run_that_never_converges(
     start = ladder.rungs[0]
     process = _at(program, start, backend)
     process.memory.write_pattern(_stack(process).start, 0)  # a dead extra cell
-    event, _ = cont_sliced(DebugSession(process), 10**6, ladder=ladder)
+    event = cont_sliced(DebugSession(process), 10**6, ladder=ladder)
     assert event.kind == STOP_EXITED
     assert process.cpu.instret == ladder.total
     rungs_above = len(ladder) - 1
@@ -392,30 +391,6 @@ def test_cont_sliced_backs_off_a_run_that_never_converges(
     assert [r for r, _ in compared] == _compared_rungs(ladder, start.instret)
     # Four doublings to the cap of 16, then one comparison per 16 rungs.
     assert len(compared) <= 5 + rungs_above // 16 + 1
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_a_far_future_deadline_does_not_move_the_stop(
-    program, backend, compared, monkeypatch
-):
-    ladder = build_ladder(program, interval=13)
-    start = ladder.rungs[0]
-    stops = []
-    for deadline in (None, perf_counter() + 3600):
-        # Watchdog slices shorter than a rung gap: most slices stop
-        # short of their rung and must not count as comparisons.
-        monkeypatch.setattr(session_module, "WATCHDOG_SLICE", 5)
-        compared.clear()
-        process = _with_dead_cell(program, start, backend)
-        event, timed_out = cont_sliced(
-            DebugSession(process), 10**6, deadline=deadline, ladder=ladder
-        )
-        stops.append(
-            (event.kind, event.steps, timed_out, process.cpu.instret,
-             list(compared))
-        )
-    assert stops[0] == stops[1]
-    assert stops[0][0] == STOP_CONVERGED
 
 
 #: A load through ``idx[0]`` late in the run: with a high bit set in that

@@ -32,7 +32,6 @@ EXPECTED_FIELDS = {
     "keep_results",
     "max_pool_rebuilds",
     "serial_fallback",
-    "wall_clock_limit",
     "journal",
     "resume",
     "telemetry",
@@ -58,6 +57,7 @@ def test_configuration_surface_is_pinned():
         "--max-retries",
         "--retry-backoff",
         "--retry-backoff-cap",
+        "--wall-clock-limit",
     ):
         with pytest.raises(SystemExit):
             parser.parse_args([flag, "1"])
@@ -95,7 +95,6 @@ def test_flags_parse_types_and_groups():
         [
             "--jobs", "3",
             "--ladder-interval", "0",
-            "--wall-clock-limit", "1.5",
             "--keep-results",
             "--no-serial-fallback",
             "--telemetry",
@@ -106,7 +105,6 @@ def test_flags_parse_types_and_groups():
     cfg = campaign_config_from_args(args)
     assert cfg.jobs == 3
     assert cfg.ladder_interval == 0
-    assert cfg.wall_clock_limit == 1.5
     assert cfg.keep_results is True
     assert cfg.serial_fallback is False
     assert cfg.telemetry is True and cfg.trace == "t.jsonl"
@@ -148,15 +146,8 @@ def test_config_validation():
         CampaignConfig(max_pool_rebuilds=-1)
     with pytest.raises(ValueError, match="ladder_interval"):
         CampaignConfig(ladder_interval=-1)
-    # A limit of zero or less would report every run as a hang.
-    for limit in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="wall_clock_limit"):
-            CampaignConfig(wall_clock_limit=limit)
     # The bounds themselves are valid.
-    CampaignConfig(
-        jobs=None, ladder_interval=0, max_pool_rebuilds=0,
-        wall_clock_limit=1e-9,
-    )
+    CampaignConfig(jobs=None, ladder_interval=0, max_pool_rebuilds=0)
     with pytest.raises(ValueError, match="journal"):
         CampaignConfig(journal="a", resume="b")
 

@@ -11,7 +11,9 @@ from repro.faultinject import (
     NO_LADDER,
     CampaignConfig,
     CampaignEngine,
+    InjectionPlan,
     InjectionResult,
+    Outcome,
     run_injection,
     seeded_plans,
 )
@@ -255,18 +257,22 @@ def test_campaign_needs_at_least_one_run(pennant_app, n):
 
 def test_workers_receive_the_whole_config(pennant_app, monkeypatch):
     """Pooled workers run with the same CampaignConfig as an in-process
-    campaign: non-default backend and wall-clock limit included.
+    campaign: non-default backend and ladder interval included.
 
     The fork pool inherits the patched ``run_injection``; a worker that
     lost a field fails its plans, which are then quarantined.
     """
+    interval = pennant_app.default_ladder_interval // 2
 
-    def checked(app, plan, config=None, *, session, wall_clock_limit, **kwargs):
-        if session.process.backend != "interpreter" or wall_clock_limit != 3600.0:
+    def checked(app, plan, config=None, *, session, ladder, **kwargs):
+        if (
+            session.process.backend != "interpreter"
+            or ladder is None
+            or ladder.interval != interval
+        ):
             raise AssertionError("CampaignConfig field lost on the way here")
         return run_injection(
-            app, plan, config, session=session,
-            wall_clock_limit=wall_clock_limit, **kwargs,
+            app, plan, config, session=session, ladder=ladder, **kwargs
         )
 
     monkeypatch.setattr(engine_mod, "run_injection", checked)
@@ -276,12 +282,81 @@ def test_workers_receive_the_whole_config(pennant_app, monkeypatch):
         engine = _engine(
             jobs=jobs,
             backend="interpreter",
-            wall_clock_limit=3600.0,
+            ladder_interval=interval,
             telemetry=True,
             keep_results=True,
         )
         result = engine.run(pennant_app, 6, SEED, LETGO_E)
         assert engine.stats.jobs == jobs
+        assert engine.stats.ladder_interval == interval
         assert engine.stats.quarantined == ()
         runs.append((_fingerprint(result), engine.telemetry.signature()))
     assert runs[0] == runs[1]
+
+
+# -- hangs: the instruction budget is the one bound -------------------------
+
+
+class CountedLoopApp(MiniApp):
+    """A counted loop, module-level so pooled workers can rebuild it.
+
+    Flipping the sign bit of the counter sends the loop round about
+    2**63 more times, far past the budget of ``10 x golden + 10,000``
+    instructions.
+    """
+
+    name = "counted-loop"
+    domain = "test"
+    source = """
+    func main() -> int {
+        var int i;
+        var float s = 0.0;
+        for (i = 0; i < 200; i = i + 1) { s = s + float(i); }
+        out(s);
+        out(i);
+        return 0;
+    }
+    """
+
+    def acceptance_check(self, output):
+        return len(output) == 2 and output[1][1] == 200
+
+    def sdc_slice(self, output):
+        return (output[0][1],)
+
+
+#: Flips the sign bit of the loop counter ``i`` in the second and third
+#: trips round the loop, and a low bit of the first.
+_LOOP_PLANS = [
+    InjectionPlan(dyn_index=37, bit=63, reg_choice=0.0),
+    InjectionPlan(dyn_index=51, bit=63, reg_choice=0.0),
+    InjectionPlan(dyn_index=23, bit=0, reg_choice=0.0),
+]
+
+
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
+@pytest.mark.parametrize("backend", ["compiled", "interpreter"])
+def test_a_budget_hang_through_the_engine(backend, jobs):
+    """A run that outruns the budget is a HANG at every backend and
+    ``jobs``; LetGo-E on the same plans is served it from the memo, and
+    the engine's result equals a cold run of the plan."""
+    app = CountedLoopApp()
+    assert _app_spec(app) is not None
+    for config in (None, LETGO_E):
+        engine = _engine(
+            jobs=jobs, backend=backend, telemetry=True, keep_results=True
+        )
+        result = engine.run(app, len(_LOOP_PLANS), SEED, config, plans=_LOOP_PLANS)
+        assert engine.stats.jobs == jobs
+        assert engine.stats.quarantined == ()
+        cold = [
+            run_injection(app, plan, config, backend=backend)
+            for plan in _LOOP_PLANS
+        ]
+        assert result.results == cold
+        hangs = result.results[:2]
+        assert [r.outcome for r in hangs] == [Outcome.HANG, Outcome.HANG]
+        assert all(r.steps == app.max_steps for r in hangs)
+        assert all(r.first_signal is None for r in result.results)
+        memo_hits = engine.telemetry.counters.get("memo-hit", 0)
+        assert memo_hits == (0 if config is None else len(_LOOP_PLANS))

@@ -72,11 +72,47 @@ def test_result_codec_round_trip(plans):
         first_signal=Signal.SIGSEGV,
         interventions=2,
         steps=4321,
-        timed_out=True,
     )
     encoded = json.loads(json.dumps(result_to_dict(result)))
     assert result_from_dict(encoded) == result
     assert result_from_dict(result_to_dict(_result(plans[0]))) == _result(plans[0])
+
+
+def _shard_line_with(path, plans, **extra):
+    """A journal at *path* with one shard line for plans 3 and 5 whose
+    second result carries *extra* keys."""
+    journal = CampaignJournal.create(path, JournalHeader.for_campaign(
+        "pennant", "LetGo-E", 8, SEED, plans
+    ))
+    journal.record_shard([3], [_result(plans[3])])
+    first, second = result_to_dict(_result(plans[3])), result_to_dict(
+        _result(plans[5], Outcome.HANG)
+    )
+    second.update(extra)
+    with path.open("a") as handle:
+        handle.write(json.dumps({
+            "kind": "shard", "indices": [4, 5], "results": [first, second],
+        }) + "\n")
+
+
+def test_a_result_cut_short_by_a_watchdog_is_refused(tmp_path, plans):
+    """Older versions could stop a run on the clock and journal it as a
+    HANG marked ``timed_out``; such a result depends on the clock, so
+    resuming it would mix it into a campaign that does not."""
+    path = tmp_path / "c.journal"
+    _shard_line_with(path, plans, timed_out=True)
+    with pytest.raises(JournalError, match="plan 5 .*watchdog"):
+        CampaignJournal.load(path)
+
+
+@pytest.mark.parametrize("extra", [{}, {"timed_out": False}], ids=["absent", "false"])
+def test_a_result_the_clock_did_not_stop_loads(tmp_path, plans, extra):
+    path = tmp_path / "c.journal"
+    _shard_line_with(path, plans, **extra)
+    pairs = CampaignJournal.load(path).take_pairs()
+    assert [idx for idx, _ in pairs] == [3, 4, 5]
+    assert pairs[2][1] == _result(plans[5], Outcome.HANG)
+    assert "timed_out" not in result_to_dict(pairs[2][1])
 
 
 def test_writer_keeps_indices_not_results(tmp_path, plans, header):

@@ -1,5 +1,5 @@
 """Resilience layer: retries, poison-plan quarantine, pool supervision,
-journaled resume, and the wall-clock watchdog.
+and journaled resume.
 
 The failure-injection trick: ``repro.faultinject.engine.run_injection`` is
 monkeypatched in the parent, and the fork-based worker pool inherits the
@@ -17,8 +17,6 @@ from repro.faultinject import (
     CampaignConfig,
     CampaignEngine,
     CampaignJournal,
-    InjectionPlan,
-    Outcome,
     run_injection,
     seeded_plans,
 )
@@ -42,7 +40,6 @@ def _fingerprint(result):
                 r.first_signal,
                 r.interventions,
                 r.steps,
-                r.timed_out,
             )
             for r in result.results
         ],
@@ -284,45 +281,3 @@ def test_utilization_divides_by_jobs_not_shards(pennant_app, tmp_path):
     assert stats.injections_per_sec == pytest.approx(
         16 / stats.elapsed_seconds
     )
-
-
-# -- wall-clock watchdog ----------------------------------------------------
-
-
-def _placed_plan():
-    return InjectionPlan(dyn_index=5000, bit=45, reg_choice=0.5)
-
-
-def test_watchdog_expiry_classifies_as_hang(pennant_app):
-    baseline = run_injection(
-        pennant_app, _placed_plan(), None, wall_clock_limit=0.0
-    )
-    assert baseline.outcome is Outcome.HANG
-    assert baseline.timed_out
-
-    letgo = run_injection(
-        pennant_app, _placed_plan(), LETGO_E, wall_clock_limit=0.0
-    )
-    assert letgo.outcome is Outcome.HANG
-    assert letgo.timed_out
-
-
-def test_watchdog_off_is_deterministic_default(pennant_app):
-    relaxed = run_injection(
-        pennant_app, _placed_plan(), LETGO_E, wall_clock_limit=3600.0
-    )
-    unlimited = run_injection(pennant_app, _placed_plan(), LETGO_E)
-    assert not unlimited.timed_out
-    assert (relaxed.outcome, relaxed.steps) == (unlimited.outcome, unlimited.steps)
-
-
-def test_engine_counts_watchdog_timeouts(pennant_app):
-    plans = [
-        InjectionPlan(dyn_index=1000 + i, bit=45, reg_choice=0.5)
-        for i in range(4)
-    ]
-    # A config rejects 0; a nanosecond is over before a post-fault run starts.
-    engine = _engine(jobs=1, wall_clock_limit=1e-9)
-    result = engine.run(pennant_app, 4, SEED, None, plans=plans)
-    assert engine.stats.timeouts == 4
-    assert result.counts == {Outcome.HANG: 4}

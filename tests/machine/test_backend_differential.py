@@ -483,7 +483,6 @@ def _result_facts(result):
         result.first_signal,
         result.interventions,
         result.steps,
-        result.timed_out,
     )
 
 

@@ -1,11 +1,11 @@
 """Sliced budgets: a run cut into buckets equals one run, on both backends.
 
-Post-fault runs are driven in slices -- the wall-clock watchdog checks
-its deadline between them and the ladder stops at every rung -- so
-``CPU.run`` must honour exact budgets: a run cut into *interval*-sized
-buckets, with a probe reading ``instret`` between them, must leave trap
-sites, retirement counts and stop reasons bit-identical to one ``run``
-call, on the interpreter and the compiled backend alike.
+Post-fault runs are driven in slices -- they stop at the snapshot-ladder
+rungs they compare with the golden run -- so ``CPU.run`` must honour
+exact budgets: a run cut into *interval*-sized buckets, with a probe
+reading ``instret`` between them, must leave trap sites, retirement
+counts and stop reasons bit-identical to one ``run`` call, on the
+interpreter and the compiled backend alike.
 """
 
 from __future__ import annotations
