@@ -2,8 +2,8 @@
 
 Times the identical (app, n, seed, config) campaign with telemetry off
 and with a JSONL trace written.  The engine accounts phases and counters
-either way (its one tracer feeds ``EngineStats``); a trace file adds the
-timeline, streamed to disk as shards commit, and the report, and is
+and builds its report either way (``EngineStats`` reads that report); a
+trace file adds the timeline, streamed to disk as shards commit, and is
 allowed a modest, bounded cost.  The per-phase numbers
 themselves are perfbench's job (``perfbench/run.py --trace 1``).
 

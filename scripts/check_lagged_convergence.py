@@ -59,9 +59,9 @@ def main(argv: list[str] | None = None) -> int:
             plans = bench.draw_plans(app, args.seed, round_no, workload)
             row = []
             for config in (None, LETGO_E):
-                engine = CampaignEngine(config=CampaignConfig(
-                    jobs=1, keep_results=True, telemetry=True
-                ))
+                engine = CampaignEngine(
+                    config=CampaignConfig(jobs=1, keep_results=True)
+                )
                 result = engine.run(app, len(plans), args.seed, config, plans=plans)
                 counters = engine.telemetry.counters
                 for plan, got in zip(plans, result.results):

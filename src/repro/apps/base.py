@@ -46,6 +46,17 @@ _LADDER_CACHE: dict[tuple[str, int | None], "SnapshotLadder"] = {}
 #: Most post-fault results the process-wide :data:`TRAP_FREE_MEMO` keeps.
 MEMO_CAPACITY = 32_768
 
+#: Multiple of the golden instruction count after which a run is a hang.
+HANG_FACTOR = 10.0
+
+
+def hang_budget(golden_steps: int) -> int:
+    """Per-run instruction budget of an app whose golden run retires
+    *golden_steps* instructions; a run that outlasts it is a hang.  Both
+    :class:`MiniApp` and :class:`~repro.parallel.app.ParallelApp` use it.
+    """
+    return int(golden_steps * HANG_FACTOR) + 10_000
+
 
 @dataclass(frozen=True)
 class GoldenRun:
@@ -100,8 +111,6 @@ class MiniApp(ABC):
     #: True for convergence-based iterative apps; False for direct methods
     #: (HPL).  Table 3 aggregates only the iterative set.
     iterative: bool = True
-    #: Multiple of the golden instruction count after which a run is a hang.
-    hang_factor: float = 10.0
     #: Significant decimal digits the app "prints" its SDC data with; the
     #: golden comparison happens at this granularity (see pack_output).
     sdc_digits: int = 9
@@ -153,7 +162,7 @@ class MiniApp(ABC):
     @property
     def max_steps(self) -> int:
         """Per-run instruction budget (beyond it: hang)."""
-        return int(self.golden.instret * self.hang_factor) + 10_000
+        return hang_budget(self.golden.instret)
 
     # -- snapshot ladder -----------------------------------------------------
 
@@ -347,6 +356,8 @@ __all__ = [
     "Output",
     "pack_output",
     "MEMO_CAPACITY",
+    "HANG_FACTOR",
+    "hang_budget",
     "MemoEntry",
     "TrapFreeMemo",
     "TRAP_FREE_MEMO",

@@ -129,7 +129,7 @@ def _progress_line(done: int, total: int) -> None:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.errors import CampaignAbortedError, JournalError
+    from repro.errors import JournalError
 
     app = make_app(args.app)
     config = _variant(args.letgo)
@@ -164,7 +164,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 130
-    except (CampaignAbortedError, JournalError) as exc:
+    except JournalError as exc:
         print(f"campaign failed: {exc}", file=sys.stderr)
         return 1
     n_done = campaign.n or 1
@@ -174,7 +174,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     ]
     title = f"{app.name} under {campaign.config_name} (n={args.n}, seed={args.seed})"
     print(ascii_table(["outcome", "runs", "fraction"], rows, title=title))
-    if engine.stats is not None and engine.stats.quarantined:
+    if engine.stats.quarantined:
         print(
             f"quarantined poison plans (excluded from fractions): "
             f"{list(engine.stats.quarantined)}"
@@ -187,9 +187,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"continued_sdc     : {pct_ci(m.continued_sdc.value, m.continued_sdc.half_width)}")
     print(f"crash rate        : {pct_ci(campaign.crash_rate().value, campaign.crash_rate().half_width)}")
     print(f"overall SDC rate  : {pct_ci(campaign.sdc_rate().value, campaign.sdc_rate().half_width)}")
-    if engine.stats is not None:
-        print(f"engine            : {engine.stats.describe()}")
-    if engine.telemetry is not None:
+    print(f"engine            : {engine.stats.describe()}")
+    if cfg.telemetry_enabled:
         print()
         print(engine.telemetry.render(title=f"telemetry: {app.name}"))
         if cfg.trace is not None:
@@ -493,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--letgo", choices=sorted(VARIANTS), default="LetGo-E")
-    # Every execution/resilience/observability flag is derived from the
+    # Every execution/durability/observability flag is derived from the
     # CampaignConfig fields, so config and CLI cannot drift apart.
     add_campaign_arguments(p)
 

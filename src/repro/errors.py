@@ -53,20 +53,5 @@ class JournalError(ReproError):
     """Campaign journal is corrupt, duplicated, or from another campaign."""
 
 
-class CampaignAbortedError(ReproError):
-    """An injection campaign could not be completed.
-
-    ``journal`` names the write-ahead journal holding the shards that did
-    complete (None when the campaign ran without one); resuming from it
-    skips the finished work.
-    """
-
-    def __init__(self, message: str, journal=None):
-        self.journal = journal
-        if journal is not None:
-            message = f"{message} (resume with --resume {journal})"
-        super().__init__(message)
-
-
 class SimulationError(ReproError):
     """The C/R state-machine simulation was mis-configured."""

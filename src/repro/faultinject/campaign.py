@@ -151,7 +151,7 @@ def _knob(
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Every execution / resilience / observability knob of a campaign.
+    """Every execution / durability / observability knob of a campaign.
 
     The one way to configure a campaign: the CLI builds it from flags,
     :class:`~repro.faultinject.engine.CampaignEngine`, the one campaign
@@ -160,7 +160,7 @@ class CampaignConfig:
     each worker.  None of these knobs changes campaign *outcomes*: a
     result is a pure function of (app, plans, LetGo config), and the
     app's instruction budget is the one hang bound.  The knobs change
-    how fast the result arrives, what it survives, and what gets
+    how fast the result arrives, where it is journaled, and what gets
     observed on the way.
 
     Each field's metadata (help text, flag type, default) is the single
@@ -203,20 +203,6 @@ class CampaignConfig:
         "(memory-unsafe at large N)",
         kind="bool",
     )
-    # -- resilience -------------------------------------------------------
-    max_pool_rebuilds: int = _knob(
-        2,
-        "broken process pools replaced before degrading to in-process "
-        "serial execution",
-        kind="int",
-        metavar="N",
-    )
-    serial_fallback: bool = _knob(
-        True,
-        "finish in-process when the worker pool keeps breaking "
-        "(--no-serial-fallback aborts instead)",
-        kind="bool",
-    )
     # -- durability -------------------------------------------------------
     journal: str | None = _knob(
         None,
@@ -236,8 +222,8 @@ class CampaignConfig:
     # -- observability ----------------------------------------------------
     telemetry: bool = _knob(
         False,
-        "record structured telemetry (phase spans + counters) and print "
-        "the end-of-campaign breakdown",
+        "print the end-of-campaign breakdown (phase spans + counters); "
+        "the campaign accounts either way",
         kind="bool",
     )
     trace: str | None = _knob(
@@ -260,8 +246,6 @@ class CampaignConfig:
             raise ValueError("shard_size must be >= 1")
         if self.ladder_interval is not None and self.ladder_interval < 0:
             raise ValueError("ladder_interval must be >= 0")
-        if self.max_pool_rebuilds < 0:
-            raise ValueError("max_pool_rebuilds must be >= 0")
         if self.journal is not None and self.resume is not None:
             raise ValueError(
                 "pass either journal= (fresh) or resume= (existing), not both"

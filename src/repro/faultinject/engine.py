@@ -50,20 +50,24 @@ checkpoint/restart discipline to the campaign runner itself:
   each completed shard, and ``resume=`` skips journaled plans and folds
   old + new shards into a result bit-identical to an uninterrupted run;
 * a **supervisor** retries failed shards with bounded exponential
-  backoff, rebuilds a broken process pool, bisects a persistently
-  failing shard down to the single **poison plan** and quarantines it
-  (recorded in :class:`EngineStats` and the journal, never silently
-  dropped), and degrades to in-process serial execution when
-  multiprocessing is unavailable or keeps breaking.
+  backoff, bisects a persistently failing shard down to the single
+  **poison plan** and quarantines it (recorded in :class:`EngineStats`
+  and the journal, never silently dropped), rebuilds a broken process
+  pool up to :data:`MAX_POOL_REBUILDS` times, and then finishes
+  in-process.  That ladder is fixed and has no abort rung, as LetGo
+  keeps an application going: a campaign stops short only when its own
+  process dies, and its journal covers that.
 
 A run's one hang bound is the app's instruction budget: nothing in the
 engine or below it reads a clock to decide an outcome, so a campaign
 result is a pure function of (app, plans, LetGo config).
 
-Throughput and resilience observability come back in an
-:class:`EngineStats` record, read off the campaign's one tally (its
-tracer): injections/sec, ladder restore-distance, per-shard utilization,
-retries, pool rebuilds, and quarantined plans.
+Every campaign accounts through one tracer, and its totals become the
+run's :class:`~repro.telemetry.TelemetryReport`, kept on
+:attr:`CampaignEngine.telemetry`.  :class:`EngineStats` reads that
+report (injections/sec, fast-forward, retries, pool rebuilds) and adds
+only what it does not hold: ladder geometry, per-shard utilization,
+resumed and quarantined plans.
 """
 
 from __future__ import annotations
@@ -80,7 +84,6 @@ from typing import Callable
 from repro.apps.base import TRAP_FREE_MEMO, MiniApp, TrapFreeMemo
 from repro.checkpoint.snapshot import SnapshotLadder, restore_into, snapshot
 from repro.core.config import LetGoConfig
-from repro.errors import CampaignAbortedError
 from repro.faultinject.campaign import CampaignConfig, CampaignResult
 from repro.faultinject.fault_model import InjectionPlan, seeded_plans
 from repro.faultinject.injector import InjectionResult, run_injection
@@ -94,6 +97,8 @@ NO_LADDER = 0
 
 #: Re-executions of a failing shard before it is bisected.
 MAX_RETRIES = 2
+#: Broken process pools replaced before the campaign finishes in-process.
+MAX_POOL_REBUILDS = 2
 #: Seconds slept before the first retry of a shard; doubles per retry.
 RETRY_BACKOFF = 0.1
 #: Upper bound on one retry's sleep, in seconds.
@@ -107,30 +112,38 @@ MAX_DEFAULT_SHARD = 1000
 class EngineStats:
     """Throughput + resilience observability for one engine campaign.
 
-    Tallies are the campaign tracer's counters, and per-shard seconds its
-    ``shard`` phases, so they always agree with the telemetry report.
+    A view of the campaign's one tally: every count and the wall-clock
+    are read off :attr:`report`, the campaign's
+    :class:`~repro.telemetry.TelemetryReport`, so they cannot disagree
+    with it.  The fields hold only what the report does not: campaign
+    geometry, per-shard seconds, resumed plans and quarantined plans.
     """
 
     n: int
     jobs: int                      # worker processes actually used (1 = in-process)
-    elapsed_seconds: float
     ladder_interval: int           # 0 when the ladder was disabled
     ladder_rungs: int
-    restored: int                  # injections launched from a ladder rung
-    cold_starts: int               # injections replayed from instruction 0
-    fast_forward_steps: int        # golden-prefix instructions actually replayed
-    per_worker_injections: tuple[int, ...]   # per committed shard
     per_worker_seconds: tuple[float, ...]    # per committed shard
-    retries: int = 0               # shard re-executions after failures
-    pool_rebuilds: int = 0         # broken process pools replaced
-    degraded_serial: bool = False  # fell back to in-process execution
+    report: TelemetryReport
     resumed: int = 0               # plans skipped: already journaled
     quarantined: tuple[int, ...] = ()  # poison-plan indices, never re-run
 
     @property
     def executed(self) -> int:
-        """Injections actually run this invocation."""
-        return self.restored + self.cold_starts
+        """Injections actually run this invocation: ladder restores plus
+        cold starts."""
+        tally = self.report.counters.get
+        return tally("restore", 0) + tally("cold-start", 0)
+
+    @property
+    def elapsed_seconds(self) -> float:
+        """Wall-clock seconds of the campaign."""
+        return self.report.wall_seconds
+
+    @property
+    def fast_forward_steps(self) -> int:
+        """Golden-prefix instructions actually replayed."""
+        return self.report.counters.get("fast-forward-instr", 0)
 
     @property
     def injections_per_sec(self) -> float:
@@ -166,14 +179,15 @@ class EngineStats:
             f"({self.injections_per_sec:.1f}/s) | jobs={self.jobs} "
             f"util={self.utilization:.0%} | {ladder}"
         )
+        tally = self.report.counters.get
         extras = []
         if self.resumed:
             extras.append(f"resumed={self.resumed}")
-        if self.retries:
-            extras.append(f"retries={self.retries}")
-        if self.pool_rebuilds:
-            extras.append(f"pool rebuilds={self.pool_rebuilds}")
-        if self.degraded_serial:
+        if tally("retry"):
+            extras.append(f"retries={tally('retry')}")
+        if tally("pool-rebuild"):
+            extras.append(f"pool rebuilds={tally('pool-rebuild')}")
+        if tally("serial-degrade"):
             extras.append("serial fallback")
         if self.quarantined:
             extras.append(f"quarantined={list(self.quarantined)}")
@@ -369,10 +383,9 @@ class _Supervisor:
     doubling up to :data:`RETRY_BACKOFF_CAP`) -> bisect a still-failing
     shard to isolate the poison plan -> quarantine the single plan that
     keeps failing.  Pool breakage (SIGKILLed/OOM-killed workers) rebuilds
-    the executor up to ``max_pool_rebuilds`` times, then either degrades
-    to in-process serial execution or -- with ``serial_fallback`` off --
-    aborts with :class:`~repro.errors.CampaignAbortedError` naming the
-    journal.
+    the executor up to :data:`MAX_POOL_REBUILDS` times, then finishes
+    in-process.  The ladder has no abort rung: a campaign stops short
+    only if its own process dies, and the journal covers that.
     Every completed shard is journaled *before* :meth:`fold` counts it.
     """
 
@@ -388,7 +401,6 @@ class _Supervisor:
 
     counts: Counter = field(default_factory=Counter)
     kept: list[tuple[int, InjectionResult]] = field(default_factory=list)
-    shard_sizes: list[int] = field(default_factory=list)
     shard_seconds: list[float] = field(default_factory=list)
     attempts: dict[tuple[int, ...], int] = field(default_factory=dict)
     quarantined: list[int] = field(default_factory=list)
@@ -474,17 +486,10 @@ class _Supervisor:
                     self.tracer.count("pool-rebuild")
                     rebuilds = self.tracer.counters["pool-rebuild"]
                     self.tracer.instant("pool-rebuild", n=rebuilds)
-                    if rebuilds > self.campaign.max_pool_rebuilds:
-                        if not self.campaign.serial_fallback:
-                            raise CampaignAbortedError(
-                                f"worker pool broke {rebuilds} times; giving up",
-                                journal=(
-                                    self.journal.path if self.journal else None
-                                ),
-                            )
-                        self._degrade()
-                        return
-                    pool = self._make_pool()
+                    pool = (
+                        self._make_pool() if rebuilds <= MAX_POOL_REBUILDS
+                        else None
+                    )
                     if pool is None:
                         self._degrade()
                         return
@@ -515,7 +520,6 @@ class _Supervisor:
                 [idx for idx, _ in pairs], [result for _, result in pairs]
             )
         self.fold(pairs)
-        self.shard_sizes.append(len(pairs))
         self.shard_seconds.append(seconds)
         if self.writer is not None:
             self.writer.write(payload, offset)
@@ -569,9 +573,8 @@ class CampaignEngine:
     """Runs injection campaigns with prefix reuse, fan-out, and supervision.
 
     Every knob -- execution (``jobs``, ``ladder_interval``, ``shard_size``,
-    ``backend``, ``keep_results``), resilience (pool rebuilds, serial
-    fallback), durability (``journal`` / ``resume``) and
-    observability -- is a field of the frozen
+    ``backend``, ``keep_results``), durability (``journal`` / ``resume``)
+    and observability -- is a field of the frozen
     :class:`~repro.faultinject.campaign.CampaignConfig` passed as
     ``config=`` (None: the defaults).  The engine reads it as
     :attr:`config` and hands the same object to every worker.
@@ -579,10 +582,10 @@ class CampaignEngine:
     For the same (app, n, seed, LetGo config, plans) every (jobs,
     ladder_interval, shard_size, backend) combination produces an
     identical :class:`CampaignResult`; the engine only changes how fast
-    it arrives and what it survives.  The last run's :class:`EngineStats`
-    is kept on :attr:`stats`.  With telemetry enabled the last run's
-    :class:`~repro.telemetry.TelemetryReport`, read off the same tracer,
-    is kept on :attr:`telemetry`; :attr:`on_progress` optionally receives
+    it arrives and what it survives.  The last run's
+    :class:`~repro.telemetry.TelemetryReport`, its one tally, is kept on
+    :attr:`telemetry`, and the :class:`EngineStats` that reads it on
+    :attr:`stats`; :attr:`on_progress` optionally receives
     ``(done, total)`` after every committed shard.
     """
 
@@ -625,7 +628,7 @@ class CampaignEngine:
             raise ValueError(f"a campaign needs at least one run, got n={n}")
         cfg = self.config
         tracer = Tracer(tid="engine", timeline=cfg.writes_trace)
-        self.telemetry = None
+        self.stats = self.telemetry = None
         t0 = perf_counter()
         if plans is None:
             with tracer.span("plan"):
@@ -735,28 +738,17 @@ class CampaignEngine:
         finally:
             if writer is not None:
                 writer.close()
-        tally = tracer.counters.get
+        self.telemetry = TelemetryReport.from_tracer(tracer, wall_seconds=elapsed)
         self.stats = EngineStats(
             n=n,
             jobs=jobs,
-            elapsed_seconds=elapsed,
             ladder_interval=ladder.interval if ladder is not None else NO_LADDER,
             ladder_rungs=len(ladder) if ladder is not None else 0,
-            restored=tally("restore", 0),
-            cold_starts=tally("cold-start", 0),
-            fast_forward_steps=tally("fast-forward-instr", 0),
-            per_worker_injections=tuple(supervisor.shard_sizes),
             per_worker_seconds=tuple(supervisor.shard_seconds),
-            retries=tally("retry", 0),
-            pool_rebuilds=tally("pool-rebuild", 0),
-            degraded_serial="serial-degrade" in tracer.counters,
+            report=self.telemetry,
             resumed=resumed,
             quarantined=tuple(sorted(prior_quarantine + supervisor.quarantined)),
         )
-        if cfg.telemetry_enabled:
-            self.telemetry = TelemetryReport.from_tracer(
-                tracer, wall_seconds=elapsed
-            )
         return merged
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -161,13 +161,8 @@ class JournalHeader:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "app_name": self.app_name,
-            "config_name": self.config_name,
-            "n": self.n,
-            "seed": self.seed,
-            "plans_sha256": self.plans_sha256,
-        }
+        """Every field, in declaration order: the header line's payload."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -272,16 +267,11 @@ class CampaignJournal:
         """Refuse to resume a journal from a different campaign."""
         if header == self.header:
             return
+        ours, theirs = self.header.to_dict(), header.to_dict()
         mismatches = [
-            f"{name}: journal={ours!r} run={theirs!r}"
-            for name, ours, theirs in (
-                ("app", self.header.app_name, header.app_name),
-                ("config", self.header.config_name, header.config_name),
-                ("n", self.header.n, header.n),
-                ("seed", self.header.seed, header.seed),
-                ("plans", self.header.plans_sha256, header.plans_sha256),
-            )
-            if ours != theirs
+            f"{name}: journal={ours[name]!r} run={theirs[name]!r}"
+            for name in ours
+            if ours[name] != theirs[name]
         ]
         raise JournalError(
             f"journal {self.path} belongs to a different campaign "

@@ -331,7 +331,7 @@ def check_merge(
 ) -> list[Divergence]:
     """Campaigns over a split of the plans, results concatenated and
     counts and telemetry counters summed, == the unsharded campaign."""
-    cc = CampaignConfig(keep_results=True, telemetry=True)
+    cc = CampaignConfig(keep_results=True)
     plans = seeded_plans(app.golden.instret, n, seed)
     split = max(1, min(split, n - 1))
     full, full_tel = _run_with_engine(app, n, seed, config, plans, cc)
@@ -423,15 +423,12 @@ def check_jobs(
     plans = seeded_plans(app.golden.instret, n, seed)
     serial, serial_tel = _run_with_engine(
         app, n, seed, config, plans,
-        CampaignConfig(jobs=1, keep_results=True, telemetry=True),
+        CampaignConfig(jobs=1, keep_results=True),
     )
     _tally(coverage, serial, serial_tel)
     fanned, fanned_tel = _run_with_engine(
         app, n, seed, config, plans,
-        CampaignConfig(
-            jobs=jobs, keep_results=True, telemetry=True,
-            shard_size=shard_size,
-        ),
+        CampaignConfig(jobs=jobs, keep_results=True, shard_size=shard_size),
     )
     found: list[Divergence] = []
     if _campaign_key(serial) != _campaign_key(fanned):
@@ -479,9 +476,7 @@ def check_converge(
         for interval in intervals:
             result, report = _run_with_engine(
                 app, n, seed, config, plans,
-                CampaignConfig(
-                    keep_results=True, telemetry=True, ladder_interval=interval
-                ),
+                CampaignConfig(keep_results=True, ladder_interval=interval),
             )
             _tally(coverage, result, report)
             if coverage is not None:
@@ -518,7 +513,7 @@ def check_paired(
     """
     if plans is None:
         plans = seeded_plans(app.golden.instret, n, seed)
-    cc = CampaignConfig(jobs=1, keep_results=True, telemetry=True)
+    cc = CampaignConfig(jobs=1, keep_results=True)
     cold = []
     for config in CAMPAIGN_CONFIGS:
         result, report = _run_with_engine(app, n, seed, config, plans, cc)
@@ -563,8 +558,6 @@ def check_paired(
 
 def _filtered_counters(report) -> dict[str, int]:
     """Outcome/heuristic/signal counters only (scheduling events vary)."""
-    if report is None:
-        return {}
     keep = ("outcome:", "heuristic:", "first-signal:")
     return {
         name: value

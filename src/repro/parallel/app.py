@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import isfinite
 
-from repro.apps.base import MiniApp, pack_output
+from repro.apps.base import MiniApp, hang_budget, pack_output
 from repro.errors import SimulationError
 from repro.isa.program import Program
 from repro.lang.compiler import CompiledUnit, compile_unit
@@ -37,7 +37,6 @@ class ParallelApp:
     name: str = ""
     domain: str = ""
     size: int = 4
-    hang_factor: float = 10.0
     sdc_digits: int = 9
 
     @property
@@ -88,7 +87,7 @@ class ParallelApp:
 
     @property
     def max_steps(self) -> int:
-        return int(self.golden_steps * self.hang_factor) + 10_000
+        return hang_budget(self.golden_steps)
 
     @cached_property
     def functions(self):

@@ -14,8 +14,10 @@ Chrome ``trace_event`` array as the campaign commits.
 Design contract (see docs/ARCHITECTURE.md, "Observability"):
 
 * **One accounting source.**  The campaign engine always accounts through
-  a tracer, and derives both its ``EngineStats`` and the report from it;
-  a trace file only turns the timeline on.  Code that is not traced
+  a tracer and snapshots it into a :class:`TelemetryReport` on every
+  run; its ``EngineStats`` reads its counts and wall-clock off that
+  report.  The ``telemetry`` knob only prints the breakdown, and a trace
+  file only turns the timeline on.  Code that is not traced
   passes :data:`NULL_TRACER`, whose methods are allocation-free no-ops;
   the CPU hot loops are never touched.
 * **Picklable flushes.**  Worker processes drain their tracer per shard

@@ -30,8 +30,6 @@ EXPECTED_FIELDS = {
     "shard_size",
     "backend",
     "keep_results",
-    "max_pool_rebuilds",
-    "serial_fallback",
     "journal",
     "resume",
     "telemetry",
@@ -58,9 +56,13 @@ def test_configuration_surface_is_pinned():
         "--retry-backoff",
         "--retry-backoff-cap",
         "--wall-clock-limit",
+        "--max-pool-rebuilds",
     ):
         with pytest.raises(SystemExit):
             parser.parse_args([flag, "1"])
+    for switch in ("--serial-fallback", "--no-serial-fallback"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([switch])
 
 
 def test_every_config_field_has_a_flag_and_vice_versa():
@@ -96,7 +98,6 @@ def test_flags_parse_types_and_groups():
             "--jobs", "3",
             "--ladder-interval", "0",
             "--keep-results",
-            "--no-serial-fallback",
             "--telemetry",
             "--trace", "t.jsonl",
             "--journal", "j.path",
@@ -106,7 +107,6 @@ def test_flags_parse_types_and_groups():
     assert cfg.jobs == 3
     assert cfg.ladder_interval == 0
     assert cfg.keep_results is True
-    assert cfg.serial_fallback is False
     assert cfg.telemetry is True and cfg.trace == "t.jsonl"
     assert cfg.journal == "j.path" and cfg.resume is None
 
@@ -142,12 +142,10 @@ def test_config_validation():
         CampaignConfig(jobs=0)
     with pytest.raises(ValueError, match="shard_size"):
         CampaignConfig(shard_size=0)
-    with pytest.raises(ValueError, match="max_pool_rebuilds"):
-        CampaignConfig(max_pool_rebuilds=-1)
     with pytest.raises(ValueError, match="ladder_interval"):
         CampaignConfig(ladder_interval=-1)
     # The bounds themselves are valid.
-    CampaignConfig(jobs=None, ladder_interval=0, max_pool_rebuilds=0)
+    CampaignConfig(jobs=None, ladder_interval=0, shard_size=1)
     with pytest.raises(ValueError, match="journal"):
         CampaignConfig(journal="a", resume="b")
 
@@ -174,7 +172,7 @@ def test_telemetry_enabled_implied_by_outputs():
 def test_engine_accepts_config_object_silently():
     import warnings
 
-    cfg = CampaignConfig(jobs=2, max_pool_rebuilds=0)
+    cfg = CampaignConfig(jobs=2, shard_size=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         engine = CampaignEngine(config=cfg)

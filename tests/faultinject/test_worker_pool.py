@@ -51,7 +51,7 @@ def test_sigkilled_idle_workers_are_replaced(pennant_app, tmp_path):
     for pid in killed:
         os.kill(pid, signal.SIGKILL)
     result, engine, fresh = _pooled(pennant_app, tmp_path / "b.jsonl")
-    assert engine.stats.pool_rebuilds == 1
+    assert engine.telemetry.counters["pool-rebuild"] == 1
     assert not killed & fresh
     assert result.results == _reference(pennant_app)
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.apps import base as apps_base
 from repro.parallel import HeatApp
 
 
@@ -74,3 +75,19 @@ def test_different_sizes_agree_on_physics():
     f2 = two.sdc_slice(two.golden_outputs)
     f4 = four.sdc_slice(four.golden_outputs)
     assert max(abs(a - b) for a, b in zip(f2, f4)) < 1e-9
+
+
+def test_one_hang_factor_sets_both_budgets(heat, pennant_app, monkeypatch):
+    """Cluster apps and single-process apps share one hang-budget rule."""
+    before = (heat.max_steps, pennant_app.max_steps)
+    assert before == (
+        apps_base.hang_budget(heat.golden_steps),
+        apps_base.hang_budget(pennant_app.golden.instret),
+    )
+    monkeypatch.setattr(apps_base, "HANG_FACTOR", apps_base.HANG_FACTOR * 2)
+    after = (heat.max_steps, pennant_app.max_steps)
+    assert after == (
+        int(heat.golden_steps * apps_base.HANG_FACTOR) + 10_000,
+        int(pennant_app.golden.instret * apps_base.HANG_FACTOR) + 10_000,
+    )
+    assert after[0] > before[0] and after[1] > before[1]

@@ -6,8 +6,8 @@ The acceptance contract this file pins:
   campaign's :class:`CampaignResult` tallies;
 * the same seed yields an identical aggregated report signature across
   ``jobs=1`` and ``jobs=4`` (sharding never leaks into the numbers);
-* telemetry never changes campaign outcomes or the engine's tallies, and
-  disabled telemetry leaves no report behind;
+* telemetry never changes campaign outcomes or the engine's tallies;
+  every run leaves its report behind, and ``EngineStats`` reads it;
 * a timeline is kept only when a trace file is written, and the trace is
   complete: for every span name its span lines equal its totals count;
 * the trace files grow as shards commit, and parse.
@@ -113,11 +113,11 @@ def test_engine_stats_tallies_identical_with_telemetry_on_and_off(
             config=CampaignConfig(telemetry=telemetry, **knobs)
         )
         engine.run(pennant_app, N, SEED, LETGO_E)
-        stats = engine.stats
+        stats, counters = engine.stats, engine.telemetry.counters
         tallies.append(
             (
-                stats.restored,
-                stats.cold_starts,
+                counters.get("restore", 0),
+                counters.get("cold-start", 0),
                 stats.fast_forward_steps,
                 stats.executed,
             )
@@ -135,8 +135,31 @@ def test_telemetry_does_not_change_outcomes(pennant_app):
         plain.run(pennant_app, N, SEED, LETGO_E).counts
         == traced.run(pennant_app, N, SEED, LETGO_E).counts
     )
-    assert plain.telemetry is None
+    assert plain.telemetry is not None
     assert traced.telemetry is not None
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [{"jobs": 1}, {"jobs": 2}, {"jobs": 2, "shard_size": 3, "journal": True}],
+    ids=["serial", "pool", "journaled"],
+)
+def test_engine_stats_read_the_campaign_report(pennant_app, tmp_path, knobs):
+    if knobs.pop("journal", False):
+        knobs["journal"] = str(tmp_path / "c.journal")
+    engine = CampaignEngine(config=CampaignConfig(**knobs))
+    engine.run(pennant_app, N, SEED, LETGO_E)
+    stats, report = engine.stats, engine.telemetry
+    assert stats.report is report
+    counters = report.counters
+    assert stats.executed == counters.get("restore", 0) + counters.get(
+        "cold-start", 0
+    ) == N
+    assert stats.fast_forward_steps == counters["fast-forward-instr"]
+    assert stats.elapsed_seconds == report.wall_seconds > 0
+    shard = report.phases["shard"]
+    assert len(stats.per_worker_seconds) == shard.count
+    assert sum(stats.per_worker_seconds) == pytest.approx(shard.total_seconds)
 
 
 def test_per_injection_phases_present_and_bounded_by_wall(pennant_app):

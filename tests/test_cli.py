@@ -146,22 +146,6 @@ def test_inject_out_of_range_plan_is_a_one_line_error(flag, value, message):
         main(argv)
 
 
-def test_campaign_abort_prints_one_line_error(monkeypatch, capsys):
-    from repro.errors import CampaignAbortedError
-    from repro.faultinject.engine import CampaignEngine
-
-    def doomed(self, *args, **kwargs):
-        raise CampaignAbortedError("worker pool broke 3 times; giving up",
-                                   journal="pennant.journal")
-
-    monkeypatch.setattr(CampaignEngine, "run", doomed)
-    assert main(["campaign", "--app", "pennant", "-n", "4"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.count("\n") == 1  # one line, not a traceback
-    assert "campaign failed" in captured.err
-    assert "--resume pennant.journal" in captured.err
-
-
 def test_campaign_interrupt_names_resume_journal(monkeypatch, capsys, tmp_path):
     from repro.faultinject.engine import CampaignEngine
 
